@@ -1,16 +1,13 @@
-"""Pure-numpy fallback for the cyclic Jacobi kernel.
+"""Pure-numpy cyclic Jacobi sweep: the independent eigensolver oracle.
 
-Same contract and sweep strategy as ``_jacobi_cy.sweep_cyclic``, including
-the adaptive skip threshold. Row/column rotations are vectorised, so this
-is adequate for a few hundred vertices; it exists so the package runs (and
-all tests pass) without a compiler.
+Cyclic-by-row rotations with an adaptive skip threshold. Row/column
+rotations are vectorised, so this is adequate for a few hundred vertices;
+it shares no code with LAPACK, so the tests compare the two.
 """
 
 import math
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 ADAPT = 0.5
 

@@ -257,7 +257,7 @@ def verify_all(sub: ConvexSubgraph, potential=None,
 
     # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace;
     # the reported bound is the minimum (every member is a valid bound).
-    basis = _gap_eigenspace_indices(spec)
+    basis = spec.gap_indices
 
     hyps = {"strongly_convex": convexity.convex, "diameter_ge_1": d >= 1}
     records.append(_ratio_record("thm3", hyps, sub, spec, basis, tol,
@@ -309,14 +309,6 @@ def verify_all(sub: ConvexSubgraph, potential=None,
                      "rayleigh_error": cert.rayleigh_error})
 
 
-def _gap_eigenspace_indices(spec: Spectrum):
-    """Indices of all eigenvectors sharing lambda1 (degeneracy-aware)."""
-    w = spec.eigenvalues
-    scale = max(1.0, float(np.abs(w).max()))
-    return [i for i in range(1, spec.dim)
-            if abs(w[i] - w[1]) <= 1e-9 * scale]
-
-
 def _ratio_record(name, hyps, sub, spec, basis, tol, evaluate):
     if not all(hyps.values()):
         return TheoremRecord(theorem=name, applicable=False, hypotheses=hyps)
@@ -340,11 +332,15 @@ def _ratio_record(name, hyps, sub, spec, basis, tol, evaluate):
     tol_verify = tol.verify_factor * max(1.0, gap)
     value = min(values)
     worst_slack = gap - max(values)
+    # the first eigenvector attaining the minimum up to tolerance, so rounding
+    # cannot pick a different one among equal bounds
+    best = consts[next(i for i, v in enumerate(values)
+                       if v <= value + tol_verify)]
     detail = {
         "c_u0": [c.value for c in consts],
         "bounds_per_eigenvector": values,
-        "pairs": int(consts[int(np.argmin(values))].pairs.shape[0]),
-        "skipped_pairs": int(consts[int(np.argmin(values))].skipped.shape[0]),
+        "pairs": int(best.pairs.shape[0]),
+        "skipped_pairs": int(best.skipped.shape[0]),
     }
     return TheoremRecord(theorem=name, applicable=True, hypotheses=hyps,
                          bound=value, slack=gap - value,

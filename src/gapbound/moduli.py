@@ -30,12 +30,27 @@ class ModulusOfContinuity:
     sub: ConvexSubgraph
     f: np.ndarray
     values: np.ndarray            # eta(s) for s = 0..D
-    achievers: dict               # s > 0 -> (r, 2) local (y, x) pairs
     tie_tol: float
 
     @property
     def diameter(self) -> int:
         return self.values.size - 1
+
+    @property
+    def achievers(self) -> dict:
+        """s > 0 -> (r, 2) local (y, x) pairs attaining eta(s) up to tie_tol.
+
+        Built on first use: the heat certificates only read the values.
+        """
+        if "_achievers" not in self.__dict__:
+            dist = self.sub.dist_S
+            diff = self.f[:, None] - self.f[None, :]
+            self.__dict__["_achievers"] = {
+                s: np.argwhere((dist <= s) & (dist > 0)
+                               & (diff >= self.values[s] - self.tie_tol)
+                               ).astype(np.int32)
+                for s in range(1, self.diameter + 1)}
+        return self.__dict__["_achievers"]
 
     def at(self, s: int) -> float:
         """eta(s) with antisymmetry and the eta(D+2)=eta(D+1)=eta(D) extension."""
@@ -152,7 +167,7 @@ class RatioFunction:
 
 def modulus_of_continuity(f, sub: ConvexSubgraph,
                           tol: ToleranceConfig = DEFAULT_TOL) -> ModulusOfContinuity:
-    """Exact modulus by exhaustive pair scan, with achiever bookkeeping."""
+    """Exact modulus by exhaustive pair scan; achievers are built lazily."""
     f = np.asarray(f, dtype=np.float64)
     d = sub.diameter_S
     dist = sub.dist_S
@@ -165,12 +180,7 @@ def modulus_of_continuity(f, sub: ConvexSubgraph,
         values[s] = max(values[s - 1], here)
 
     tie = tol.tie_factor * max(1.0, abs(values[d]))
-    achievers = {}
-    for s in range(1, d + 1):
-        mask = (dist <= s) & (dist > 0) & (diff >= values[s] - tie)
-        achievers[s] = np.argwhere(mask).astype(np.int32)
-    return ModulusOfContinuity(sub=sub, f=f, values=values,
-                               achievers=achievers, tie_tol=tie)
+    return ModulusOfContinuity(sub=sub, f=f, values=values, tie_tol=tie)
 
 
 def modulus_of_concavity(g, sub: ConvexSubgraph,

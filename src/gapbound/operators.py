@@ -1,10 +1,13 @@
 """Combinatorial Laplacians, stoquastic Hamiltonians H = L + W, and spectra.
 
-The eigensolver is cyclic Jacobi (see jacobi.py for the kernel split); every
-Spectrum is validated against residual, orthonormality and ground-state sign
-invariants at construction time.
+The eigensolver is LAPACK by default, with cyclic Jacobi as the oracle (see
+jacobi.py). The lambda1 eigenspace gets a canonical basis, so a degenerate
+gap reports the same eigenvectors whichever solver ran. Every Spectrum is
+validated against residual, orthonormality and ground-state sign invariants
+at construction time.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -14,7 +17,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (CertificateFailure, NegativePotential,
                      SpectrumInvariantError)
 from .graphs import ConvexSubgraph, HomogeneousGraph
-from .jacobi import jacobi_eigh
+from .jacobi import _fix_signs, jacobi_eigh
 
 LAPLACIAN = "laplacian"
 HAMILTONIAN = "hamiltonian"
@@ -84,12 +87,56 @@ class Spectrum:
     def vector(self, i: int) -> np.ndarray:
         return self.eigenvectors[:, i]
 
-    def eigenspace(self, i: int, rel_tol: float = 1e-9) -> np.ndarray:
-        """Columns spanning the eigenspace of eigenvalue i (degeneracy-aware)."""
-        w = self.eigenvalues
-        scale = max(1.0, float(np.abs(w).max()))
-        close = np.abs(w - w[i]) <= rel_tol * scale
-        return self.eigenvectors[:, close]
+    @property
+    def gap_indices(self) -> range:
+        """Indices of the eigenvectors spanning the lambda1 eigenspace."""
+        return _lambda1_indices(self.eigenvalues)
+
+
+def _lambda1_indices(w: np.ndarray) -> range:
+    """Indices i >= 1 with w[i] = w[1] up to 1e-9 max(1, |w|max).
+
+    ``w`` is ascending, so the cluster is a contiguous run from index 1.
+    """
+    if w.size < 2:
+        return range(1, 1)
+    scale = max(1.0, float(np.abs(w).max()))
+    k = int(np.count_nonzero(w[1:] - w[1] <= 1e-9 * scale))
+    return range(1, 1 + k)
+
+
+def _canonical_basis(v: np.ndarray, idx: range):
+    """Replace columns ``idx`` of ``v`` by a basis independent of the solver.
+
+    Gram-Schmidt over the projections P e_0, P e_1, ... of the coordinate
+    vectors onto the span P of those columns, keeping the first k that are
+    independent, then the sign fix. Any orthonormal basis of the same span
+    gives the same result up to rounding. The work is done on coefficients
+    c_j = V[j, idx] (P e_j = V c_j, and V is orthonormal). A projection
+    counts as independent when its residual exceeds 0.5/sqrt(n). The scan
+    always finds all k: were it to end with m < k vectors, the residuals of
+    the n rows against them would have squares summing to k - m >= 1, so
+    some row would have cleared the bar.
+    """
+    k = len(idx)
+    if k < 2:
+        return
+    vc = v[:, idx]
+    bar = 0.5 / math.sqrt(v.shape[0])
+    q = np.zeros((k, k))
+    m = 0
+    for c in vc:
+        r = c - q[:, :m] @ (q[:, :m].T @ c)
+        r -= q[:, :m] @ (q[:, :m].T @ r)      # second pass for orthogonality
+        norm = float(np.linalg.norm(r))
+        if norm > bar:
+            q[:, m] = r / norm
+            m += 1
+            if m == k:
+                break
+    basis = vc @ q
+    _fix_signs(basis)
+    v[:, idx] = basis
 
 
 def laplacian(obj: Union[ConvexSubgraph, HomogeneousGraph]) -> SymmetricOperator:
@@ -169,6 +216,7 @@ def eigendecompose(op: SymmetricOperator,
     """Full validated spectrum of a symmetric operator."""
     w, v, info = jacobi_eigh(op.entries, tol_factor=tol.eig_offdiag_factor,
                              max_sweeps=tol.eig_max_sweeps)
+    _canonical_basis(v, _lambda1_indices(w))
     resid = np.abs(op.entries @ v - v * w).max(axis=0)
     spec = Spectrum(eigenvalues=_ro(w), eigenvectors=_ro(v),
                     residuals=_ro(resid), operator=op,

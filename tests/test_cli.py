@@ -1,7 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from gapbound import jacobi
 from gapbound.cli import main
+from gapbound.config import DEFAULT_TOL
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALL_ANALYSES = ["spectrum", "bounds", "moduli", "heat"]
 
 
 def write_spec(path: Path, **kwargs):
@@ -93,6 +103,54 @@ def test_reports_byte_stable(tmp_path):
     assert main(["run", "--spec", str(spec), "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "eta_series.csv").read_bytes() == (out2 / "eta_series.csv").read_bytes()
+
+
+def test_reports_byte_stable_across_processes(tmp_path):
+    # LAPACK output is bit-stable for a fixed BLAS thread count
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "hypercube", "n": 4}},
+                      potential="none", analyses=ALL_ANALYSES)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(SRC))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        subprocess.run([sys.executable, "-m", "gapbound.cli", "run", "--spec",
+                        str(spec), "--out", str(out)], env=env, check=True)
+    assert (outs[0] / "report.json").read_bytes() == \
+        (outs[1] / "report.json").read_bytes()
+
+
+def assert_reports_agree(a, b, tol, where="report"):
+    """Numbers within tol, everything else equal; solver counters ignored."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a.keys() - {"backend", "sweeps"}:
+            assert_reports_agree(a[key], b[key], tol, f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_reports_agree(x, y, tol, f"{where}[{i}]")
+    elif isinstance(a, (int, float)) and not isinstance(a, bool):
+        assert abs(a - b) <= tol, f"{where}: {a!r} vs {b!r}"
+    else:
+        assert a == b, where
+
+
+@pytest.mark.parametrize("instance,potential", [
+    ({"family": {"name": "hypercube", "n": 4}}, "none"),
+    ({"family": {"name": "path", "n": 12}}, "boundary"),
+    ({"family": {"name": "subcube", "mask": [None] * 5 + [0]}}, "boundary"),
+], ids=["Q4", "path12-boundary", "Q5-subcube-boundary"])
+def test_backends_give_equal_reports(tmp_path, monkeypatch, instance,
+                                     potential):
+    spec = write_spec(tmp_path / "s.json", instance=instance,
+                      potential=potential, analyses=ALL_ANALYSES)
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+    monkeypatch.setattr(jacobi, "BACKEND", "python")
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "p")]) == 0
+    default, oracle = load_report(tmp_path / "d"), load_report(tmp_path / "p")
+    assert oracle["spectrum"]["backend"] == "python"
+    tol = DEFAULT_TOL.verify_factor * max(1.0, default["bounds"]["exact"]["gap"])
+    assert_reports_agree(default, oracle, tol)
 
 
 def test_sweep_path_family(tmp_path):

@@ -7,9 +7,10 @@ from gapbound.errors import CertificateFailure, NegativePotential
 from gapbound.families import (cycle_graph, hypercube_instance,
                                path_instance)
 from gapbound.graphs import induce_subgraph
-from gapbound.operators import (boundary_potential, dirichlet_hamiltonian,
-                                eigendecompose, laplacian,
-                                path_lattice_laplacian, rayleigh_gap_check)
+from gapbound.operators import (_canonical_basis, boundary_potential,
+                                dirichlet_hamiltonian, eigendecompose,
+                                laplacian, path_lattice_laplacian,
+                                rayleigh_gap_check)
 
 
 def test_laplacian_single_edge():
@@ -109,6 +110,18 @@ def test_hypercube_spectrum_structure(n):
     spec = eigendecompose(laplacian(hypercube_instance(n)))
     expected = sorted(2 * bin(mask).count("1") for mask in range(1 << n))
     assert np.abs(spec.eigenvalues - expected).max() <= 1e-10
+
+
+def test_gap_eigenspace_basis_is_canonical(rng):
+    # any orthonormal basis of the lambda1 eigenspace maps to the same one
+    spec = eigendecompose(laplacian(hypercube_instance(5)))
+    idx = spec.gap_indices
+    assert list(idx) == [1, 2, 3, 4, 5]
+    rot, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    v = spec.eigenvectors.copy()
+    v[:, idx] = v[:, idx] @ rot
+    _canonical_basis(v, idx)
+    assert np.abs(v - spec.eigenvectors).max() <= 1e-12
 
 
 def test_rayleigh_certificates():
