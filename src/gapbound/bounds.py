@@ -15,8 +15,8 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (BoundUnavailable, EmptyAfterSkips, HypothesisFailed,
                      NotHypercube)
 from .graphs import ConvexSubgraph, is_strongly_convex
-from .moduli import (ModulusOfConcavity, RatioFunction, c_u0, extremal_pairs,
-                     log_concavity, modulus_of_concavity,
+from .moduli import (ModulusOfConcavity, RatioFunction, _dcosh, c_u0,
+                     extremal_pairs, log_concavity, modulus_of_concavity,
                      modulus_of_continuity)
 from .operators import (Spectrum, dirichlet_hamiltonian, eigendecompose,
                         laplacian, rayleigh_gap_check)
@@ -118,9 +118,7 @@ def bound_thm6(omega: ModulusOfConcavity, d: int,
     if not omega.defined.all():
         raise HypothesisFailed("some distance class admits no triple")
     weak = 4.0 * (1.0 - math.cos(math.pi / (2 * d + 1)))
-    dcosh = np.array([math.cosh(omega.at(s)) - math.cosh(omega.at(s + 1))
-                      for s in range(1, d + 1)])
-    value = weak + 2.0 * float(dcosh.min())
+    value = weak + 2.0 * float(_dcosh(omega, d).min())
     eq1 = None
     if omega.is_convex(slack=tol.denominator_zero):
         eq1 = weak + 2.0 * (math.cosh(omega.omega_bar) - 1.0)

@@ -121,16 +121,24 @@ class ConvexSubgraph:
     def is_full(self) -> bool:
         return self.vset.size == self.host.n_vertices
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency within S."""
-        m = self.n_vertices
-        adj = np.zeros((m, m), dtype=np.uint8)
-        for ai in range(self.nbr_local.shape[0]):
-            cols = self.nbr_local[ai]
-            rows = np.arange(m)
-            keep = cols >= 0
-            adj[rows[keep], cols[keep]] = 1
-        return adj
+    def _distance_classes(self):
+        """Unordered local pairs y < x grouped by distance within S.
+
+        Returns (ys, xs, starts) as int32 arrays: the pairs sorted stably by
+        dist_S, and starts[s - 1] the offset where class s = 1..D begins.
+        No class is empty, since a geodesic of length D meets every smaller
+        distance. Built on first use and cached.
+        """
+        if "_classes" not in self.__dict__:
+            ys, xs = np.triu_indices(self.n_vertices, 1)
+            d = self.dist_S[ys, xs]
+            order = np.argsort(d, kind="stable")
+            counts = np.bincount(d, minlength=self.diameter_S + 1)
+            starts = np.cumsum(counts[:-1])
+            self.__dict__["_classes"] = (
+                _ro(ys[order].astype(np.int32)), _ro(xs[order].astype(np.int32)),
+                _ro(starts.astype(np.int32)))
+        return self.__dict__["_classes"]
 
     def host_dist(self) -> np.ndarray:
         """Host distances restricted to S (local indexing)."""
@@ -168,12 +176,7 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
     if m == host.n_vertices:
         dist_s = host.dist.copy()
     else:
-        adj = np.zeros((m, m), dtype=bool)
-        ar = np.arange(m)
-        for ai in range(nbr_local.shape[0]):
-            keep = nbr_local[ai] >= 0
-            adj[ar[keep], nbr_local[ai][keep]] = True
-        dist_s = _all_pairs_bfs(adj)
+        dist_s = _all_pairs_bfs(nbr_local)
         if (dist_s < 0).any():
             raise DisconnectedSubgraph(
                 f"{int((dist_s[0] < 0).sum())} vertices unreachable within S")
@@ -185,9 +188,15 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
                           diameter_S=int(dist_s.max()), _pos=_ro(pos))
 
 
-def _all_pairs_bfs(adj: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths by frontier expansion; -1 if unreachable."""
-    m = adj.shape[0]
+def _all_pairs_bfs(nbr_local: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths by frontier expansion; -1 if unreachable.
+
+    Row v of `frontier` marks the sources at distance `level` from v. Vertex
+    v joins the next level of a source when a neighbour of v lies in the
+    current one, so each level gathers one set of rows per generator:
+    O(k m^2) work per level.
+    """
+    m = nbr_local.shape[1]
     dist = np.full((m, m), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
     reached = np.eye(m, dtype=bool)
@@ -195,9 +204,14 @@ def _all_pairs_bfs(adj: np.ndarray) -> np.ndarray:
     level = 0
     while frontier.any():
         level += 1
-        frontier = (frontier @ adj) & ~reached
-        dist[frontier] = level
-        reached |= frontier
+        nxt = np.zeros((m, m), dtype=bool)
+        for cols in nbr_local:
+            keep = cols >= 0
+            nxt[keep] |= frontier[cols[keep]]
+        nxt &= ~reached
+        dist[nxt] = level
+        reached |= nxt
+        frontier = nxt
     return dist
 
 

@@ -1,7 +1,10 @@
 """Moduli of continuity and concavity, extremal pairs, and the ratio constant.
 
-All pair/triple scans are exhaustive over the dense distance matrix; sizes
-here are desk-scale by construction. Conventions:
+All pair/triple scans are exhaustive and exact. eta reads the subgraph's
+cached distance-class pair index once per call (a gather, a segment max per
+class and a running max); omega makes one pass over the dense host-distance
+matrix per generator. Sizes here are desk-scale by construction.
+Conventions:
 
 - eta(s) is the supremum of f(y) - f(x) over pairs at distance <= s,
   extended antisymmetrically with eta(D+1) = eta(D+2) = eta(D);
@@ -43,12 +46,11 @@ class ModulusOfContinuity:
         Built on first use: the heat certificates only read the values.
         """
         if "_achievers" not in self.__dict__:
-            dist = self.sub.dist_S
-            diff = self.f[:, None] - self.f[None, :]
+            # eta is non-decreasing, so every achiever of eta(s) is an
+            # extremal pair at its own distance d(y, x) <= s
+            pairs, dist, diff = _extremal(self)
             self.__dict__["_achievers"] = {
-                s: np.argwhere((dist <= s) & (dist > 0)
-                               & (diff >= self.values[s] - self.tie_tol)
-                               ).astype(np.int32)
+                s: pairs[(dist <= s) & (diff >= self.values[s] - self.tie_tol)]
                 for s in range(1, self.diameter + 1)}
         return self.__dict__["_achievers"]
 
@@ -61,7 +63,6 @@ class ModulusOfContinuity:
 
     def table(self) -> np.ndarray:
         """eta over [-D, D] as a vector (index i -> s = i - D)."""
-        d = self.diameter
         pos = self.values[1:]
         return np.concatenate([-pos[::-1], [0.0], pos])
 
@@ -167,17 +168,24 @@ class RatioFunction:
 
 def modulus_of_continuity(f, sub: ConvexSubgraph,
                           tol: ToleranceConfig = DEFAULT_TOL) -> ModulusOfContinuity:
-    """Exact modulus by exhaustive pair scan; achievers are built lazily."""
+    """Exact modulus by exhaustive pair scan; achievers are built lazily.
+
+    The largest f(y) - f(x) over ordered pairs at distance s equals the
+    largest |f(y) - f(x)| over unordered ones, because IEEE subtraction is
+    exactly antisymmetric. So one gather over the subgraph's pair index, a
+    max per distance class and a running max from eta(0) = 0 give the
+    supremum. A class whose max is NaN leaves eta unchanged (fmax).
+    """
     f = np.asarray(f, dtype=np.float64)
     d = sub.diameter_S
-    dist = sub.dist_S
-    diff = f[:, None] - f[None, :]
-
     values = np.zeros(d + 1)
-    for s in range(1, d + 1):
-        cls = diff[dist == s]
-        here = cls.max() if cls.size else -np.inf
-        values[s] = max(values[s - 1], here)
+    if d:
+        ys, xs, starts = sub._distance_classes()
+        diff = f.take(ys)
+        diff -= f.take(xs)
+        np.abs(diff, out=diff)
+        values[1:] = np.maximum.reduceat(diff, starts)
+        np.fmax.accumulate(values, out=values)
 
     tie = tol.tie_factor * max(1.0, abs(values[d]))
     return ModulusOfContinuity(sub=sub, f=f, values=values, tie_tol=tie)
@@ -204,14 +212,13 @@ def modulus_of_concavity(g, sub: ConvexSubgraph,
 
     gen_index = {a: i for i, a in enumerate(gens)}
 
-    def triple_values(ai):
-        """(admit mask, value matrix) for generator index ai, indexed [y, x]."""
+    def admitted(ai):
+        """Admitted (y, x) pairs for generator index ai: y, x, class s - 1
+        and the triple value, in row-major (y, x) order."""
         a = gens[ai]
-        inv_ai = gen_index[group.inv(a)]
         ax = sub.nbr_local[ai]          # local of a*x per local x, -1 outside
-        ainv_y = sub.nbr_local[inv_ai]  # local of a^-1*y per local y
+        ainv_y = sub.nbr_local[gen_index[group.inv(a)]]  # local of a^-1*y
         ok_x = ax >= 0
-        ok_y = ainv_y >= 0
         if admissibility == "step":
             # d(ax, y) == d(x, y) - 1, distances via the host metric
             dax = np.full((m, m), -2, dtype=np.int64)
@@ -221,48 +228,47 @@ def modulus_of_concavity(g, sub: ConvexSubgraph,
             a2x_host = host.act[ai, host.act[ai, sub.vset]]   # a*a*x host ids
             da2 = host.dist[np.ix_(sub.vset, a2x_host)]       # [y, x]
             admit = (da2 <= hd) & ok_x[None, :]
-        admit = admit & ok_y[:, None] & (hd >= 1)
-        val = np.full((m, m), np.nan)
-        if admit.any():
-            yy, xx = np.nonzero(admit)
-            val[yy, xx] = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
-        return admit, val
+        admit &= (ainv_y >= 0)[:, None] & (hd >= 1)
+        yy, xx = np.nonzero(admit)
+        val = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
+        return yy, xx, hd[yy, xx] - 1, val
 
-    best = np.full(sub_d, np.nan)
-    per_gen = [triple_values(ai) for ai in range(len(gens))]
-    for admit, val in per_gen:
-        for s in range(1, sub_d + 1):
-            sel = admit & (hd == s)
-            if not sel.any():
-                continue
-            vmin = val[sel].min()
-            if np.isnan(best[s - 1]) or vmin < best[s - 1]:
-                best[s - 1] = vmin
+    per_gen = [admitted(ai) for ai in range(len(gens))]
+    best = np.full(sub_d, np.inf)
+    seen = np.zeros(sub_d, dtype=bool)
+    for _, _, key, val in per_gen:
+        np.minimum.at(best, key, val)
+        seen[key] = True
+    best[~seen] = np.nan
 
-    achievers = {s: [] for s in range(1, sub_d + 1)}
-    for ai, (admit, val) in enumerate(per_gen):
-        a = gens[ai]
-        for s in range(1, sub_d + 1):
-            if np.isnan(best[s - 1]):
-                continue
-            tie = 1e-12 * max(1.0, abs(best[s - 1]))
-            sel = admit & (hd == s) & (val <= best[s - 1] + tie)
-            for y, x in np.argwhere(sel):
-                achievers[s].append((int(y), int(x), int(a)))
-    achievers = {s: np.array(sorted(t), dtype=np.int64).reshape(-1, 3)
-                 for s, t in achievers.items()}
+    # achievers: one mask per generator against the per-class bar, then one
+    # sort into class and (y, x, a) order
+    bar = best + 1e-12 * np.maximum(1.0, np.abs(best))
+    rows = []
+    for (yy, xx, key, val), a in zip(per_gen, gens):
+        sel = val <= bar[key]
+        rows.append(np.stack([key[sel], yy[sel], xx[sel],
+                              np.full(int(sel.sum()), a)], axis=1))
+    rows = np.concatenate(rows, dtype=np.int64)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    ends = np.cumsum(np.bincount(rows[:, 0], minlength=sub_d))
+    achievers = dict(zip(range(1, sub_d + 1), np.split(rows[:, 1:], ends[:-1])))
     return ModulusOfConcavity(sub=sub, g=g, values=best, achievers=achievers,
                               admissibility=admissibility)
 
 
 def extremal_pairs(eta: ModulusOfContinuity) -> np.ndarray:
     """All ordered pairs (y, x) with f(y) - f(x) = eta(d(y, x)), up to ties."""
-    sub, f = eta.sub, eta.f
-    dist = sub.dist_S
-    diff = f[:, None] - f[None, :]
-    eta_at = eta.values[dist]
-    mask = (dist > 0) & (diff >= eta_at - eta.tie_tol)
-    return np.argwhere(mask).astype(np.int32)
+    return _extremal(eta)[0]
+
+
+def _extremal(eta: ModulusOfContinuity):
+    """Extremal pairs in row-major (y, x) order, with their d(y, x) and
+    f(y) - f(x)."""
+    dist = eta.sub.dist_S
+    diff = eta.f[:, None] - eta.f[None, :]
+    mask = (dist > 0) & (diff >= eta.values[dist] - eta.tie_tol)
+    return np.argwhere(mask).astype(np.int32), dist[mask], diff[mask]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +329,13 @@ def grad_ops(eta: ModulusOfContinuity, omega: ModulusOfConcavity) -> GradTables:
     d = omega.diameter
     s = np.arange(1, d + 1)
     grad_eta = np.array([eta.at(int(v)) - eta.at(int(v) - 1) for v in s])
-    dcosh = np.array([math.cosh(omega.at(int(v))) - math.cosh(omega.at(int(v) + 1))
-                      for v in s])
-    return GradTables(s=s, grad_eta=grad_eta, dcosh_omega=dcosh)
+    return GradTables(s=s, grad_eta=grad_eta, dcosh_omega=_dcosh(omega, d))
+
+
+def _dcosh(omega: ModulusOfConcavity, d: int) -> np.ndarray:
+    """cosh(omega(s)) - cosh(omega(s+1)) for s = 1..d, with omega(D+1) = 0."""
+    return np.array([math.cosh(omega.at(s)) - math.cosh(omega.at(s + 1))
+                     for s in range(1, d + 1)])
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,59 @@ def test_dist_matches_per_source_bfs(make):
     assert np.array_equal(graph.dist, bfs_dist_oracle(graph))
 
 
+def bfs_within(sub):
+    """Per-source BFS over the edges inside S, in plain python."""
+    m = sub.n_vertices
+    nbrs = [[int(j) for j in sub.nbr_local[:, x] if j >= 0] for x in range(m)]
+    dist = np.full((m, m), -1, dtype=int)
+    for s in range(m):
+        dist[s, s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in nbrs[x]:
+                    if dist[s, y] < 0:
+                        dist[s, y] = dist[s, x] + 1
+                        nxt.append(y)
+            frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("make", [
+    lambda: induce_subgraph(cycle_graph(12), range(5)),
+    lambda: induce_subgraph(hypercube_graph(4),
+                            [v for v in range(16) if v & 0b0110 == 0b0010]),
+    # the half arc of C6 and a long arc of C8 are not convex; in the long
+    # arc the distance within S exceeds the host distance
+    lambda: induce_subgraph(cycle_graph(6), [0, 1, 2, 3]),
+    lambda: induce_subgraph(cycle_graph(8), range(6)),
+    lambda: induce_subgraph(s3_transposition_graph(), [0]),
+], ids=["C12-arc", "Q4-subcube", "C6-half-arc", "C8-long-arc", "S3-point"])
+def test_subgraph_dist_matches_per_source_bfs(make):
+    sub = make()
+    assert np.array_equal(sub.dist_S, bfs_within(sub))
+    assert sub.diameter_S == sub.dist_S.max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=2, max_value=5), data=st.data())
+def test_grown_convex_subgraph_dist_matches_bfs(n, data):
+    graph = hypercube_graph(n)
+    seeds = data.draw(st.sets(
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+        min_size=1, max_size=3))
+    sub = induce_subgraph(graph, convex_closure(graph, sorted(seeds)))
+    assert np.array_equal(sub.dist_S, bfs_within(sub))
+
+
+def test_disconnected_vertex_set_raises():
+    # two arcs of C10 with a gap on both sides: 5 and 6 are unreachable
+    # from 0 after the frontier has crossed the first arc
+    with pytest.raises(DisconnectedSubgraph, match="^2 vertices unreachable"):
+        induce_subgraph(cycle_graph(10), [0, 1, 2, 5, 6])
+
+
 def test_not_invariant_rejected():
     table, perms, index = s3_table()
     g = group_from_table(table, name="S3")

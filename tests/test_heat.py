@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gapbound.bounds import bound_thm1
-from gapbound.errors import InsufficientSpan, UnstableStep
+from gapbound.errors import CertificateFailure, InsufficientSpan, UnstableStep
 from gapbound.families import (cycle_instance, hypercube_instance,
                                path_instance, quadratic_potential)
 from gapbound.heat import (decay_rate_check, default_times,
@@ -153,6 +154,32 @@ def test_mocheat_five_path():
                   spectrum=spec)
     cert = mocheat_inequality_check(traj, sub)
     assert cert.ok and cert.checked > 0
+
+
+@pytest.mark.parametrize("n,slow,extra,s,t,message", [
+    # every eigenvalue halved: eta decays too slowly from the first sample
+    (5, slice(None), None, 2, 0.02618033988749893,
+     "d(eta)/dt > -L_P eta at s=2, t=0.0261803 (violation 1.413e-01)"),
+    # lambda7 halved and u7 mixed in: s=2 holds, the first violation is s=4
+    (9, 7, 7, 4, 1.6790017993103288,
+     "d(eta)/dt > -L_P eta at s=4, t=1.679 (violation 1.112e-02)"),
+])
+def test_mocheat_failure_witness(n, slow, extra, s, t, message):
+    sub = path_instance(n)
+    lap = laplacian(sub)
+    spec = eigendecompose(lap)
+    w = spec.eigenvalues.copy()
+    w[slow] *= 0.5
+    phi0 = spec.vector(1) if extra is None \
+        else spec.vector(1) + spec.vector(extra)
+    traj = evolve(lap, phi0, default_times(spec.gap),
+                  spectrum=dataclasses.replace(spec, eigenvalues=w))
+    with pytest.raises(CertificateFailure) as exc:
+        mocheat_inequality_check(traj, sub)
+    assert str(exc.value) == message
+    assert exc.value.witness[0] == s
+    assert exc.value.witness[1] in traj.times
+    assert exc.value.witness[1] == pytest.approx(t, rel=1e-12)
 
 
 def test_eta2_contraction_q3():

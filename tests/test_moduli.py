@@ -370,3 +370,145 @@ def test_boundary_comparison_props(make_sub, rng):
                 rhs = sum(u[sub.nbr_local[ai, y]] - u[y] for ai in take + jy) \
                     - sum(u[sub.nbr_local[ai, x]] - u[x] for ai in take + jx)
                 assert lhs <= rhs + 1e-12
+
+
+# -- bit-identity oracles ------------------------------------------------------
+# The reference functions below are the per-distance-class scans that the
+# one-pass code replaced: one full m x m mask pass per class. The one-pass
+# results must equal them exactly (np.array_equal, not allclose).
+
+def loop_eta(f, sub, tol=DEFAULT_TOL):
+    """(values, tie_tol): running max of the per-class max of f(y) - f(x)."""
+    d = sub.diameter_S
+    dist = sub.dist_S
+    diff = f[:, None] - f[None, :]
+    values = np.zeros(d + 1)
+    for s in range(1, d + 1):
+        cls = diff[dist == s]
+        here = cls.max() if cls.size else -np.inf
+        values[s] = max(values[s - 1], here)
+    return values, tol.tie_factor * max(1.0, abs(values[d]))
+
+
+def loop_extremal(f, sub, values, tie):
+    dist = sub.dist_S
+    diff = f[:, None] - f[None, :]
+    mask = (dist > 0) & (diff >= values[dist] - tie)
+    return np.argwhere(mask).astype(np.int32)
+
+
+def loop_eta_achievers(f, sub, values, tie):
+    dist = sub.dist_S
+    diff = f[:, None] - f[None, :]
+    return {s: np.argwhere((dist <= s) & (dist > 0)
+                           & (diff >= values[s] - tie)).astype(np.int32)
+            for s in range(1, sub.diameter_S + 1)}
+
+
+def loop_omega(g, sub, admissibility):
+    """(values, achievers): per generator, one mask pass per class."""
+    sub_d = sub.diameter_S
+    host = sub.host
+    gens = list(host.gens)
+    hd = sub.host_dist()
+    m = sub.n_vertices
+    per_gen = []
+    for ai, a in enumerate(gens):
+        ax = sub.nbr_local[ai]
+        ainv_y = sub.nbr_local[gens.index(host.group.inv(a))]
+        ok_x = ax >= 0
+        if admissibility == "step":
+            dax = np.full((m, m), -2, dtype=np.int64)
+            dax[:, ok_x] = hd[:, ax[ok_x]]
+            admit = dax == hd - 1
+        else:
+            a2x = host.act[ai, host.act[ai, sub.vset]]
+            admit = (host.dist[np.ix_(sub.vset, a2x)] <= hd) & ok_x[None, :]
+        admit = admit & (ainv_y >= 0)[:, None] & (hd >= 1)
+        val = np.full((m, m), np.nan)
+        yy, xx = np.nonzero(admit)
+        val[yy, xx] = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
+        per_gen.append((admit, val))
+    best = np.full(sub_d, np.nan)
+    for admit, val in per_gen:
+        for s in range(1, sub_d + 1):
+            sel = admit & (hd == s)
+            if sel.any():
+                vmin = val[sel].min()
+                if np.isnan(best[s - 1]) or vmin < best[s - 1]:
+                    best[s - 1] = vmin
+    triples = {s: [] for s in range(1, sub_d + 1)}
+    for (admit, val), a in zip(per_gen, gens):
+        for s in range(1, sub_d + 1):
+            if np.isnan(best[s - 1]):
+                continue
+            tie = 1e-12 * max(1.0, abs(best[s - 1]))
+            sel = admit & (hd == s) & (val <= best[s - 1] + tie)
+            triples[s] += [(int(y), int(x), int(a)) for y, x in np.argwhere(sel)]
+    return best, {s: np.array(sorted(t), dtype=np.int64).reshape(-1, 3)
+                  for s, t in triples.items()}
+
+
+ORACLE_INSTANCES = {
+    "path1": lambda: path_instance(1),
+    "path2": lambda: path_instance(2),
+    "path3": lambda: path_instance(3),
+    "path17": lambda: path_instance(17),
+    "path40": lambda: path_instance(40),
+    "cycle3": lambda: cycle_graph(3).full_subgraph(),
+    "cycle8": lambda: cycle_graph(8).full_subgraph(),
+    "cycle11": lambda: cycle_graph(11).full_subgraph(),
+    "C12-arc": lambda: induce_subgraph(cycle_graph(12), range(5)),
+    "Q1": lambda: hypercube_graph(1).full_subgraph(),
+    "Q3": lambda: hypercube_graph(3).full_subgraph(),
+    "Q5": lambda: hypercube_graph(5).full_subgraph(),
+    "Q5-subcube": lambda: induce_subgraph(
+        hypercube_graph(5), [v for v in range(32) if v & 0b10100 == 0b00100]),
+}
+
+
+def oracle_functions(sub, rng):
+    """Smooth, random and tie-heavy vertex functions on `sub`."""
+    m = sub.n_vertices
+    funcs = [rng.normal(size=m), np.round(rng.normal(size=m), 1),
+             rng.integers(-2, 3, size=m).astype(float), np.zeros(m),
+             # near-ties far above 1, inside the relative tie tolerances
+             1e3 * np.round(rng.normal(size=m), 1) + 1e-10 * rng.normal(size=m)]
+    if m >= 2:
+        spec = eigendecompose(dirichlet_hamiltonian(sub, "boundary"))
+        funcs.append(spec.vector(1) / spec.vector(0))
+        funcs.append(np.log(spec.vector(0)))
+    return funcs
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_eta_matches_class_loop_bit_for_bit(name, rng):
+    sub = ORACLE_INSTANCES[name]()
+    for f in oracle_functions(sub, rng):
+        eta = modulus_of_continuity(f, sub)
+        values, tie = loop_eta(f, sub)
+        assert np.array_equal(eta.values, values)
+        assert eta.tie_tol == tie
+        assert np.array_equal(extremal_pairs(eta),
+                              loop_extremal(f, sub, values, tie))
+        assert extremal_pairs(eta).dtype == np.int32
+        ref = loop_eta_achievers(f, sub, values, tie)
+        assert eta.achievers.keys() == ref.keys()
+        for s in ref:
+            assert eta.achievers[s].dtype == ref[s].dtype
+            assert np.array_equal(eta.achievers[s], ref[s])
+
+
+@pytest.mark.parametrize("admissibility", ["step", "raw"])
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_omega_matches_class_loop_bit_for_bit(name, admissibility, rng):
+    sub = ORACLE_INSTANCES[name]()
+    for g in oracle_functions(sub, rng):
+        omega = modulus_of_concavity(g, sub, admissibility=admissibility)
+        values, achievers = loop_omega(g, sub, admissibility)
+        assert np.array_equal(omega.values, values, equal_nan=True)
+        assert omega.achievers.keys() == achievers.keys()
+        for s in achievers:
+            assert omega.achievers[s].dtype == np.int64
+            assert omega.achievers[s].shape == achievers[s].shape
+            assert np.array_equal(omega.achievers[s], achievers[s])

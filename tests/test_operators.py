@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from gapbound.errors import CertificateFailure, NegativePotential
 from gapbound.families import (cycle_graph, hypercube_instance,
                                path_instance)
 from gapbound.graphs import induce_subgraph
-from gapbound.operators import (_canonical_basis, boundary_potential,
+from gapbound.operators import (SymmetricOperator, _apply_by_adjacency,
+                                _canonical_basis, boundary_potential,
                                 dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian,
                                 rayleigh_gap_check)
@@ -155,6 +157,46 @@ def test_certificate_failure_surfaces_witness():
                      tolerances=spec.tolerances)
     with pytest.raises(CertificateFailure):
         rayleigh_gap_check(bad, lap)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dirichlet_hamiltonian(
+        induce_subgraph(cycle_graph(12), range(5)), "boundary"),
+    lambda: laplacian(hypercube_instance(3)),
+    lambda: path_lattice_laplacian(5, "odd"),
+    lambda: path_lattice_laplacian(1, "even"),
+    lambda: SymmetricOperator(
+        entries=laplacian(path_instance(6)).entries.copy(), kind="laplacian"),
+], ids=["arc-hamiltonian", "Q3", "lattice", "lattice-point", "no-source"])
+def test_apply_by_adjacency_block_equals_columns(make, rng):
+    op = make()
+    block = rng.normal(size=(op.dim, 5))
+    cols = np.stack([_apply_by_adjacency(op, block[:, j])
+                     for j in range(5)], axis=1)
+    assert np.array_equal(_apply_by_adjacency(op, block), cols)
+
+
+def test_block_certificate_matches_pair_loop():
+    # Q7 has 128 eigenpairs, so the certificate runs two column blocks
+    lap = laplacian(hypercube_instance(7))
+    spec = eigendecompose(lap)
+    worst = max(float(np.abs(_apply_by_adjacency(lap, spec.vector(i))
+                             - spec.eigenvalues[i] * spec.vector(i)).max())
+                for i in range(spec.dim))
+    assert rayleigh_gap_check(spec, lap).recurrence_residual == worst
+
+    # break pairs 100 and 70: the error names the first, in the second block
+    broken = spec.eigenvectors.copy()
+    broken[:, 100] = broken[:, 3]
+    broken[:, 70] = broken[:, 2]
+    bad = dataclasses.replace(spec, eigenvectors=broken)
+    r = np.abs(_apply_by_adjacency(lap, broken[:, 70])
+               - spec.eigenvalues[70] * broken[:, 70])
+    with pytest.raises(CertificateFailure) as exc:
+        rayleigh_gap_check(bad, lap)
+    assert str(exc.value) == (f"eigen-recurrence fails for pair 70 "
+                              f"(residual {float(r.max()):.3e})")
+    assert exc.value.witness == int(np.argmax(r))
 
 
 def test_trace_identity_and_nonnegativity(rng):
