@@ -4,6 +4,15 @@ Distances come from the word metric: right translation x -> x*h is a graph
 automorphism of any Cayley graph under left-generator edges, so
 d(x, y) = |y * x^-1| and one BFS from the identity fixes the whole matrix.
 The per-source BFS equivalence is exercised in the test suite.
+
+Distances within an induced subgraph S are the host distances d whenever
+every pair x != y of S has an S-neighbour z of y with d(x, z) = d(x, y) - 1.
+That certificate is exact: d is a lower bound on distances within S, and
+induction on d(x, y) makes it an upper bound too. Sets that fail it (a long
+arc of a cycle) get a BFS inside S.
+
+Strong convexity and the convex closure share one geodesic scan over
+blocks of outside vertices.
 """
 
 from dataclasses import dataclass, field
@@ -141,8 +150,15 @@ class ConvexSubgraph:
         return self.__dict__["_classes"]
 
     def host_dist(self) -> np.ndarray:
-        """Host distances restricted to S (local indexing)."""
-        return self.host.dist[np.ix_(self.vset, self.vset)]
+        """Host distances restricted to S (local indexing), read-only.
+
+        induce_subgraph computes them for its distance certificate and
+        caches them here; otherwise they are built on first use.
+        """
+        if "_host_dist" not in self.__dict__:
+            self.__dict__["_host_dist"] = _ro(
+                self.host.dist[np.ix_(self.vset, self.vset)])
+        return self.__dict__["_host_dist"]
 
     def __repr__(self):
         return (f"ConvexSubgraph(|S|={self.n_vertices}, D={self.diameter_S}, "
@@ -150,7 +166,16 @@ class ConvexSubgraph:
 
 
 def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
-    """Induced subgraph with boundary, boundary edges, K_x and distances."""
+    """Induced subgraph with boundary, boundary edges, K_x and distances.
+
+    dist_S is taken from the host distances d when a one-pass certificate
+    shows they are realised inside S: every pair x != y of S has an
+    S-neighbour z of y with d(x, z) = d(x, y) - 1. This is exact. A path
+    inside S is a host path, so d <= dist_S; and by induction on d(x, y),
+    the certificate gives dist_S(x, y) <= dist_S(x, z) + 1 = d(x, y).
+    Otherwise (a long arc of a cycle, a disconnected set) a BFS inside S
+    computes dist_S.
+    """
     vset = np.unique(np.asarray(list(vset), dtype=np.int32))
     if vset.size == 0:
         raise DisconnectedSubgraph("vertex set is empty")
@@ -173,19 +198,31 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
                       np.maximum(src, nbr_host).ravel()], axis=1)
     boundary_edges = np.unique(pairs, axis=0)
 
-    if m == host.n_vertices:
-        dist_s = host.dist.copy()
+    hd = _ro(host.dist[np.ix_(vset, vset)])
+    if m == host.n_vertices or _host_distances_realised(hd, nbr_local):
+        dist_s = hd
     else:
         dist_s = _all_pairs_bfs(nbr_local)
         if (dist_s < 0).any():
             raise DisconnectedSubgraph(
                 f"{int((dist_s[0] < 0).sum())} vertices unreachable within S")
 
-    return ConvexSubgraph(host=host, vset=_ro(vset), boundary=_ro(boundary),
-                          boundary_edges=_ro(boundary_edges),
-                          nbr_local=_ro(nbr_local.astype(np.int32)),
-                          dist_S=_ro(dist_s.astype(np.int32)),
-                          diameter_S=int(dist_s.max()), _pos=_ro(pos))
+    sub = ConvexSubgraph(host=host, vset=_ro(vset), boundary=_ro(boundary),
+                         boundary_edges=_ro(boundary_edges),
+                         nbr_local=_ro(nbr_local.astype(np.int32)),
+                         dist_S=_ro(dist_s.astype(np.int32, copy=False)),
+                         diameter_S=int(dist_s.max()), _pos=_ro(pos))
+    sub.__dict__["_host_dist"] = hd
+    return sub
+
+
+def _host_distances_realised(hd: np.ndarray, nbr_local: np.ndarray) -> bool:
+    """The distance certificate of induce_subgraph: k m x m comparisons."""
+    done = np.eye(hd.shape[0], dtype=bool)
+    for cols in nbr_local:
+        inside = cols >= 0
+        done[:, inside] |= hd[:, cols[inside]] == hd[:, inside] - 1
+    return bool(done.all())
 
 
 def _all_pairs_bfs(nbr_local: np.ndarray) -> np.ndarray:
@@ -237,24 +274,23 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     by convexity, so a convex set failing either raises CriterionMismatch.
     The converse implication genuinely fails on some non-convex sets (e.g. a
     half cycle), so no error is raised in that direction.
+
+    The witness is the first (v, x, y) in order of outside vertex v, then
+    local x, then local y. The result is cached on `sub`; a
+    CriterionMismatch is not, and raises again on the next call.
     """
-    host = sub.host
+    if "_convexity" in sub.__dict__:
+        return sub.__dict__["_convexity"]
     vset = sub.vset
-    hd = sub.host_dist()
+    outside = np.flatnonzero(sub._pos < 0)
 
     witness = None
-    if not sub.is_full:
-        outside = np.setdiff1d(np.arange(host.n_vertices, dtype=np.int32),
-                               vset, assume_unique=False)
-        dv = host.dist[np.ix_(vset, outside)]
-        dw = host.dist[np.ix_(outside, vset)]
-        for j, v in enumerate(outside):
-            through = dv[:, j][:, None] + dw[j, :][None, :]
-            bad = np.argwhere(through == hd)
-            if bad.size:
-                x, y = bad[0]
-                witness = (int(vset[x]), int(vset[y]), int(v))
-                break
+    for block, hit in _geodesic_blocks(sub.host.dist, vset, sub.host_dist(),
+                                       outside):
+        if hit.any():
+            j, x, y = np.argwhere(hit)[0]
+            witness = (int(vset[x]), int(vset[y]), int(block[j]))
+            break
     convex = witness is None
 
     crit2, crit2_wit = _criterion2(sub)
@@ -267,9 +303,32 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
         raise CriterionMismatch(
             f"convex subgraph violates shortest-path closure at {sp2_wit}")
 
-    return ConvexityResult(convex=convex, witness=witness, criterion2=crit2,
-                           criterion2_witness=crit2_wit, sp2_closure=sp2,
-                           sp2_witness=sp2_wit)
+    result = ConvexityResult(convex=convex, witness=witness, criterion2=crit2,
+                             criterion2_witness=crit2_wit, sp2_closure=sp2,
+                             sp2_witness=sp2_wit)
+    sub.__dict__["_convexity"] = result
+    return result
+
+
+# cells of d(x, v) + d(v, y) compared per block of the geodesic scan; larger
+# blocks save little time and raise peak memory
+_SCAN_CELLS = 1 << 16
+
+
+def _geodesic_blocks(dist, members, hd, outside):
+    """Yield (block, hit) over consecutive blocks of the `outside` vertices.
+
+    hit[j, x, y] says that v = block[j] lies on a geodesic between members
+    x and y: d(x, v) + d(v, y) = d(x, y), with hd = dist among members.
+    Distances are symmetric (the generating set is), so one gather of
+    d(v, members) serves both legs.
+    """
+    m = members.size
+    step = max(1, _SCAN_CELLS // max(1, m * m))
+    for i in range(0, outside.size, step):
+        block = outside[i:i + step]
+        d = dist[np.ix_(block, members)]
+        yield block, d[:, :, None] + d[:, None, :] == hd
 
 
 def _criterion2(sub: ConvexSubgraph):
@@ -310,22 +369,18 @@ def _sp2_closure(sub: ConvexSubgraph):
 
 
 def convex_closure(host: HomogeneousGraph, seed) -> np.ndarray:
-    """Smallest strongly convex vertex set containing `seed` (host ids)."""
-    current = set(int(v) for v in seed)
-    dist = host.dist
+    """Smallest strongly convex vertex set containing `seed` (host ids).
+
+    Each round adds every outside vertex on a geodesic between members.
+    """
+    inside = np.zeros(host.n_vertices, dtype=bool)
+    inside[[int(v) for v in seed]] = True
     while True:
-        vs = np.fromiter(current, dtype=np.int64)
-        outside = np.setdiff1d(np.arange(host.n_vertices), vs)
-        if outside.size == 0:
+        members = np.flatnonzero(inside)
+        hd = host.dist[np.ix_(members, members)]
+        for block, hit in _geodesic_blocks(host.dist, members, hd,
+                                           np.flatnonzero(~inside)):
+            inside[block[hit.any(axis=(1, 2))]] = True
+        if np.count_nonzero(inside) == members.size:
             break
-        dxv = dist[np.ix_(vs, outside)]
-        dvy = dist[np.ix_(outside, vs)]
-        dxy = dist[np.ix_(vs, vs)]
-        added = False
-        for j, v in enumerate(outside):
-            if (dxv[:, j][:, None] + dvy[j, :][None, :] == dxy).any():
-                current.add(int(v))
-                added = True
-        if not added:
-            break
-    return np.array(sorted(current), dtype=np.int32)
+    return np.flatnonzero(inside).astype(np.int32)

@@ -217,20 +217,37 @@ def generator_set(group: FiniteGroup, elements) -> GeneratorSet:
 
 
 def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
-    """BFS word length |g| over the generating set; -1 if unreachable."""
+    """BFS word length |g| over the generating set; -1 if unreachable.
+
+    Cached on `group` per generator tuple (sorted, duplicates dropped), so
+    generator_set's validation and build_cayley share one BFS; the array is
+    read-only because every caller receives the same one.
+
+    Each BFS level is one gather of the generator rows at the frontier. New
+    elements are deduplicated by scattering their positions into `slot` and
+    keeping each element once, so a level costs O(k |frontier|).
+    """
+    key = tuple(sorted({int(a) for a in gens}))
+    cache = group.__dict__.setdefault("_word_lengths", {})
+    if key in cache:
+        return cache[key]
     n = group.order
-    gens = np.asarray(list(gens), dtype=np.int64)
+    rows = group.table[np.asarray(key, dtype=np.int64)]     # (k, n): a * x
     wl = np.full(n, -1, dtype=np.int32)
     wl[group.identity] = 0
+    slot = np.empty(n, dtype=np.int64)
     frontier = np.array([group.identity], dtype=np.int64)
     level = 0
     while frontier.size:
         level += 1
-        nxt = group.table[np.ix_(gens, frontier)].ravel()
-        nxt = np.unique(nxt[wl[nxt] < 0])
+        nxt = rows[:, frontier].ravel()
+        nxt = nxt[wl[nxt] < 0]
         wl[nxt] = level
-        frontier = nxt
-    return wl
+        ids = np.arange(nxt.size)
+        slot[nxt] = ids
+        frontier = nxt[slot[nxt] == ids]
+    cache[key] = _freeze(wl)
+    return cache[key]
 
 
 def check_invariance(group: FiniteGroup, gens: GeneratorSet) -> bool:

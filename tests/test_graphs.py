@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapbound.errors import DisconnectedSubgraph, NotInvariant
+from gapbound import graphs
+from gapbound.errors import CriterionMismatch, DisconnectedSubgraph, NotInvariant
 from gapbound.graphs import (build_cayley, convex_closure, induce_subgraph,
                              is_strongly_convex)
-from gapbound.groups import cyclic_group, generator_set, group_from_table
+from gapbound.groups import (cyclic_group, direct_product, generator_set,
+                             group_from_table)
 from gapbound.families import cycle_graph, hypercube_graph
 
 from test_groups import s3_table
@@ -97,20 +99,50 @@ def bfs_within(sub):
     return dist
 
 
-@pytest.mark.parametrize("make", [
-    lambda: induce_subgraph(cycle_graph(12), range(5)),
-    lambda: induce_subgraph(hypercube_graph(4),
-                            [v for v in range(16) if v & 0b0110 == 0b0010]),
+def torus_square():
+    """The 2x2 square {(0,0), (0,1), (1,0), (1,1)} of the torus C4 x C3."""
+    g = direct_product(cyclic_group(4), cyclic_group(3))   # (a, b) -> 3a + b
+    host = build_cayley(g, generator_set(g, [1, 2, 3, 9]))
+    return induce_subgraph(host, [0, 1, 3, 4])
+
+
+SUBGRAPHS = {
+    "C12-arc": lambda: induce_subgraph(cycle_graph(12), range(5)),
+    "Q4-subcube": lambda: induce_subgraph(
+        hypercube_graph(4), [v for v in range(16) if v & 0b0110 == 0b0010]),
     # the half arc of C6 and a long arc of C8 are not convex; in the long
     # arc the distance within S exceeds the host distance
-    lambda: induce_subgraph(cycle_graph(6), [0, 1, 2, 3]),
-    lambda: induce_subgraph(cycle_graph(8), range(6)),
-    lambda: induce_subgraph(s3_transposition_graph(), [0]),
-], ids=["C12-arc", "Q4-subcube", "C6-half-arc", "C8-long-arc", "S3-point"])
+    "C6-half-arc": lambda: induce_subgraph(cycle_graph(6), [0, 1, 2, 3]),
+    "C8-long-arc": lambda: induce_subgraph(cycle_graph(8), range(6)),
+    "S3-point": lambda: induce_subgraph(s3_transposition_graph(), [0]),
+    "Z4xZ3-square": torus_square,
+}
+
+
+@pytest.mark.parametrize("make", SUBGRAPHS.values(), ids=SUBGRAPHS.keys())
 def test_subgraph_dist_matches_per_source_bfs(make):
     sub = make()
     assert np.array_equal(sub.dist_S, bfs_within(sub))
     assert sub.diameter_S == sub.dist_S.max()
+
+
+@pytest.mark.parametrize("name,realised", [
+    ("C12-arc", True), ("Q4-subcube", True), ("C6-half-arc", True),
+    ("C8-long-arc", False), ("S3-point", True), ("Z4xZ3-square", True)])
+def test_distance_certificate_decides_bfs(name, realised, monkeypatch):
+    # the certificate holds exactly where dist_S equals the host distances;
+    # the BFS inside S runs only where it fails
+    sub = SUBGRAPHS[name]()
+    hd = sub.host_dist()
+    assert graphs._host_distances_realised(hd, sub.nbr_local) == realised
+    assert np.array_equal(sub.dist_S, hd) == realised
+    calls = []
+    bfs = graphs._all_pairs_bfs
+    monkeypatch.setattr(graphs, "_all_pairs_bfs",
+                        lambda nbr: calls.append(1) or bfs(nbr))
+    again = SUBGRAPHS[name]()
+    assert len(calls) == (not realised)
+    assert np.array_equal(again.dist_S, sub.dist_S)
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,3 +302,122 @@ def test_grown_convex_sets_pass_all_criteria(n, data):
     assert res.convex
     assert res.criterion2 and res.sp2_closure
     assert np.array_equal(sub.dist_S, sub.host_dist())
+
+
+def loop_convexity_witness(sub):
+    """The per-vertex geodesic loop: first (x, y, v) by v, then x, then y."""
+    host, vset = sub.host, sub.vset
+    if sub.is_full:
+        return None
+    hd = host.dist[np.ix_(vset, vset)]
+    outside = np.setdiff1d(np.arange(host.n_vertices, dtype=np.int32), vset)
+    dv = host.dist[np.ix_(vset, outside)]
+    dw = host.dist[np.ix_(outside, vset)]
+    for j, v in enumerate(outside):
+        bad = np.argwhere(dv[:, j][:, None] + dw[j, :][None, :] == hd)
+        if bad.size:
+            x, y = bad[0]
+            return (int(vset[x]), int(vset[y]), int(v))
+    return None
+
+
+def loop_convex_closure(host, seed):
+    """Per-vertex closure rounds over a python set."""
+    current = set(int(v) for v in seed)
+    dist = host.dist
+    while True:
+        vs = np.fromiter(current, dtype=np.int64)
+        outside = np.setdiff1d(np.arange(host.n_vertices), vs)
+        if outside.size == 0:
+            break
+        dxv = dist[np.ix_(vs, outside)]
+        dvy = dist[np.ix_(outside, vs)]
+        dxy = dist[np.ix_(vs, vs)]
+        added = [int(v) for j, v in enumerate(outside)
+                 if (dxv[:, j][:, None] + dvy[j, :][None, :] == dxy).any()]
+        if not added:
+            break
+        current.update(added)
+    return np.array(sorted(current), dtype=np.int32)
+
+
+def far_witness_set():
+    """Q8 vertices with bit 7 set: the even ones and 129, 65 in all.
+
+    Outside vertices 0..127 are on no geodesic between members, so with
+    65^2 cells per vertex the first witness (131) lies many blocks in.
+    """
+    return induce_subgraph(hypercube_graph(8),
+                           [128 + v for v in range(128) if v % 2 == 0] + [129])
+
+
+@pytest.mark.parametrize("make,convex", [
+    (lambda: induce_subgraph(cycle_graph(12), range(5)), True),
+    (lambda: induce_subgraph(cycle_graph(9), range(4)), True),
+    (lambda: induce_subgraph(hypercube_graph(4), range(1, 16, 2)), True),
+    (lambda: induce_subgraph(hypercube_graph(6),
+                             [v for v in range(64) if v & 0b100100 == 0b100]),
+     True),
+    (lambda: hypercube_graph(3).full_subgraph(), True),
+    (torus_square, True),
+    (lambda: induce_subgraph(cycle_graph(6), [0, 1, 2, 3]), False),
+    (lambda: induce_subgraph(hypercube_graph(2), [0, 1, 3]), False),
+    (lambda: induce_subgraph(cycle_graph(8), range(6)), False),
+    (far_witness_set, False),
+], ids=["C12-arc", "C9-arc", "Q4-subcube", "Q6-subcube", "Q3-full",
+        "Z4xZ3-square", "C6-half-arc", "Q2-bent-path", "C8-long-arc",
+        "Q8-far-witness"])
+def test_convexity_witness_matches_loop(make, convex):
+    sub = make()
+    res = is_strongly_convex(sub)
+    assert res.convex == convex
+    assert res.witness == loop_convexity_witness(sub)
+
+
+def test_far_witness_lies_beyond_first_block():
+    sub = far_witness_set()
+    outside = np.flatnonzero(sub._pos < 0)
+    step = graphs._SCAN_CELLS // sub.n_vertices ** 2
+    x, y, via = is_strongly_convex(sub).witness
+    assert via == 131
+    assert int(np.searchsorted(outside, via)) >= 2 * step
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6), data=st.data())
+def test_convex_closure_matches_loop(n, data):
+    graph = hypercube_graph(n)
+    seeds = data.draw(st.sets(
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+        min_size=0, max_size=4))
+    assert np.array_equal(convex_closure(graph, sorted(seeds)),
+                          loop_convex_closure(graph, sorted(seeds)))
+
+
+@pytest.mark.parametrize("make,seed", [
+    (lambda: cycle_graph(10), [0, 3]),
+    (lambda: cycle_graph(10), [0, 5]),
+    (lambda: cycle_graph(9), [1, 4, 6]),
+    (lambda: cycle_graph(7), [2]),
+    # a second round over 65 members adds vertices from many blocks
+    (lambda: hypercube_graph(8), far_witness_set().vset.tolist()),
+], ids=["C10-near", "C10-antipodal", "C9-three", "C7-point", "Q8-far-witness"])
+def test_convex_closure_matches_loop_on_fixed_seeds(make, seed):
+    graph = make()
+    assert np.array_equal(convex_closure(graph, seed),
+                          loop_convex_closure(graph, seed))
+
+
+def test_convexity_cached_but_mismatch_raises_again(monkeypatch):
+    sub = induce_subgraph(cycle_graph(12), range(5))
+    res = is_strongly_convex(sub)
+    assert is_strongly_convex(sub) is res
+    assert not sub.host_dist().flags.writeable
+
+    fresh = induce_subgraph(cycle_graph(12), range(5))
+    monkeypatch.setattr(graphs, "_sp2_closure", lambda sub: (False, (0, 4, 1)))
+    for _ in range(2):
+        with pytest.raises(CriterionMismatch):
+            is_strongly_convex(fresh)
+    monkeypatch.undo()
+    assert is_strongly_convex(fresh) == res

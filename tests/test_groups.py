@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -122,6 +123,60 @@ def test_word_lengths_cycle_oracle():
     g = cyclic_group(6)
     wl = word_lengths(g, [1, 5])
     assert wl.tolist() == [min(i, 6 - i) for i in range(6)]
+
+
+def python_word_lengths(group, gens):
+    """Plain breadth-first search from the identity over x -> a*x."""
+    wl = [-1] * group.order
+    wl[group.identity] = 0
+    queue = collections.deque([group.identity])
+    while queue:
+        x = queue.popleft()
+        for a in gens:
+            y = group.mul(a, x)
+            if wl[y] < 0:
+                wl[y] = wl[x] + 1
+                queue.append(y)
+    return wl
+
+
+def _s3_with(pick):
+    table, perms, index = s3_table()
+    g = group_from_table(table, name="S3")
+    transpositions = [index[p] for p in perms
+                      if sum(p[i] != i for i in range(3)) == 2]
+    return g, pick(transpositions)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (cyclic_group(7), [1, 6]),
+    lambda: (cyclic_group(12), [2, 3, 9, 10]),
+    lambda: (elementary_abelian_2(5), [1, 2, 4, 8, 16]),
+    lambda: (direct_product(cyclic_group(4), cyclic_group(3)), [1, 2, 3, 9]),
+    lambda: _s3_with(lambda t: t),
+    # non-generating sets leave -1 entries
+    lambda: (cyclic_group(6), [2, 4]),
+    lambda: (elementary_abelian_2(4), [3, 5, 6, 9, 15]),
+    lambda: (elementary_abelian_2(3), [1, 2]),
+    lambda: _s3_with(lambda t: t[:1]),
+], ids=["Z7", "Z12-two-steps", "Z2^5", "Z4xZ3", "S3-table", "Z6-evens",
+        "Z2^4-even-weight", "Z2^3-plane", "S3-one-transposition"])
+def test_word_lengths_match_python_bfs(make):
+    g, gens = make()
+    wl = word_lengths(g, gens)
+    assert wl.dtype == np.int32
+    assert wl.tolist() == python_word_lengths(g, gens)
+
+
+def test_word_lengths_cached_read_only():
+    g = cyclic_group(10)
+    wl = word_lengths(g, [1, 9])
+    assert word_lengths(g, (9, 1)) is wl     # one BFS per generator tuple
+    assert not wl.flags.writeable
+    with pytest.raises(ValueError):
+        wl[0] = 5
+    assert word_lengths(g, [2, 8]).tolist() == python_word_lengths(g, [2, 8])
+    assert word_lengths(g, [1, 9]).tolist() == [min(i, 10 - i) for i in range(10)]
 
 
 def test_invariance_abelian_always():
