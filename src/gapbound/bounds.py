@@ -65,14 +65,7 @@ def bound_thm3(sub: ConvexSubgraph, spec: Spectrum,
     Returns (value, RatioConstant). Raises BoundUnavailable when every
     extremal pair is skipped.
     """
-    ratio = RatioFunction.from_spectrum(spec, sub, which=which)
-    eta = modulus_of_continuity(ratio.f, sub, tol)
-    xi = extremal_pairs(eta)
-    try:
-        const = c_u0(ratio, xi, sub, restrict="all", tol=tol)
-    except EmptyAfterSkips as exc:
-        raise BoundUnavailable(str(exc)) from exc
-    return 2.0 * const.value * (1.0 - math.cos(math.pi / (sub.diameter_S + 1))), const
+    return _thm3(sub, *_ratio_scan(sub, spec, tol, which), tol)
 
 
 def bound_thm4(sub: ConvexSubgraph, spec: Spectrum,
@@ -80,8 +73,25 @@ def bound_thm4(sub: ConvexSubgraph, spec: Spectrum,
     """2 C_{u0} with the distance-<=2 restriction (hypercube-local bound)."""
     if not is_hypercube(sub):
         raise NotHypercube("Theorem 4 requires a hypercube host")
+    return _thm4(sub, *_ratio_scan(sub, spec, tol, which), tol)
+
+
+def _ratio_scan(sub, spec, tol, which):
+    """f = u_which / u0 and its modulus, shared by Theorems 3 and 4 (the
+    modulus caches its extremal scan, the ratio its vertex sums)."""
     ratio = RatioFunction.from_spectrum(spec, sub, which=which)
-    eta = modulus_of_continuity(ratio.f, sub, tol)
+    return ratio, modulus_of_continuity(ratio.f, sub, tol)
+
+
+def _thm3(sub, ratio, eta, tol):
+    try:
+        const = c_u0(ratio, extremal_pairs(eta), sub, restrict="all", tol=tol)
+    except EmptyAfterSkips as exc:
+        raise BoundUnavailable(str(exc)) from exc
+    return 2.0 * const.value * (1.0 - math.cos(math.pi / (sub.diameter_S + 1))), const
+
+
+def _thm4(sub, ratio, eta, tol):
     try:
         const = c_u0(ratio, extremal_pairs(eta), sub,
                      restrict="distance_le_2", tol=tol, eta=eta)
@@ -255,15 +265,23 @@ def verify_all(sub: ConvexSubgraph, potential=None,
 
     # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace;
     # the reported bound is the minimum (every member is a valid bound).
-    basis = spec.gap_indices
-
-    hyps = {"strongly_convex": convexity.convex, "diameter_ge_1": d >= 1}
-    records.append(_ratio_record("thm3", hyps, sub, spec, basis, tol,
-                                 lambda which: bound_thm3(sub, spec, tol, which)))
-
-    hyps = {"hypercube": hypercube}
-    records.append(_ratio_record("thm4", hyps, sub, spec, basis, tol,
-                                 lambda which: bound_thm4(sub, spec, tol, which)))
+    # Both read one ratio scan per eigenvector, dropped before the next.
+    ratio_hyps = {
+        "thm3": ({"strongly_convex": convexity.convex, "diameter_ge_1": d >= 1},
+                 _thm3),
+        "thm4": ({"hypercube": hypercube}, _thm4)}
+    live = {name: evaluate for name, (hyps, evaluate) in ratio_hyps.items()
+            if all(hyps.values())}
+    outcomes = {name: [] for name in live}
+    for which in spec.gap_indices if live else ():
+        scan = _ratio_scan(sub, spec, tol, which)
+        for name, evaluate in live.items():
+            try:
+                outcomes[name].append(evaluate(sub, *scan, tol))
+            except BoundUnavailable as exc:
+                outcomes[name].append(exc)
+    for name, (hyps, _) in ratio_hyps.items():
+        records.append(_ratio_record(name, hyps, spec, tol, outcomes.get(name)))
 
     # Theorems 5 and 6: path graphs with log-concave ground states
     hyps = {"path_graph": path, "diameter_ge_1": d >= 1}
@@ -307,20 +325,19 @@ def verify_all(sub: ConvexSubgraph, potential=None,
                      "rayleigh_error": cert.rayleigh_error})
 
 
-def _ratio_record(name, hyps, sub, spec, basis, tol, evaluate):
-    if not all(hyps.values()):
+def _ratio_record(name, hyps, spec, tol, outcomes):
+    """Record from the per-eigenvector (value, RatioConstant) results, or the
+    BoundUnavailable each raised; outcomes is None when hyps fail."""
+    if outcomes is None:
         return TheoremRecord(theorem=name, applicable=False, hypotheses=hyps)
     values = []
     consts = []
     unavailable = None
-    for which in basis:
-        try:
-            value, const = evaluate(which)
-        except BoundUnavailable as exc:
-            unavailable = str(exc)
+    for outcome in outcomes:
+        if isinstance(outcome, BoundUnavailable):
+            unavailable = str(outcome)
             continue
-        except NotHypercube:
-            return TheoremRecord(theorem=name, applicable=False, hypotheses=hyps)
+        value, const = outcome
         values.append(value)
         consts.append(const)
     if not values:

@@ -136,8 +136,9 @@ def _fmt(x: float) -> str:
 def write_eta_csv(path: Path, times, eta_series):
     lines = ["s,t,eta"]
     for t, eta in zip(times, eta_series):
-        for s in range(1, eta.values.size):
-            lines.append(f"{s},{_fmt(t)},{_fmt(eta.values[s])}")
+        ts = _fmt(t)
+        lines.extend(f"{s},{ts},{format(v, '.17g')}"
+                     for s, v in enumerate(eta.values.tolist()[1:], 1))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CertificateFailure, InsufficientSpan, UnstableStep
 from .graphs import ConvexSubgraph
-from .moduli import RatioFunction, modulus_of_continuity
+from .moduli import RatioFunction, _eta_block, _moduli
 from .operators import (Spectrum, SymmetricOperator, eigendecompose,
                         path_lattice_laplacian)
 
@@ -48,8 +48,45 @@ def gershgorin_max(op: SymmetricOperator) -> float:
 
 def spectral_state(spec: Spectrum, phi0: np.ndarray, t: float) -> np.ndarray:
     """phi(t) = sum_i <u_i, phi0> e^{-lambda_i t} u_i."""
-    coeff = spec.eigenvectors.T @ phi0
-    return spec.eigenvectors @ (coeff * np.exp(-spec.eigenvalues * t))
+    return _spectral_states(spec, phi0, [t])[0]
+
+
+def _spectral_states(spec: Spectrum, phi0: np.ndarray, times) -> np.ndarray:
+    """phi(t) for each t, one row each. The coefficients U^T phi0 are
+    computed once; each time keeps its own U @ v, because one U @ C for
+    all times rounds differently."""
+    u = spec.eigenvectors
+    coeff = u.T @ phi0
+    out = np.empty((len(times), u.shape[0]))
+    for j, t in enumerate(times):
+        out[j] = u @ (coeff * np.exp(-spec.eigenvalues * t))
+    return out
+
+
+_OFFSETS = (-2, -1, 0, 1, 2)
+
+
+def _default_dt(spec: Spectrum) -> float:
+    lam_max = float(spec.eigenvalues[-1])
+    return 1e-3 / lam_max if lam_max > 0 else 1e-3
+
+
+def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
+                   offsets=_OFFSETS):
+    """The sample times t >= -min(offsets) dt, and the states at
+    t + k dt for k in offsets, (len(kept), len(offsets), dim)."""
+    kept = [t for t in times if t >= -min(offsets) * dt]
+    states = _spectral_states(spec, phi0,
+                              [t + k * dt for t in kept for k in offsets])
+    return kept, states.reshape(len(kept), len(offsets), phi0.size)
+
+
+def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph, dt: float):
+    """The sample times t >= 2 dt, and eta(s), s = 0..D, of the trajectory's
+    state at t + k dt for k = -2..2, (len(kept), 5, D + 1)."""
+    kept, states = _offset_states(traj.spectrum, traj.states[0], traj.times, dt)
+    etas = _eta_block(states.reshape(-1, sub.n_vertices), sub)
+    return kept, etas.reshape(len(kept), len(_OFFSETS), sub.diameter_S + 1)
 
 
 def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
@@ -66,7 +103,7 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
 
     if method == "spectral":
         spec = spectrum if spectrum is not None else eigendecompose(op, tol)
-        states = np.stack([spectral_state(spec, phi0, t) for t in times])
+        states = _spectral_states(spec, phi0, times)
     elif method == "euler":
         lam_max = gershgorin_max(op)
         limit = 1.0 / lam_max if lam_max > 0 else math.inf
@@ -95,7 +132,7 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
 
     eta_series = None
     if op.source is not None:
-        eta_series = [modulus_of_continuity(s, op.source, tol) for s in states]
+        eta_series = _moduli(states, op.source, tol)
     return HeatTrajectory(operator=op, times=times, states=states,
                           method=method, eta_series=eta_series, spectrum=spec)
 
@@ -163,21 +200,17 @@ def mocheat_inequality_check(traj: HeatTrajectory, sub: ConvexSubgraph,
     lattice = path_lattice_laplacian(d, parity)
     coords = lattice.coords
     lp = lattice.entries
-    slot = coords + d             # eta.table() index of each lattice point
     pos = coords > 0
-    phi0 = traj.states[0]
     if dt is None:
-        lam_max = float(spec.eigenvalues[-1])
-        dt = 1e-3 / lam_max if lam_max > 0 else 1e-3
+        dt = _default_dt(spec)
 
+    kept, etas = _offset_etas(traj, sub, dt)
+    # eta.table()[coords + D] for every state: eta(|s|) with the sign of s
+    lattice_etas = np.where(coords < 0, -etas[..., np.abs(coords)],
+                            etas[..., np.abs(coords)])
     checked = 0
     worst = math.inf
-    for t in traj.times:
-        if t < 2 * dt:
-            continue
-        samples = [modulus_of_continuity(spectral_state(spec, phi0, t + k * dt),
-                                         sub, tol).table()[slot]
-                   for k in (-2, -1, 0, 1, 2)]
+    for t, samples in zip(kept, lattice_etas):
         em2, em1, e0, ep1, ep2 = samples
         deta = (ep1 - em1) / (2 * dt)
         third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
@@ -203,23 +236,14 @@ def eta2_contraction_check(traj: HeatTrajectory, sub: ConvexSubgraph,
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample."""
     if traj.spectrum is None:
         raise ValueError("certificate needs a spectral trajectory")
-    spec = traj.spectrum
-    phi0 = traj.states[0]
     s2 = min(2, sub.diameter_S)
     if dt is None:
-        lam_max = float(spec.eigenvalues[-1])
-        dt = 1e-3 / lam_max if lam_max > 0 else 1e-3
+        dt = _default_dt(traj.spectrum)
 
-    def eta2(t):
-        eta = modulus_of_continuity(spectral_state(spec, phi0, t), sub, tol)
-        return eta.at(s2)
-
+    kept, etas = _offset_etas(traj, sub, dt)
     checked = 0
     worst = math.inf
-    for t in traj.times:
-        if t < 2 * dt:
-            continue
-        vals = [eta2(t + k * dt) for k in (-2, -1, 0, 1, 2)]
+    for t, vals in zip(kept, etas[:, :, s2].tolist()):
         deta = (vals[3] - vals[1]) / (2 * dt)
         third = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * dt ** 3)
         tol_dt = abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
@@ -264,23 +288,16 @@ def ratio_evolution_check(h: SymmetricOperator, spec: Spectrum, times,
     u0, u1 = spec.vector(0), spec.vector(1)
     if u0[np.argmax(np.abs(u0))] < 0:
         u0 = -u0
-    lam_max = float(spec.eigenvalues[-1])
     if dt is None:
-        dt = 1e-3 / lam_max if lam_max > 0 else 1e-3
-
-    def ratio_at(t):
-        a = spectral_state(spec, u0, t)
-        b = spectral_state(spec, u1, t)
-        return RatioFunction.from_vectors(a, b, sub)
+        dt = _default_dt(spec)
 
     worst = 0.0
     times = np.asarray(times, dtype=np.float64)
-    for t in times:
-        if t < dt:
-            continue
-        rm = ratio_at(t - dt)
-        r0 = ratio_at(t)
-        rp = ratio_at(t + dt)
+    kept, ground = _offset_states(spec, u0, times, dt, (-1, 0, 1))
+    _, first = _offset_states(spec, u1, times, dt, (-1, 0, 1))
+    for t, a, b in zip(kept, ground, first):
+        rm, r0, rp = (RatioFunction.from_vectors(a[j], b[j], sub)
+                      for j in range(3))
         dfdt = (rp.f - rm.f) / (2 * dt)
         weighted, _ = r0.vertex_sums()
         fscale = float(np.abs(r0.f).max())

@@ -1,9 +1,28 @@
 """Moduli of continuity and concavity, extremal pairs, and the ratio constant.
 
-All pair/triple scans are exhaustive and exact. eta reads the subgraph's
-cached distance-class pair index once per call (a gather, a segment max per
-class and a running max); omega makes one pass over the dense host-distance
-matrix per generator. Sizes here are desk-scale by construction.
+All pair/triple scans are exhaustive and exact; omega makes one pass over
+the dense host-distance matrix per generator. Sizes here are desk-scale by
+construction.
+
+eta has two exact algorithms for a block of functions, one row each:
+
+- the pair scan reads the subgraph's cached distance-class pair index (a
+  gather of |f(y) - f(x)|, a max per class and a running max from
+  eta(0) = 0), O(m^2) per row;
+- ball dilation sets M_0 = f and M_s(x) = max(M_{s-1}(x), max_a
+  M_{s-1}(a x)) over in-S neighbours (through nbr_local, so balls are in
+  the metric of S also on non-convex sets), then eta(s) = max_x (M_s(x) -
+  f(x)); O(k m D) per row.
+
+They agree bit for bit on finite input: max is exact, and fl(a - c) is
+monotone in a, so max_x fl(M_s(x) - f(x)) is the largest fl(f(y) - f(x))
+over ordered pairs at distance <= s, which is what the running max of the
+pair scan holds (IEEE subtraction is exactly antisymmetric, so the
+unordered |f(y) - f(x)| gives the same maxima). Dilation runs for blocks of
+more than one row with every value finite when 2 k_live D < m, k_live
+counting generators with an in-S neighbour; otherwise the pair scan runs,
+so single rows and NaN keep its fmax semantics.
+
 Conventions:
 
 - eta(s) is the supremum of f(y) - f(x) over pairs at distance <= s,
@@ -24,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import EmptyAfterSkips, NoAdmissibleTriple
-from .graphs import ConvexSubgraph
+from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
 from .operators import Spectrum
 
 
@@ -48,11 +67,18 @@ class ModulusOfContinuity:
         if "_achievers" not in self.__dict__:
             # eta is non-decreasing, so every achiever of eta(s) is an
             # extremal pair at its own distance d(y, x) <= s
-            pairs, dist, diff = _extremal(self)
+            pairs, dist, diff = self._extremal_scan()
             self.__dict__["_achievers"] = {
                 s: pairs[(dist <= s) & (diff >= self.values[s] - self.tie_tol)]
                 for s in range(1, self.diameter + 1)}
         return self.__dict__["_achievers"]
+
+    def _extremal_scan(self):
+        """`_extremal` of this modulus: one m x m pass, built on first use
+        and shared by extremal_pairs and the achievers."""
+        if "_xi" not in self.__dict__:
+            self.__dict__["_xi"] = tuple(_ro(a) for a in _extremal(self))
+        return self.__dict__["_xi"]
 
     def at(self, s: int) -> float:
         """eta(s) with antisymmetry and the eta(D+2)=eta(D+1)=eta(D) extension."""
@@ -151,8 +177,14 @@ class RatioFunction:
 
         weighted[v] = sum_a Delta_a f(v) e^{g(av)-g(v)} and
         plain[v] = sum_a Delta_a f(v), with Delta_a f zero across the
-        boundary. The weight is computed as the ratio u0(av)/u0(v).
+        boundary. The weight is computed as the ratio u0(av)/u0(v). Built on
+        first use and cached (read-only).
         """
+        if "_sums" not in self.__dict__:
+            self.__dict__["_sums"] = self._vertex_sums()
+        return self.__dict__["_sums"]
+
+    def _vertex_sums(self):
         sub, f, u0 = self.sub, self.f, self.u0
         m = sub.n_vertices
         weighted = np.zeros(m)
@@ -163,7 +195,7 @@ class RatioFunction:
             df = f[cols[keep]] - f[keep.nonzero()[0]]
             plain[keep] += df
             weighted[keep] += df * (u0[cols[keep]] / u0[keep.nonzero()[0]])
-        return weighted, plain
+        return _ro(weighted), _ro(plain)
 
 
 def modulus_of_continuity(f, sub: ConvexSubgraph,
@@ -177,18 +209,72 @@ def modulus_of_continuity(f, sub: ConvexSubgraph,
     supremum. A class whose max is NaN leaves eta unchanged (fmax).
     """
     f = np.asarray(f, dtype=np.float64)
-    d = sub.diameter_S
-    values = np.zeros(d + 1)
-    if d:
-        ys, xs, starts = sub._distance_classes()
-        diff = f.take(ys)
-        diff -= f.take(xs)
-        np.abs(diff, out=diff)
-        values[1:] = np.maximum.reduceat(diff, starts)
-        np.fmax.accumulate(values, out=values)
+    return _modulus(sub, f, _eta_block(f[None], sub)[0], tol)
 
-    tie = tol.tie_factor * max(1.0, abs(values[d]))
+
+def _moduli(states, sub: ConvexSubgraph, tol: ToleranceConfig):
+    """ModulusOfContinuity of each row of a (B, m) block."""
+    states = np.asarray(states, dtype=np.float64)
+    return [_modulus(sub, f, values, tol)
+            for f, values in zip(states, _eta_block(states, sub))]
+
+
+def _modulus(sub, f, values, tol):
+    tie = tol.tie_factor * max(1.0, abs(values[-1]))
     return ModulusOfContinuity(sub=sub, f=f, values=values, tie_tol=tie)
+
+
+def _eta_block(states, sub: ConvexSubgraph) -> np.ndarray:
+    """eta(s), s = 0..D, for each row of a (B, m) block: ball dilation or
+    the pair scan, as the module docstring states."""
+    if states.shape[0] > 1:
+        live = int((sub.nbr_local >= 0).any(axis=1).sum())
+        if 2 * live * sub.diameter_S < sub.n_vertices \
+                and np.isfinite(states).all():
+            return _eta_dilation(states, sub)
+    return _eta_pairs(states, sub)
+
+
+def _eta_pairs(states, sub: ConvexSubgraph) -> np.ndarray:
+    """Distance-class pair scan, one row at a time."""
+    out = np.zeros((states.shape[0], sub.diameter_S + 1))
+    if sub.diameter_S:
+        ys, xs, starts = sub._distance_classes()
+        for f, values in zip(states, out):
+            diff = f.take(ys)
+            diff -= f.take(xs)
+            np.abs(diff, out=diff)
+            values[1:] = np.maximum.reduceat(diff, starts)
+            np.fmax.accumulate(values, out=values)
+    return out
+
+
+def _eta_dilation(states, sub: ConvexSubgraph) -> np.ndarray:
+    """Ball dilation over blocks of about _SCAN_CELLS cells; finite input.
+
+    Vertices are rows (m + 1, b), the last a -inf sentinel that the -1
+    entries of nbr_local index.
+    """
+    m, d = sub.n_vertices, sub.diameter_S
+    live = [cols for cols in sub.nbr_local if (cols >= 0).any()]
+    out = np.zeros((states.shape[0], d + 1))
+    step = max(1, _SCAN_CELLS // m)
+    for i in range(0, states.shape[0], step):
+        f = np.ascontiguousarray(states[i:i + step].T)
+        ball = np.empty((m + 1, f.shape[1]))
+        ball[:m] = f
+        ball[m] = -np.inf
+        for s in range(1, d + 1):
+            grown = ball.copy()
+            for cols in live:
+                np.maximum(grown[:m], ball[cols], out=grown[:m])
+            ball = grown
+            out[i:i + step, s] = (ball[:m] - f).max(axis=0)
+    # max may keep -0.0 over an equal +0.0, so an all-zero difference could
+    # read -0.0; adding +0.0 maps it to the pair scan's +0.0 and is exact
+    # for every other value
+    out += 0.0
+    return out
 
 
 def modulus_of_concavity(g, sub: ConvexSubgraph,
@@ -258,8 +344,10 @@ def modulus_of_concavity(g, sub: ConvexSubgraph,
 
 
 def extremal_pairs(eta: ModulusOfContinuity) -> np.ndarray:
-    """All ordered pairs (y, x) with f(y) - f(x) = eta(d(y, x)), up to ties."""
-    return _extremal(eta)[0]
+    """All ordered pairs (y, x) with f(y) - f(x) = eta(d(y, x)), up to ties.
+
+    Cached on `eta` (read-only)."""
+    return eta._extremal_scan()[0]
 
 
 def _extremal(eta: ModulusOfContinuity):

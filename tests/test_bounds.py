@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gapbound import moduli
 from gapbound.bounds import (bound_thm1, bound_thm2, bound_thm3, bound_thm4,
                              bound_thm5, bound_thm6, is_hypercube,
                              is_path_graph, verify_all)
+from gapbound.config import DEFAULT_TOL
 from gapbound.errors import HypothesisFailed, NotHypercube
 from gapbound.families import (cycle_instance, hypercube_instance,
                                path_instance, quadratic_potential)
@@ -235,3 +237,40 @@ def test_is_path_graph():
     assert not is_path_graph(cycle_instance(5))
     assert not is_path_graph(hypercube_instance(2))
     assert not is_path_graph(path_instance(1))
+
+
+@pytest.mark.parametrize("n,potential", [(4, None), (5, None), (4, "random")])
+def test_verify_all_shares_one_scan_per_eigenvector(n, potential, monkeypatch):
+    # thm3 and thm4 read one extremal scan per eigenvector, and their
+    # records equal standalone bound_thm3 / bound_thm4 calls bit for bit
+    sub = hypercube_instance(n)
+    if potential == "random":
+        potential = np.random.default_rng(n).uniform(0, 3, size=sub.n_vertices)
+    op = laplacian(sub) if potential is None \
+        else dirichlet_hamiltonian(sub, potential)
+    spec = eigendecompose(op)
+    passes = []
+
+    def spy(eta, real=moduli._extremal):
+        passes.append(eta)
+        return real(eta)
+    monkeypatch.setattr(moduli, "_extremal", spy)
+    report = verify_all(sub, potential, spectrum=spec)
+    basis = list(spec.gap_indices)
+    assert len(passes) == len(basis) == (n if potential is None else 1)
+    assert len({id(eta) for eta in passes}) == len(basis)
+
+    for name, bound in (("thm3", bound_thm3), ("thm4", bound_thm4)):
+        rec = report.record(name)
+        standalone = [bound(sub, spec, which=which) for which in basis]
+        values = [v for v, _ in standalone]
+        assert np.array(rec.detail["bounds_per_eigenvector"]).tobytes() == \
+            np.array(values).tobytes()
+        assert np.array(rec.detail["c_u0"]).tobytes() == \
+            np.array([c.value for _, c in standalone]).tobytes()
+        assert np.float64(rec.bound).tobytes() == np.float64(min(values)).tobytes()
+        # the first eigenvector within the verify tolerance of the minimum
+        bar = rec.bound + DEFAULT_TOL.verify_factor * max(1.0, spec.gap)
+        best = next(c for v, c in standalone if v <= bar)
+        assert rec.detail["pairs"] == best.pairs.shape[0]
+        assert rec.detail["skipped_pairs"] == best.skipped.shape[0]

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from gapbound import jacobi
-from gapbound.cli import main
+from gapbound.cli import main, write_eta_csv
 from gapbound.config import DEFAULT_TOL
+from gapbound.families import path_instance
+from gapbound.heat import default_times, evolve
+from gapbound.operators import dirichlet_hamiltonian, eigendecompose
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ALL_ANALYSES = ["spectrum", "bounds", "moduli", "heat"]
@@ -224,3 +227,18 @@ def test_eta_csv_17_digits(tmp_path):
     lines = (out / "eta_series.csv").read_text().splitlines()[1:]
     s, t, eta = lines[-1].split(",")
     assert float(eta) == float(format(float(eta), ".17g"))  # round-trips
+
+
+def test_eta_csv_matches_per_value_writer(tmp_path):
+    # the per-value loop the writer replaced: one format call per number
+    sub = path_instance(9)
+    op = dirichlet_hamiltonian(sub, "boundary")
+    spec = eigendecompose(op)
+    traj = evolve(op, spec.vector(1), default_times(spec.gap), spectrum=spec)
+    lines = ["s,t,eta"]
+    for t, eta in zip(traj.times, traj.eta_series):
+        for s in range(1, eta.values.size):
+            lines.append(f"{s},{format(float(t), '.17g')},"
+                         f"{format(float(eta.values[s]), '.17g')}")
+    write_eta_csv(tmp_path / "eta.csv", traj.times, traj.eta_series)
+    assert (tmp_path / "eta.csv").read_text() == "\n".join(lines) + "\n"

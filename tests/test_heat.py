@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from gapbound.bounds import bound_thm1
+from gapbound.config import DEFAULT_TOL
 from gapbound.errors import CertificateFailure, InsufficientSpan, UnstableStep
 from gapbound.families import (cycle_instance, hypercube_instance,
-                               path_instance, quadratic_potential)
+                               path_instance, quadratic_potential,
+                               subcube_instance)
 from gapbound.heat import (decay_rate_check, default_times,
                            eta2_contraction_check, evolve, gershgorin_max,
                            mocheat_inequality_check, ratio_evolution_check)
 from gapbound.moduli import (RatioFunction, modulus_of_concavity,
                              modulus_of_continuity)
 from gapbound.operators import (dirichlet_hamiltonian, eigendecompose,
-                                laplacian)
+                                laplacian, path_lattice_laplacian)
 
 
 def test_eigenvector_decays_exponentially():
@@ -245,3 +247,157 @@ def test_ratio_evolution_random_paths(rng):
         cert = ratio_evolution_check(ham, spec, np.array([0.1, 0.4]))
         assert cert.ok
         assert cert.stationary_residual <= 1e-8
+
+
+# -- per-state references ------------------------------------------------------
+# The functions below are the per-state routes that the block code replaced:
+# one coefficient vector, one matvec and one modulus per state. The block
+# results must equal them exactly.
+
+def ref_state(spec, phi0, t):
+    coeff = spec.eigenvectors.T @ phi0
+    return spec.eigenvectors @ (coeff * np.exp(-spec.eigenvalues * t))
+
+
+def ref_default_dt(spec):
+    lam_max = float(spec.eigenvalues[-1])
+    return 1e-3 / lam_max if lam_max > 0 else 1e-3
+
+
+def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
+    """(checked, worst_margin) of the per-state loop; raises like the check."""
+    spec = traj.spectrum
+    d = sub.diameter_S
+    lattice = path_lattice_laplacian(d, "even" if d % 2 == 0 else "odd")
+    coords, lp = lattice.coords, lattice.entries
+    slot, pos = coords + d, coords > 0
+    phi0 = traj.states[0]
+    dt = ref_default_dt(spec)
+    checked, worst = 0, math.inf
+    for t in traj.times:
+        if t < 2 * dt:
+            continue
+        em2, em1, e0, ep1, ep2 = [
+            modulus_of_continuity(ref_state(spec, phi0, t + k * dt), sub,
+                                  tol).table()[slot]
+            for k in (-2, -1, 0, 1, 2)]
+        deta = (ep1 - em1) / (2 * dt)
+        third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
+        tol_dt = np.abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
+        margin = (-(lp @ e0) + tol_dt - deta)[pos]
+        bad = np.flatnonzero(margin < 0)
+        if bad.size:
+            i = bad[0]
+            s = int(coords[pos][i])
+            raise CertificateFailure(
+                f"d(eta)/dt > -L_P eta at s={s}, t={t:.6g} "
+                f"(violation {-margin[i]:.3e})", witness=(s, float(t)))
+        checked += margin.size
+        worst = min(worst, float(np.fmin.reduce(margin)))
+    return checked, worst if checked else 0.0
+
+
+def ref_eta2(traj, sub, tol=DEFAULT_TOL):
+    spec = traj.spectrum
+    s2 = min(2, sub.diameter_S)
+    dt = ref_default_dt(spec)
+    checked, worst = 0, math.inf
+    for t in traj.times:
+        if t < 2 * dt:
+            continue
+        vals = [modulus_of_continuity(ref_state(spec, traj.states[0], t + k * dt),
+                                      sub, tol).at(s2)
+                for k in (-2, -1, 0, 1, 2)]
+        deta = (vals[3] - vals[1]) / (2 * dt)
+        third = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * dt ** 3)
+        margin = -2.0 * vals[2] + abs(third) * dt * dt / 6.0 * 4.0 + 1e-12 - deta
+        checked += 1
+        worst = min(worst, margin)
+    return checked, worst if checked else 0.0
+
+
+def ref_ratio_residual(h, spec, times):
+    u0, u1 = spec.vector(0), spec.vector(1)
+    if u0[np.argmax(np.abs(u0))] < 0:
+        u0 = -u0
+    dt = ref_default_dt(spec)
+
+    def ratio_at(t):
+        return RatioFunction.from_vectors(ref_state(spec, u0, t),
+                                          ref_state(spec, u1, t), h.source)
+
+    worst = 0.0
+    for t in times:
+        if t < dt:
+            continue
+        rm, r0, rp = ratio_at(t - dt), ratio_at(t), ratio_at(t + dt)
+        weighted, _ = r0.vertex_sums()
+        worst = max(worst, float(np.abs((rp.f - rm.f) / (2 * dt)
+                                        - weighted).max()))
+    return worst
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+HEAT_INSTANCES = {
+    "Q5": lambda: (hypercube_instance(5), None),
+    "Q6[x5=0]-boundary": lambda: (subcube_instance([None] * 5 + [0]),
+                                  "boundary"),
+    "Q8[x7=0]-boundary": lambda: (subcube_instance([None] * 7 + [0]),
+                                  "boundary"),
+    "path12-boundary": lambda: (path_instance(12), "boundary"),
+    "cycle9": lambda: (cycle_instance(9), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAT_INSTANCES))
+def test_heat_matches_per_state_reference(name):
+    sub, pot = HEAT_INSTANCES[name]()
+    op = laplacian(sub) if pot is None else dirichlet_hamiltonian(sub, pot)
+    spec = eigendecompose(op)
+    times = default_times(spec.gap)
+    traj = evolve(op, spec.vector(1), times, spectrum=spec)
+    ref = np.stack([ref_state(spec, spec.vector(1), t) for t in times])
+    assert np.array_equal(traj.states, ref)
+    for state, eta in zip(ref, traj.eta_series):
+        want = modulus_of_continuity(state, sub)
+        assert eta.values.tobytes() == want.values.tobytes()
+        assert float_bits(eta.tie_tol) == float_bits(want.tie_tol)
+
+    cert = mocheat_inequality_check(traj, sub)
+    checked, worst = ref_mocheat(traj, sub)
+    assert cert.checked == checked > 0
+    assert float_bits(cert.worst_margin) == float_bits(worst)
+
+    if name.startswith("Q"):      # the eta(2) certificate is hypercube-local
+        cert = eta2_contraction_check(traj, sub)
+        checked, worst = ref_eta2(traj, sub)
+        assert cert.checked == checked > 0
+        assert float_bits(cert.worst_margin) == float_bits(worst)
+
+    if pot is not None:
+        cert = ratio_evolution_check(op, spec, times[1:8])
+        assert float_bits(cert.evolution_residual) == \
+            float_bits(ref_ratio_residual(op, spec, times[1:8]))
+
+
+@pytest.mark.parametrize("n,slow,extra", [(5, slice(None), None), (9, 7, 7)])
+def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
+    # the two failing trajectories of test_mocheat_failure_witness
+    sub = path_instance(n)
+    lap = laplacian(sub)
+    spec = eigendecompose(lap)
+    w = spec.eigenvalues.copy()
+    w[slow] *= 0.5
+    phi0 = spec.vector(1) if extra is None \
+        else spec.vector(1) + spec.vector(extra)
+    traj = evolve(lap, phi0, default_times(spec.gap),
+                  spectrum=dataclasses.replace(spec, eigenvalues=w))
+    with pytest.raises(CertificateFailure) as want:
+        ref_mocheat(traj, sub)
+    with pytest.raises(CertificateFailure) as got:
+        mocheat_inequality_check(traj, sub)
+    assert str(got.value) == str(want.value)
+    assert got.value.witness == want.value.witness

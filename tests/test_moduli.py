@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from gapbound import moduli
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import EmptyAfterSkips
 from gapbound.families import cycle_graph, hypercube_graph, path_instance
 from gapbound.graphs import induce_subgraph
-from gapbound.moduli import (ModulusOfConcavity, RatioFunction,
-                             c_u0, extremal_pairs, grad_ops, log_concavity,
-                             modulus_of_concavity, modulus_of_continuity)
+from gapbound.heat import default_times, evolve
+from gapbound.moduli import (ModulusOfConcavity, RatioFunction, _eta_block,
+                             _eta_dilation, _eta_pairs, c_u0, extremal_pairs,
+                             grad_ops, log_concavity, modulus_of_concavity,
+                             modulus_of_continuity)
 from gapbound.operators import (dirichlet_hamiltonian, eigendecompose,
                                 laplacian)
 
@@ -512,3 +515,87 @@ def test_omega_matches_class_loop_bit_for_bit(name, admissibility, rng):
             assert omega.achievers[s].dtype == np.int64
             assert omega.achievers[s].shape == achievers[s].shape
             assert np.array_equal(omega.achievers[s], achievers[s])
+
+
+# -- block eta: both algorithms against the class loop -------------------------
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes, so -0.0 differs from +0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def eta_blocks(sub, rng):
+    """Blocks of several rows: random, rounded, all-zero with signed zeros,
+    near-tie and heat-trajectory rows."""
+    m = sub.n_vertices
+    zeros = np.zeros((3, m))
+    zeros[1, ::2] = -0.0
+    zeros[2] = -0.0
+    blocks = [rng.normal(size=(4, m)), np.round(rng.normal(size=(4, m)), 1),
+              zeros,
+              1e3 * np.round(rng.normal(size=(4, m)), 1)
+              + 1e-10 * rng.normal(size=(4, m))]
+    if m >= 2:
+        op = dirichlet_hamiltonian(sub, "boundary")
+        spec = eigendecompose(op)
+        blocks.append(evolve(op, spec.vector(1) + spec.vector(m - 1),
+                             default_times(spec.gap, 12), spectrum=spec).states)
+    return blocks
+
+
+def loop_eta_rows(block, sub):
+    return np.array([loop_eta(f, sub)[0] for f in block])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_block_eta_matches_class_loop_bit_for_bit(name, rng):
+    sub = ORACLE_INSTANCES[name]()
+    for block in eta_blocks(sub, rng):
+        ref = loop_eta_rows(block, sub)
+        assert same_bits(_eta_pairs(block, sub), ref)
+        assert same_bits(_eta_dilation(block, sub), ref)
+        assert same_bits(_eta_block(block, sub), ref)
+
+
+def test_block_eta_spans_several_dilation_blocks(rng, monkeypatch):
+    # more rows than one block of _SCAN_CELLS cells, with a short last block
+    monkeypatch.setattr(moduli, "_SCAN_CELLS", 3 * 32)
+    sub = ORACLE_INSTANCES["Q5"]()
+    block = np.round(rng.normal(size=(7, 32)), 1)
+    assert same_bits(_eta_dilation(block, sub), loop_eta_rows(block, sub))
+
+
+@pytest.fixture
+def eta_spy(monkeypatch):
+    """Names of the eta algorithms _eta_block runs, in call order."""
+    calls = []
+    for name in ("_eta_pairs", "_eta_dilation"):
+        def spy(states, sub, real=getattr(moduli, name), name=name):
+            calls.append(name)
+            return real(states, sub)
+        monkeypatch.setattr(moduli, name, spy)
+    return calls
+
+
+def test_block_eta_selection(eta_spy, rng):
+    q8 = hypercube_graph(8).full_subgraph()
+    block = rng.normal(size=(3, q8.n_vertices))
+    assert same_bits(_eta_block(block, q8), loop_eta_rows(block, q8))
+    assert same_bits(_eta_block(block[:1], q8), loop_eta_rows(block[:1], q8))
+    path = path_instance(40)
+    assert same_bits(_eta_block(block[:, :40], path),
+                     loop_eta_rows(block[:, :40], path))
+    assert eta_spy == ["_eta_dilation", "_eta_pairs", "_eta_pairs"]
+
+
+def test_block_eta_with_nan_keeps_pair_scan(eta_spy, rng):
+    # a NaN class leaves eta unchanged, as in the single-row scan
+    q8 = hypercube_graph(8).full_subgraph()
+    block = rng.normal(size=(3, q8.n_vertices))
+    block[1, 17] = np.nan
+    values = _eta_block(block, q8)
+    assert eta_spy == ["_eta_pairs"]
+    assert same_bits(values, loop_eta_rows(block, q8))
+    for f, row in zip(block, values):
+        assert same_bits(modulus_of_continuity(f, q8).values, row)
