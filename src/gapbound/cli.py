@@ -266,25 +266,32 @@ def _sweep_sizes(family, lo, hi):
 def _thread_count():
     env = os.environ.get("GAPBOUND_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise SpecValidationError(
+                f"GAPBOUND_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
-def run_sweep(family, lo, hi, analyses, tol, out_dir: Path):
+def run_sweep(family, lo, hi, tol, out_dir: Path):
+    """Bound every size lo..hi of `family`; write sweep.csv, return the
+    aggregate that main writes as sweep.json.
+
+    A sweep computes the bounds analysis only. The sizes run in a thread
+    pool capped by GAPBOUND_THREADS, which is read before any size runs;
+    rows come out in size order.
+    """
     sizes = _sweep_sizes(family, lo, hi)
     build = {"path": path_instance, "cycle": cycle_instance,
              "hypercube": hypercube_instance}[family]
+    threads = _thread_count()
 
     def one(n):
-        sub = build(n)
-        rep = verify_all(sub, None, tol)
-        return n, rep
+        return n, verify_all(build(n), None, tol)
 
-    rows = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_count()) as ex:
-        for n, rep in ex.map(one, sizes):
-            rows.append((n, rep))
-    rows.sort(key=lambda r: r[0])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
+        rows = list(ex.map(one, sizes))
 
     table = []
     reports = {}
@@ -345,7 +352,6 @@ def main(argv=None) -> int:
                          choices=("path", "cycle", "hypercube"))
     sweep_p.add_argument("--min", type=int, required=True)
     sweep_p.add_argument("--max", type=int, required=True)
-    sweep_p.add_argument("--analyses", default="bounds")
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--tol", default=None)
 
@@ -370,12 +376,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep":
             tol = _tol_from_arg(args.tol)
-            analyses = [a.strip() for a in args.analyses.split(",") if a.strip()]
-            bad = [a for a in analyses if a not in ANALYSES]
-            if bad:
-                raise SpecValidationError(f"unknown analyses {bad}")
-            aggregate = run_sweep(args.family, args.min, args.max, analyses,
-                                  tol, out_dir)
+            aggregate = run_sweep(args.family, args.min, args.max, tol,
+                                  out_dir)
             write_json(out_dir / "sweep.json", aggregate)
             return 0 if aggregate["ok"] else 1
     except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:

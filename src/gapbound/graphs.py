@@ -90,7 +90,6 @@ class ConvexSubgraph:
     host: HomogeneousGraph
     vset: np.ndarray            # (m,) host ids, sorted
     boundary: np.ndarray        # host ids adjacent to but outside vset
-    boundary_edges: np.ndarray  # (e, 2) host-id pairs, >=1 end in vset
     nbr_local: np.ndarray       # (k, m): local index of a*v, or -1 if outside
     dist_S: np.ndarray          # (m, m) shortest paths within S
     diameter_S: int
@@ -130,6 +129,19 @@ class ConvexSubgraph:
     def is_full(self) -> bool:
         return self.vset.size == self.host.n_vertices
 
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        """(e, 2) sorted (min, max) host-id pairs of the edges with at least
+        one end in S, in lexicographic order. Built on first use and cached
+        read-only."""
+        if "_boundary_edges" not in self.__dict__:
+            nbr_host = self.host.act[:, self.vset]
+            src = np.broadcast_to(self.vset, nbr_host.shape)
+            pairs = np.stack([np.minimum(src, nbr_host).ravel(),
+                              np.maximum(src, nbr_host).ravel()], axis=1)
+            self.__dict__["_boundary_edges"] = _ro(np.unique(pairs, axis=0))
+        return self.__dict__["_boundary_edges"]
+
     def _distance_classes(self):
         """Unordered local pairs y < x grouped by distance within S.
 
@@ -166,7 +178,7 @@ class ConvexSubgraph:
 
 
 def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
-    """Induced subgraph with boundary, boundary edges, K_x and distances.
+    """Induced subgraph with boundary, K_x and distances.
 
     dist_S is taken from the host distances d when a one-pass certificate
     shows they are realised inside S: every pair x != y of S has an
@@ -191,13 +203,7 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
     outside = nbr_host[nbr_local < 0]
     boundary = np.unique(outside)
 
-    # edges with at least one end in S, as sorted (min, max) host pairs
     m = vset.size
-    src = np.broadcast_to(vset, nbr_host.shape)
-    pairs = np.stack([np.minimum(src, nbr_host).ravel(),
-                      np.maximum(src, nbr_host).ravel()], axis=1)
-    boundary_edges = np.unique(pairs, axis=0)
-
     hd = _ro(host.dist[np.ix_(vset, vset)])
     if m == host.n_vertices or _host_distances_realised(hd, nbr_local):
         dist_s = hd
@@ -208,7 +214,6 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
                 f"{int((dist_s[0] < 0).sum())} vertices unreachable within S")
 
     sub = ConvexSubgraph(host=host, vset=_ro(vset), boundary=_ro(boundary),
-                         boundary_edges=_ro(boundary_edges),
                          nbr_local=_ro(nbr_local.astype(np.int32)),
                          dist_S=_ro(dist_s.astype(np.int32, copy=False)),
                          diameter_S=int(dist_s.max()), _pos=_ro(pos))

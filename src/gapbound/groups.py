@@ -223,30 +223,31 @@ def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
     generator_set's validation and build_cayley share one BFS; the array is
     read-only because every caller receives the same one.
 
-    Each BFS level is one gather of the generator rows at the frontier. New
-    elements are deduplicated by scattering their positions into `slot` and
-    keeping each element once, so a level costs O(k |frontier|).
+    The BFS runs in plain Python over the k generator rows a * x taken as
+    lists: O(k n) element steps in all, with no numpy call per level. A
+    cycle C_n has n / 2 levels, so per-level array calls cost far more than
+    the elements they touch.
     """
     key = tuple(sorted({int(a) for a in gens}))
     cache = group.__dict__.setdefault("_word_lengths", {})
     if key in cache:
         return cache[key]
-    n = group.order
-    rows = group.table[np.asarray(key, dtype=np.int64)]     # (k, n): a * x
-    wl = np.full(n, -1, dtype=np.int32)
+    rows = [group.table[a].tolist() for a in key]
+    wl = [-1] * group.order
     wl[group.identity] = 0
-    slot = np.empty(n, dtype=np.int64)
-    frontier = np.array([group.identity], dtype=np.int64)
+    frontier = [group.identity]
     level = 0
-    while frontier.size:
+    while frontier:
         level += 1
-        nxt = rows[:, frontier].ravel()
-        nxt = nxt[wl[nxt] < 0]
-        wl[nxt] = level
-        ids = np.arange(nxt.size)
-        slot[nxt] = ids
-        frontier = nxt[slot[nxt] == ids]
-    cache[key] = _freeze(wl)
+        nxt = []
+        for row in rows:
+            for x in frontier:
+                y = row[x]
+                if wl[y] < 0:
+                    wl[y] = level
+                    nxt.append(y)
+        frontier = nxt
+    cache[key] = _freeze(np.array(wl, dtype=np.int32))
     return cache[key]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gapbound import jacobi
+from gapbound import cli, jacobi
 from gapbound.cli import main, write_eta_csv
 from gapbound.config import DEFAULT_TOL
 from gapbound.families import path_instance
@@ -184,6 +184,28 @@ def test_sweep_hypercube_gap_two(tmp_path):
     agg = json.loads((out / "sweep.json").read_text())
     for row in agg["table"]:
         assert abs(row["gap"] - 2.0) <= 1e-9
+
+
+def sweep_args(family, lo, hi, out, *extra):
+    return ["sweep", "--family", family, "--min", str(lo), "--max", str(hi),
+            "--out", str(out), *extra]
+
+
+def test_sweep_has_no_analyses_option(tmp_path, capsys):
+    # a sweep computes bounds only, so there is nothing to select
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(sweep_args("path", 2, 3, out, "--analyses", "bounds"))
+    assert exc.value.code == 2
+    assert "--analyses" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
+
+
+def test_bad_thread_count_fails_before_any_size(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GAPBOUND_THREADS", "abc")
+    monkeypatch.setattr(cli, "verify_all", lambda *a, **k: pytest.fail("ran"))
+    assert main(sweep_args("path", 2, 4, tmp_path / "out")) == 2
+    assert "GAPBOUND_THREADS" in capsys.readouterr().err
 
 
 def test_unknown_keys_rejected(tmp_path):

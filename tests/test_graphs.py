@@ -126,6 +126,21 @@ def test_subgraph_dist_matches_per_source_bfs(make):
     assert sub.diameter_S == sub.dist_S.max()
 
 
+@pytest.mark.parametrize("make", SUBGRAPHS.values(), ids=SUBGRAPHS.keys())
+def test_boundary_edges_built_on_first_use(make):
+    sub = make()
+    assert "_boundary_edges" not in sub.__dict__
+    nbr_host = sub.host.act[:, sub.vset]
+    src = np.broadcast_to(sub.vset, nbr_host.shape)
+    eager = np.unique(np.stack([np.minimum(src, nbr_host).ravel(),
+                                np.maximum(src, nbr_host).ravel()], axis=1),
+                      axis=0)
+    edges = sub.boundary_edges
+    assert edges.dtype == eager.dtype and np.array_equal(edges, eager)
+    assert sub.boundary_edges is edges
+    assert not edges.flags.writeable
+
+
 @pytest.mark.parametrize("name,realised", [
     ("C12-arc", True), ("Q4-subcube", True), ("C6-half-arc", True),
     ("C8-long-arc", False), ("S3-point", True), ("Z4xZ3-square", True)])

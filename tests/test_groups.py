@@ -159,8 +159,12 @@ def _s3_with(pick):
     lambda: (elementary_abelian_2(4), [3, 5, 6, 9, 15]),
     lambda: (elementary_abelian_2(3), [1, 2]),
     lambda: _s3_with(lambda t: t[:1]),
+    # deep groups: Z4096 has 2048 BFS levels
+    lambda: (cyclic_group(4096), [1, 4095]),
+    lambda: (elementary_abelian_2(10), [1 << i for i in range(10)]),
 ], ids=["Z7", "Z12-two-steps", "Z2^5", "Z4xZ3", "S3-table", "Z6-evens",
-        "Z2^4-even-weight", "Z2^3-plane", "S3-one-transposition"])
+        "Z2^4-even-weight", "Z2^3-plane", "S3-one-transposition", "Z4096",
+        "Q10"])
 def test_word_lengths_match_python_bfs(make):
     g, gens = make()
     wl = word_lengths(g, gens)
