@@ -15,11 +15,12 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (BoundUnavailable, EmptyAfterSkips, HypothesisFailed,
                      NotHypercube)
 from .graphs import ConvexSubgraph, is_strongly_convex
-from .moduli import (ModulusOfConcavity, RatioFunction, _dcosh, c_u0,
-                     extremal_pairs, log_concavity, modulus_of_concavity,
+from .moduli import (ModulusOfConcavity, RatioFunction, _dcosh,
+                     _ground_concavity, _ground_eta, _ground_omega,
+                     _ground_ratio, c_u0, extremal_pairs,
                      modulus_of_continuity)
-from .operators import (Spectrum, dirichlet_hamiltonian, eigendecompose,
-                        laplacian, rayleigh_gap_check)
+from .operators import (Spectrum, _certificate, boundary_potential,
+                        dirichlet_hamiltonian, eigendecompose, laplacian)
 
 
 def mu_matched(d: int) -> float:
@@ -79,6 +80,8 @@ def bound_thm4(sub: ConvexSubgraph, spec: Spectrum,
 def _ratio_scan(sub, spec, tol, which):
     """f = u_which / u0 and its modulus, shared by Theorems 3 and 4 (the
     modulus caches its extremal scan, the ratio its vertex sums)."""
+    if which == 1 and sub is spec.operator.source:
+        return _ground_ratio(spec), _ground_eta(spec, tol)
     ratio = RatioFunction.from_spectrum(spec, sub, which=which)
     return ratio, modulus_of_continuity(ratio.f, sub, tol)
 
@@ -88,7 +91,7 @@ def _thm3(sub, ratio, eta, tol):
         const = c_u0(ratio, extremal_pairs(eta), sub, restrict="all", tol=tol)
     except EmptyAfterSkips as exc:
         raise BoundUnavailable(str(exc)) from exc
-    return 2.0 * const.value * (1.0 - math.cos(math.pi / (sub.diameter_S + 1))), const
+    return const.value * mu_matched(sub.diameter_S), const
 
 
 def _thm4(sub, ratio, eta, tol):
@@ -110,9 +113,8 @@ def bound_thm5(omega: ModulusOfConcavity, d: int,
     if not omega.is_nonnegative(slack=tol.denominator_zero):
         raise HypothesisFailed(
             f"modulus of concavity dips to {np.nanmin(omega.values):.3e} < 0")
-    wbar = omega.omega_bar
-    weak = 4.0 * (1.0 - math.cos(math.pi / (2 * d + 1)))
-    return 4.0 * (2.0 * math.cosh(wbar) - 1.0) * (1.0 - math.cos(math.pi / (2 * d + 1))), weak
+    weak = 2.0 * mu_unit(d)
+    return (2.0 * math.cosh(omega.omega_bar) - 1.0) * weak, weak
 
 
 def bound_thm6(omega: ModulusOfConcavity, d: int,
@@ -127,7 +129,7 @@ def bound_thm6(omega: ModulusOfConcavity, d: int,
             f"modulus of concavity dips to {np.nanmin(omega.values):.3e} < 0")
     if not omega.defined.all():
         raise HypothesisFailed("some distance class admits no triple")
-    weak = 4.0 * (1.0 - math.cos(math.pi / (2 * d + 1)))
+    weak = 2.0 * mu_unit(d)
     value = weak + 2.0 * float(_dcosh(omega, d).min())
     eq1 = None
     if omega.is_convex(slack=tol.denominator_zero):
@@ -159,10 +161,6 @@ class GapReport:
     tolerances: dict
     certificate: dict
 
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.records if r.applicable and r.bound is not None)
-
     def record(self, theorem: str) -> TheoremRecord:
         for r in self.records:
             if r.theorem == theorem:
@@ -170,24 +168,12 @@ class GapReport:
         raise KeyError(theorem)
 
     def as_dict(self) -> dict:
-        recs = []
-        for r in self.records:
-            recs.append({
-                "theorem": r.theorem,
-                "applicable": r.applicable,
-                "hypotheses": r.hypotheses,
-                "bound": r.bound,
-                "slack": r.slack,
-                "holds": r.holds,
-                "unavailable": r.unavailable,
-                "detail": r.detail,
-            })
         return {
             "graph": {"n_vertices": self.n_vertices, "diameter": self.diameter,
                       "degree": self.degree},
             "exact": {"lambda0": self.lambda0, "lambda1": self.lambda1,
                       "gap": self.gap},
-            "theorems": recs,
+            "theorems": [dict(vars(r)) for r in self.records],
             "tolerances": self.tolerances,
             "certificate": self.certificate,
         }
@@ -215,12 +201,25 @@ def verify_all(sub: ConvexSubgraph, potential=None,
 
     `potential` is None (pure Laplacian), "boundary", or a vector. Per-bound
     failures (e.g. no usable extremal pair) are recorded, not raised.
+
+    A given `spectrum` must be that of build_operator(sub, potential), else
+    ValueError. Its operator is used as is, and the certificate, which = 1
+    ratio scan and ground-state moduli are the ones kept on it (see Spectrum).
     """
-    op = build_operator(sub, potential)
+    if spectrum is None:
+        op = build_operator(sub, potential)
+    else:
+        op = spectrum.operator
+        if op.source is not sub:
+            raise ValueError("spectrum was built on another subgraph")
+        if isinstance(potential, str) and potential == "boundary":
+            potential = boundary_potential(sub)
+        if not np.array_equal(potential, op.potential):
+            raise ValueError("spectrum was built with another potential")
     if op.dim < 2:
         raise ValueError("gap verification needs at least two vertices")
     spec = spectrum if spectrum is not None else eigendecompose(op, tol)
-    cert = rayleigh_gap_check(spec, op, tol)
+    cert = _certificate(spec, tol)
     gap = spec.gap
     tol_verify = tol.verify_factor * max(1.0, gap)
     d = sub.diameter_S
@@ -265,7 +264,7 @@ def verify_all(sub: ConvexSubgraph, potential=None,
 
     # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace;
     # the reported bound is the minimum (every member is a valid bound).
-    # Both read one ratio scan per eigenvector, dropped before the next.
+    # Both read one ratio scan per eigenvector; only which = 1 is kept.
     ratio_hyps = {
         "thm3": ({"strongly_convex": convexity.convex, "diameter_ge_1": d >= 1},
                  _thm3),
@@ -287,16 +286,14 @@ def verify_all(sub: ConvexSubgraph, potential=None,
     hyps = {"path_graph": path, "diameter_ge_1": d >= 1}
     omega = None
     if all(hyps.values()):
-        u0 = spec.vector(0)
-        if u0[np.argmax(np.abs(u0))] < 0:
-            u0 = -u0
-        concave = log_concavity(np.log(u0), sub, tol)
+        concave = _ground_concavity(spec, tol)
         hyps["log_concave"] = concave.holds
         if concave.holds:
-            omega = modulus_of_concavity(np.log(u0), sub)
+            omega = _ground_omega(spec)
             hyps["omega_nonnegative"] = omega.is_nonnegative(tol.denominator_zero)
 
-    for name, fn in (("thm5", bound_thm5), ("thm6", bound_thm6)):
+    for name, fn, extra_key in (("thm5", bound_thm5, "weak_member"),
+                                ("thm6", bound_thm6, "eq1_value")):
         h = dict(hyps)
         value = None
         detail = {}
@@ -309,10 +306,7 @@ def verify_all(sub: ConvexSubgraph, potential=None,
             else:
                 detail["omega_bar"] = omega.omega_bar
                 detail["omega_convex"] = omega.is_convex(tol.denominator_zero)
-                if name == "thm5":
-                    detail["weak_member"] = extra
-                else:
-                    detail["eq1_value"] = extra
+                detail[extra_key] = extra
         records.append(record(name, h, value, unavailable=unavailable,
                               detail=detail))
 

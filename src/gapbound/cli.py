@@ -9,11 +9,12 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import verify_all
+from .bounds import bound_thm1, build_operator, is_path_graph, verify_all
 from .config import DEFAULT_TOL
 from .errors import CertificateFailure, GapboundError, SpecValidationError
 from .families import (cycle_instance, hypercube_instance, path_instance,
@@ -22,10 +23,9 @@ from .graphs import induce_subgraph, build_cayley, is_strongly_convex
 from .groups import build_group, generator_set
 from .heat import (decay_rate_check, default_times, evolve,
                    mocheat_inequality_check, ratio_evolution_check)
-from .moduli import (RatioFunction, extremal_pairs, log_concavity,
-                     modulus_of_concavity, modulus_of_continuity)
-from .operators import eigendecompose, rayleigh_gap_check
-from .bounds import build_operator, is_path_graph
+from .moduli import (_ground_concavity, _ground_eta, _ground_omega,
+                     extremal_pairs)
+from .operators import _certificate, eigendecompose
 
 SCHEMA = "gapbound/1"
 ANALYSES = ("spectrum", "bounds", "moduli", "heat")
@@ -169,9 +169,7 @@ def run_instance(spec, analyses, tol, out_dir: Path):
 
     if "spectrum" in analyses:
         try:
-            cert = rayleigh_gap_check(spectrum, op, tol)
-            cert_info = {"recurrence_residual": cert.recurrence_residual,
-                         "rayleigh_error": cert.rayleigh_error, "ok": True}
+            cert_info = asdict(_certificate(spectrum, tol))
         except CertificateFailure as exc:
             cert_info = {"ok": False, "error": str(exc), "witness": exc.witness}
             failures.append(f"spectrum certificate: {exc}")
@@ -194,19 +192,14 @@ def run_instance(spec, analyses, tol, out_dir: Path):
                     f"{gap_report.gap!r}")
 
     if "moduli" in analyses and spectrum.dim >= 2:
-        ratio = RatioFunction.from_spectrum(spectrum, sub)
-        eta = modulus_of_continuity(ratio.f, sub, tol)
-        xi = extremal_pairs(eta)
+        eta = _ground_eta(spectrum, tol)
         mod = {"eta": eta.values,
-               "xi_pairs": int(xi.shape[0]),
+               "xi_pairs": int(extremal_pairs(eta).shape[0]),
                "tie_tol": eta.tie_tol}
-        u0 = spectrum.vector(0)
-        if u0[np.argmax(np.abs(u0))] < 0:
-            u0 = -u0
-        concave = log_concavity(np.log(u0), sub, tol)
+        concave = _ground_concavity(spectrum, tol)
         mod["log_concave"] = concave.holds
         if is_path_graph(sub) and concave.holds:
-            omega = modulus_of_concavity(np.log(u0), sub)
+            omega = _ground_omega(spectrum)
             mod["omega"] = omega.values
             mod["omega_bar"] = omega.omega_bar
         report["moduli"] = mod
@@ -216,30 +209,23 @@ def run_instance(spec, analyses, tol, out_dir: Path):
         traj = evolve(op, spectrum.vector(1), times, method="spectral",
                       spectrum=spectrum, tol=tol)
         heat_info = {}
+        mu = bound_thm1(max(sub.diameter_S, 1))
         try:
-            from .bounds import bound_thm1
-            mu = bound_thm1(max(sub.diameter_S, 1))
-            decay = decay_rate_check(traj, mu, tol)
-            heat_info["decay"] = {"fitted_rate": decay.fitted_rate, "mu": mu,
-                                  "decades": decay.decades, "ok": True}
-        except (CertificateFailure, GapboundError) as exc:
+            heat_info["decay"] = asdict(decay_rate_check(traj, mu, tol))
+        except GapboundError as exc:
             heat_info["decay"] = {"ok": False, "error": str(exc)}
             failures.append(f"heat decay: {exc}")
         if convexity.convex:
             try:
-                ineq = mocheat_inequality_check(traj, sub, tol=tol)
-                heat_info["mocheat"] = {"checked": ineq.checked,
-                                        "worst_margin": ineq.worst_margin,
-                                        "ok": True}
+                heat_info["mocheat"] = asdict(
+                    mocheat_inequality_check(traj, sub, tol=tol))
             except CertificateFailure as exc:
                 heat_info["mocheat"] = {"ok": False, "error": str(exc)}
                 failures.append(f"mocheat certificate: {exc}")
         if op.kind == "hamiltonian":
             try:
-                rcert = ratio_evolution_check(op, spectrum, times[1:8], tol=tol)
-                heat_info["ratio"] = {
-                    "stationary_residual": rcert.stationary_residual,
-                    "evolution_residual": rcert.evolution_residual, "ok": True}
+                heat_info["ratio"] = asdict(ratio_evolution_check(
+                    op, spectrum, times[1:8], tol=tol))
             except CertificateFailure as exc:
                 heat_info["ratio"] = {"ok": False, "error": str(exc)}
                 failures.append(f"ratio certificate: {exc}")
@@ -324,13 +310,13 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
 
 # -- entry points ---------------------------------------------------------------
 
-def _tol_from_arg(arg):
+def _tol_from_arg(arg, base=DEFAULT_TOL):
     if not arg:
-        return DEFAULT_TOL
+        return base
     overrides = json.loads(arg)
     if not isinstance(overrides, dict):
         raise SpecValidationError("--tol must be a JSON object")
-    return DEFAULT_TOL.with_overrides(**overrides)
+    return base.with_overrides(**overrides)
 
 
 def main(argv=None) -> int:
@@ -362,8 +348,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command in ("run", "verify"):
             spec, analyses, tol = load_spec(args.spec)
-            if args.tol:
-                tol = tol.with_overrides(**json.loads(args.tol))
+            tol = _tol_from_arg(args.tol, tol)
             report = run_instance(spec, analyses, tol, out_dir)
             write_json(out_dir / "report.json", report)
             if not report["ok"]:
@@ -374,19 +359,13 @@ def main(argv=None) -> int:
                             and rec["slack"] < 0:
                         return 1
             return 0
-        if args.command == "sweep":
-            tol = _tol_from_arg(args.tol)
-            aggregate = run_sweep(args.family, args.min, args.max, tol,
-                                  out_dir)
-            write_json(out_dir / "sweep.json", aggregate)
-            return 0 if aggregate["ok"] else 1
-    except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+        tol = _tol_from_arg(args.tol)
+        aggregate = run_sweep(args.family, args.min, args.max, tol, out_dir)
+        write_json(out_dir / "sweep.json", aggregate)
+        return 0 if aggregate["ok"] else 1
+    except (GapboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GapboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CriterionMismatch, DisconnectedSubgraph, NotInvariant
-from .groups import FiniteGroup, GeneratorSet, check_invariance, word_lengths
+from .groups import (FiniteGroup, GeneratorSet, _ro, check_invariance,
+                     word_lengths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,6 @@ def build_cayley(group: FiniteGroup, gens: GeneratorSet) -> HomogeneousGraph:
                             dist=_ro(dist), diameter=int(dist.max()))
 
 
-def _ro(arr):
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexSubgraph:
     """Induced subgraph with boundary data and intra-subgraph distances.
@@ -106,9 +102,6 @@ class ConvexSubgraph:
     @property
     def gens(self) -> GeneratorSet:
         return self.host.gens
-
-    def local(self, host_id: int) -> int:
-        return int(self._pos[host_id])
 
     def k_x(self, i: int):
         """Generator elements a with a*v_i inside S (the set K_x)."""

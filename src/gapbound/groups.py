@@ -1,8 +1,7 @@
 """Finite groups as explicit multiplication tables over dense integer ids.
 
-Everything downstream (word metric, conjugation, Cayley graphs) reduces to
-table lookups, which keeps the algebra trivially correct at the sizes this
-toolkit targets.
+Everything downstream (word metric, Cayley graphs) reduces to table lookups,
+which keeps the algebra trivially correct at the sizes this toolkit targets.
 """
 
 from dataclasses import dataclass, field
@@ -37,10 +36,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def conjugate(self, a: int, b: int) -> int:
-        """a * b * a^-1"""
-        return int(self.table[self.table[a, b], self.inverse[a]])
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -60,11 +55,8 @@ class GeneratorSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, a):
-        return a in self.elements
 
-
-def _freeze(arr):
+def _ro(arr):
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
@@ -119,8 +111,8 @@ def _validate_table(table: np.ndarray) -> FiniteGroup:
             i = int(np.argmax(lhs != rhs))
             raise NonGroupTable("associativity", (int(a[i]), int(b[i]), int(c[i])))
 
-    return FiniteGroup(table=_freeze(table.astype(np.int32)), identity=e,
-                       inverse=_freeze(inverse))
+    return FiniteGroup(table=_ro(table.astype(np.int32)), identity=e,
+                       inverse=_ro(inverse))
 
 
 def _check_cap(order: int):
@@ -136,8 +128,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     ids = np.arange(n, dtype=np.int32)
     table = (ids[:, None] + ids[None, :]) % n
     inverse = (-ids) % n
-    return FiniteGroup(table=_freeze(table), identity=0,
-                       inverse=_freeze(inverse.astype(np.int32)),
+    return FiniteGroup(table=_ro(table), identity=0,
+                       inverse=_ro(inverse.astype(np.int32)),
                        name=f"Z{n}")
 
 
@@ -147,7 +139,7 @@ def elementary_abelian_2(n: int) -> FiniteGroup:
     _check_cap(order)
     ids = np.arange(order, dtype=np.int32)
     table = ids[:, None] ^ ids[None, :]
-    return FiniteGroup(table=_freeze(table), identity=0, inverse=_freeze(ids),
+    return FiniteGroup(table=_ro(table), identity=0, inverse=_ro(ids),
                        name=f"Z2^{n}")
 
 
@@ -164,8 +156,8 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
                  + h.table[np.ix_(gb, gb)])
         inverse = g.inverse[ga].astype(np.int64) * h.order + h.inverse[gb]
         e = g.identity * h.order + h.identity
-        g = FiniteGroup(table=_freeze(table.astype(np.int32)), identity=int(e),
-                        inverse=_freeze(inverse.astype(np.int32)),
+        g = FiniteGroup(table=_ro(table.astype(np.int32)), identity=int(e),
+                        inverse=_ro(inverse.astype(np.int32)),
                         name=f"{g.name}x{h.name}")
     return g
 
@@ -247,7 +239,7 @@ def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
                     wl[y] = level
                     nxt.append(y)
         frontier = nxt
-    cache[key] = _freeze(np.array(wl, dtype=np.int32))
+    cache[key] = _ro(np.array(wl, dtype=np.int32))
     return cache[key]
 
 

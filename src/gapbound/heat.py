@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CertificateFailure, InsufficientSpan, UnstableStep
 from .graphs import ConvexSubgraph
-from .moduli import RatioFunction, _eta_block, _moduli
+from .moduli import RatioFunction, _eta_block, _ground_ratio, _moduli
 from .operators import (Spectrum, SymmetricOperator, eigendecompose,
                         path_lattice_laplacian)
 
@@ -28,9 +28,6 @@ class HeatTrajectory:
     method: str
     eta_series: Optional[list]    # ModulusOfContinuity per sample, if graphed
     spectrum: Optional[Spectrum]
-
-    def state(self, j: int) -> np.ndarray:
-        return self.states[j]
 
 
 def default_times(lambda1: float, samples: int = 64) -> np.ndarray:
@@ -271,13 +268,15 @@ def ratio_evolution_check(h: SymmetricOperator, spec: Spectrum, times,
 
     (i) along the trajectory, d(f)/dt matches the weighted difference sum to
     discretization accuracy; (ii) at t = 0, -gamma f(x) equals that sum
-    exactly up to the stationary tolerance.
+    exactly up to the stationary tolerance. When `h` is the spectrum's own
+    operator, the t = 0 ratio is the one kept on the spectrum.
     """
     sub = h.source
     if sub is None:
         raise ValueError("operator must come from a graph")
     gamma = spec.gap
-    ratio0 = RatioFunction.from_spectrum(spec, sub)
+    ratio0 = _ground_ratio(spec) if h is spec.operator \
+        else RatioFunction.from_spectrum(spec, sub)
     weighted0, _ = ratio0.vertex_sums()
     stationary = float(np.abs(-gamma * ratio0.f - weighted0).max())
     if stationary > tol.ratio_identity:
@@ -285,9 +284,7 @@ def ratio_evolution_check(h: SymmetricOperator, spec: Spectrum, times,
             f"stationary ratio identity residual {stationary:.3e}",
             witness=int(np.argmax(np.abs(-gamma * ratio0.f - weighted0))))
 
-    u0, u1 = spec.vector(0), spec.vector(1)
-    if u0[np.argmax(np.abs(u0))] < 0:
-        u0 = -u0
+    u0, u1 = spec.ground_state, spec.vector(1)
     if dt is None:
         dt = _default_dt(spec)
 

@@ -33,6 +33,9 @@ Conventions:
   boundary convention omega(D+1) = 0;
 - the first difference across the Dirichlet boundary is zero, so boundary
   terms drop out of every vertex sum.
+
+The ``_ground_*`` helpers compute the which = 1 ratio, its eta and the
+moduli of log u0 once per Spectrum and keep them on it.
 """
 
 import math
@@ -151,7 +154,7 @@ class RatioFunction:
     @classmethod
     def from_spectrum(cls, spec: Spectrum, sub: ConvexSubgraph,
                       which: int = 1) -> "RatioFunction":
-        return cls.from_vectors(spec.vector(0), spec.vector(which), sub)
+        return cls.from_vectors(spec.ground_state, spec.vector(which), sub)
 
     @classmethod
     def from_vectors(cls, u0, u1, sub: ConvexSubgraph) -> "RatioFunction":
@@ -451,3 +454,27 @@ def log_concavity(g, sub: ConvexSubgraph,
     holds = worst <= tol.concavity_slack * scale
     witness = int(idx[np.argmax(sums)]) if not holds else None
     return ConcavityReport(holds=holds, worst=worst, witness=witness)
+
+
+def _ground_ratio(spec: Spectrum) -> RatioFunction:
+    """f = u1/u0 on the spectrum's own subgraph, kept on the spectrum."""
+    return spec._derived("ratio", lambda: RatioFunction.from_spectrum(
+        spec, spec.operator.source))
+
+
+def _ground_eta(spec: Spectrum, tol: ToleranceConfig) -> ModulusOfContinuity:
+    """eta of the which = 1 ratio, kept on the spectrum per tolerance set."""
+    return spec._derived(("eta", tol), lambda: modulus_of_continuity(
+        _ground_ratio(spec).f, spec.operator.source, tol))
+
+
+def _ground_concavity(spec: Spectrum, tol: ToleranceConfig) -> ConcavityReport:
+    """log_concavity of log u0, kept on the spectrum per tolerance set."""
+    return spec._derived(("log_concavity", tol), lambda: log_concavity(
+        np.log(spec.ground_state), spec.operator.source, tol))
+
+
+def _ground_omega(spec: Spectrum) -> ModulusOfConcavity:
+    """omega of log u0 over "step" triples, kept on the spectrum."""
+    return spec._derived("omega", lambda: modulus_of_concavity(
+        np.log(spec.ground_state), spec.operator.source))

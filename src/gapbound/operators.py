@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (CertificateFailure, NegativePotential,
                      SpectrumInvariantError)
-from .graphs import ConvexSubgraph, HomogeneousGraph
+from .graphs import ConvexSubgraph, HomogeneousGraph, _ro
 from .jacobi import _fix_signs, jacobi_eigh
 
 LAPLACIAN = "laplacian"
@@ -58,7 +58,12 @@ class SymmetricOperator:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns.
+
+    Also the per-instance context: it carries the operator, and keeps on
+    first use the positive ground state, the certificate, the which = 1
+    ratio and its eta, and the log-concavity and omega of log u0.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -91,6 +96,20 @@ class Spectrum:
     def gap_indices(self) -> range:
         """Indices of the eigenvectors spanning the lambda1 eigenspace."""
         return _lambda1_indices(self.eigenvalues)
+
+    @property
+    def ground_state(self) -> np.ndarray:
+        """u0 with its largest-magnitude entry positive; read-only."""
+        u0 = self.eigenvectors[:, 0]
+        return self._derived("ground_state", lambda: _ro(-u0)
+                             if u0[np.argmax(np.abs(u0))] < 0 else u0)
+
+    def _derived(self, key, make):
+        """make() on first use, then the kept value; a raise keeps nothing."""
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
 
 
 def _lambda1_indices(w: np.ndarray) -> range:
@@ -242,14 +261,10 @@ def _validate_spectrum(spec: Spectrum, tol: ToleranceConfig):
         u0 = v[:, 0]
         if u0.min() < -1e-8 and u0.max() > 1e-8:
             raise SpectrumInvariantError("Laplacian ground state changes sign")
-    if kind == HAMILTONIAN:
-        u0 = v[:, 0]
-        if u0[np.argmax(np.abs(u0))] < 0:
-            u0 = -u0
-        if u0.min() <= 0:
-            raise SpectrumInvariantError(
-                "Hamiltonian ground state must be strictly positive "
-                "(Perron-Frobenius) but has a non-positive component")
+    if kind == HAMILTONIAN and spec.ground_state.min() <= 0:
+        raise SpectrumInvariantError(
+            "Hamiltonian ground state must be strictly positive "
+            "(Perron-Frobenius) but has a non-positive component")
 
 
 def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
@@ -334,7 +349,7 @@ def rayleigh_gap_check(spec: Spectrum, op: SymmetricOperator,
                                rayleigh_error=rq_err, ok=True)
 
 
-def _ro(arr):
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+def _certificate(spec: Spectrum, tol: ToleranceConfig) -> RayleighCertificate:
+    """rayleigh_gap_check of the spectrum's own operator, kept per tol."""
+    return spec._derived(("certificate", tol),
+                         lambda: rayleigh_gap_check(spec, spec.operator, tol))

@@ -274,3 +274,22 @@ def test_verify_all_shares_one_scan_per_eigenvector(n, potential, monkeypatch):
         best = next(c for v, c in standalone if v <= bar)
         assert rec.detail["pairs"] == best.pairs.shape[0]
         assert rec.detail["skipped_pairs"] == best.skipped.shape[0]
+
+
+def test_verify_all_rejects_a_spectrum_of_another_instance():
+    sub = path_instance(6)
+    spec = eigendecompose(dirichlet_hamiltonian(sub, "boundary"))
+    verify_all(sub, "boundary", spectrum=spec)
+    # an equal subgraph built anew is another instance
+    with pytest.raises(ValueError, match="another subgraph"):
+        verify_all(path_instance(6), "boundary", spectrum=spec)
+    w = np.arange(6.0)
+    for potential in (None, w, np.zeros(6), [1.0] * 5):
+        with pytest.raises(ValueError, match="another potential"):
+            verify_all(sub, potential, spectrum=spec)
+    spec_w = eigendecompose(dirichlet_hamiltonian(sub, w))
+    verify_all(sub, list(w), spectrum=spec_w)
+    with pytest.raises(ValueError, match="another potential"):
+        verify_all(sub, "boundary", spectrum=spec_w)
+    with pytest.raises(ValueError, match="another potential"):
+        verify_all(sub, w, spectrum=eigendecompose(laplacian(sub)))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gapbound import cli, jacobi
+from gapbound import bounds, cli, jacobi, moduli, operators
 from gapbound.cli import main, write_eta_csv
 from gapbound.config import DEFAULT_TOL
 from gapbound.families import path_instance
@@ -215,6 +215,16 @@ def test_unknown_keys_rejected(tmp_path):
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_tol_override_must_be_an_object(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 4}})
+    out = tmp_path / "o"
+    for argv in (["run", "--spec", str(spec), "--out", str(out)],
+                 sweep_args("path", 2, 3, out)):
+        assert main(argv + ["--tol", "[1]"]) == 2
+        assert "--tol must be a JSON object" in capsys.readouterr().err
+
+
 def test_bad_schema_and_bad_potential(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"schema": "other/9",
@@ -264,3 +274,73 @@ def test_eta_csv_matches_per_value_writer(tmp_path):
                          f"{format(float(eta.values[s]), '.17g')}")
     write_eta_csv(tmp_path / "eta.csv", traj.times, traj.eta_series)
     assert (tmp_path / "eta.csv").read_text() == "\n".join(lines) + "\n"
+
+
+# instances whose per-instance quantities every analysis reads
+SHARED = {
+    "path12-quadratic": ({"family": {"name": "path", "n": 12}},
+                         {"formula": "quadratic", "c": 0.5, "center": 5.5}),
+    "Q5-subcube-boundary": ({"family": {"name": "subcube",
+                                        "mask": [None] * 5 + [0]}},
+                            "boundary"),
+    "C8-long-arc": ({"group": {"kind": "cyclic", "n": 8},
+                     "generators": [1, 7], "subgraph": [0, 1, 2, 3, 4, 5]},
+                    "none"),
+}
+
+
+def spy_everywhere(monkeypatch, module, name):
+    """Calls of module.name through every gapbound binding of it, as
+    (args, result) pairs."""
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "gapbound" and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["path12-quadratic", "Q5-subcube-boundary"])
+def test_run_computes_each_quantity_once(tmp_path, monkeypatch, name):
+    instance, potential = SHARED[name]
+    spec = write_spec(tmp_path / "s.json", instance=instance,
+                      potential=potential, analyses=ALL_ANALYSES)
+    calls = {fn: spy_everywhere(monkeypatch, mod, fn) for mod, fn in (
+        (operators, "eigendecompose"), (bounds, "build_operator"),
+        (operators, "laplacian"), (operators, "rayleigh_gap_check"),
+        (moduli, "modulus_of_continuity"), (moduli, "_extremal"),
+        (moduli, "log_concavity"), (moduli, "modulus_of_concavity"))}
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    count = {fn: len(c) for fn, c in calls.items()}
+    (_, spectrum), = calls["eigendecompose"]
+    # one scan per vector of the lambda1 eigenspace: which = 1 only once
+    basis = len(spectrum.gap_indices)
+    want = {"build_operator": 1, "laplacian": 1, "rayleigh_gap_check": 1,
+            "modulus_of_continuity": basis, "_extremal": basis}
+    assert {fn: count[fn] for fn in want} == want
+    assert count["log_concavity"] <= 1 and count["modulus_of_concavity"] <= 1
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_each_analysis_alone_gives_the_same_block(tmp_path, name):
+    instance, potential = SHARED[name]
+    outs = {}
+    for analyses in [ALL_ANALYSES] + [[a] for a in ALL_ANALYSES]:
+        key = "all" if len(analyses) > 1 else analyses[0]
+        spec = write_spec(tmp_path / f"{key}.json", instance=instance,
+                          potential=potential, analyses=analyses)
+        main(["run", "--spec", str(spec), "--out", str(tmp_path / key)])
+        outs[key] = tmp_path / key
+    full = load_report(outs["all"])
+    for a in ALL_ANALYSES:
+        alone = load_report(outs[a])
+        assert json.dumps(alone[a], sort_keys=True) == \
+            json.dumps(full[a], sort_keys=True), a
+    for a, csv in (("spectrum", "spectrum.csv"), ("heat", "eta_series.csv")):
+        assert (outs[a] / csv).read_bytes() == (outs["all"] / csv).read_bytes()

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from gapbound.bounds import verify_all
 from gapbound.errors import CertificateFailure, NegativePotential
 from gapbound.families import (cycle_graph, hypercube_instance,
                                path_instance)
 from gapbound.graphs import induce_subgraph
 from gapbound.operators import (SymmetricOperator, _apply_by_adjacency,
-                                _canonical_basis, boundary_potential,
+                                _canonical_basis, _certificate,
+                                boundary_potential,
                                 dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian,
                                 rayleigh_gap_check)
@@ -226,3 +228,30 @@ def test_boundary_potential_values():
     graph = cycle_graph(8)
     sub = induce_subgraph(graph, range(4))
     assert boundary_potential(sub).tolist() == [1.0, 0.0, 0.0, 1.0]
+
+
+def test_failed_certificate_raises_on_every_call():
+    # only a success is kept on the spectrum, so a failure is never cached
+    lap = laplacian(path_instance(6))
+    spec = eigendecompose(lap)
+    w = spec.eigenvalues.copy()
+    w[2] += 1e-3
+    bad = dataclasses.replace(spec, eigenvalues=w)
+    for _ in range(2):
+        with pytest.raises(CertificateFailure, match="pair 2"):
+            _certificate(bad, spec.tolerances)
+        with pytest.raises(CertificateFailure, match="pair 2"):
+            verify_all(lap.source, None, spectrum=bad)
+    assert _certificate(spec, spec.tolerances) is \
+        _certificate(spec, spec.tolerances)
+
+
+def test_ground_state_is_positive_and_read_only():
+    ham = dirichlet_hamiltonian(path_instance(7), "boundary")
+    spec = eigendecompose(ham)
+    flipped = dataclasses.replace(spec, eigenvectors=-spec.eigenvectors)
+    for s in (spec, flipped):
+        u0 = s.ground_state
+        assert u0 is s.ground_state
+        assert not u0.flags.writeable
+        assert np.array_equal(u0, spec.eigenvectors[:, 0])
