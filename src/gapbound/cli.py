@@ -39,6 +39,18 @@ def _require_keys(obj, allowed, where):
         raise SpecValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _field(obj, key, where):
+    if key not in obj:
+        raise SpecValidationError(f"{where} needs the field {key!r}")
+    return obj[key]
+
+
+def _with_overrides(base, overrides, where):
+    if not isinstance(overrides, dict):
+        raise SpecValidationError(f"{where} must be a JSON object")
+    return base.with_overrides(**overrides)
+
+
 def _build_subgraph(inst):
     _require_keys(inst, {"family", "group", "generators", "subgraph"}, "instance")
     fam = inst.get("family")
@@ -47,14 +59,15 @@ def _build_subgraph(inst):
             raise SpecValidationError("family excludes explicit group fields")
         _require_keys(fam, {"name", "n", "mask"}, "instance.family")
         name = fam.get("name")
+        where = f"instance.family {name!r}"
         if name == "path":
-            return path_instance(int(fam["n"]))
+            return path_instance(int(_field(fam, "n", where)))
         if name == "cycle":
-            return cycle_instance(int(fam["n"]))
+            return cycle_instance(int(_field(fam, "n", where)))
         if name == "hypercube":
-            return hypercube_instance(int(fam["n"]))
+            return hypercube_instance(int(_field(fam, "n", where)))
         if name == "subcube":
-            return subcube_instance(fam["mask"])
+            return subcube_instance(_field(fam, "mask", where))
         raise SpecValidationError(f"unknown family {name!r}")
     if "group" not in inst or "generators" not in inst:
         raise SpecValidationError("instance needs either a family or "
@@ -85,7 +98,8 @@ def _build_potential(sub, pot):
             return vals
         if pot.get("formula") == "quadratic":
             _require_keys(pot, {"formula", "c", "center"}, "potential")
-            return quadratic_potential(sub, float(pot["c"]), float(pot["center"]))
+            return quadratic_potential(sub, float(_field(pot, "c", "potential")),
+                                       float(_field(pot, "center", "potential")))
     raise SpecValidationError(f"bad potential spec {pot!r}")
 
 
@@ -102,7 +116,8 @@ def load_spec(path):
     bad = [a for a in analyses if a not in ANALYSES]
     if bad:
         raise SpecValidationError(f"unknown analyses {bad}; known: {ANALYSES}")
-    tol = DEFAULT_TOL.with_overrides(**spec.get("tolerances", {}))
+    tol = _with_overrides(DEFAULT_TOL, spec.get("tolerances", {}),
+                          "spec tolerances")
     return spec, analyses, tol
 
 
@@ -237,6 +252,21 @@ def run_instance(spec, analyses, tol, out_dir: Path):
     return report
 
 
+# Sweep sizes with fewer vertices than this run in order as one pool task;
+# each larger size is a task of its own. Below it a size is too small to
+# release the GIL for long, so two sizes at once take longer than one after
+# the other. Time per size with a pool of two over the time in one thread,
+# for repeated verify_all of one size (2 CPUs, BLAS at one thread):
+#   path   16: 1.80  48: 1.79  64: 1.30  80: 1.01  96: 0.93  112: 0.78
+#          128: 0.76  160: 0.70
+#   cycle  64: 1.34  96: 1.03  112: 0.87  128: 0.77
+#   Q6 1.69  Q7 1.16  Q8 0.72  Q9 0.52
+# Paths and cycles cross 1 near 96 vertices, hypercubes between 128 and
+# 256. Whole sweeps at cuts of 96, 112 and 128 tie on path 100..160 and
+# hypercube 1..10; 128 is the fastest on cycle 3..120.
+_SERIAL_BELOW = 128
+
+
 def _sweep_sizes(family, lo, hi):
     if family == "path":
         lo = max(lo, 2)
@@ -246,6 +276,8 @@ def _sweep_sizes(family, lo, hi):
         lo = max(lo, 1)
     else:
         raise SpecValidationError(f"unknown sweep family {family!r}")
+    if lo > hi:
+        raise SpecValidationError(f"empty size range {lo}..{hi} for {family}")
     return list(range(lo, hi + 1))
 
 
@@ -265,19 +297,26 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
     aggregate that main writes as sweep.json.
 
     A sweep computes the bounds analysis only. The sizes run in a thread
-    pool capped by GAPBOUND_THREADS, which is read before any size runs;
-    rows come out in size order.
+    pool of GAPBOUND_THREADS workers, read before any size runs, so at most
+    that many sizes run at once. The sizes under _SERIAL_BELOW vertices form
+    one task that runs them in order; each larger size is a task of its
+    own. Rows come out in size order.
     """
     sizes = _sweep_sizes(family, lo, hi)
     build = {"path": path_instance, "cycle": cycle_instance,
              "hypercube": hypercube_instance}[family]
     threads = _thread_count()
+    # vertex counts grow with the size, so the small sizes are a prefix and
+    # the tasks, taken in order, give the rows in size order
+    k = sum((1 << n if family == "hypercube" else n) < _SERIAL_BELOW
+            for n in sizes)
+    tasks = ([sizes[:k]] if k else []) + [[n] for n in sizes[k:]]
 
-    def one(n):
-        return n, verify_all(build(n), None, tol)
+    def run(task):
+        return [(n, verify_all(build(n), None, tol)) for n in task]
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        rows = list(ex.map(one, sizes))
+        rows = [row for done in ex.map(run, tasks) for row in done]
 
     table = []
     reports = {}
@@ -313,10 +352,7 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
 def _tol_from_arg(arg, base=DEFAULT_TOL):
     if not arg:
         return base
-    overrides = json.loads(arg)
-    if not isinstance(overrides, dict):
-        raise SpecValidationError("--tol must be a JSON object")
-    return base.with_overrides(**overrides)
+    return _with_overrides(base, json.loads(arg), "--tol")
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,10 @@ class ToleranceConfig:
         unknown = set(kwargs) - set(asdict(self))
         if unknown:
             raise ValueError(f"unknown tolerance fields: {sorted(unknown)}")
+        for key, value in kwargs.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"tolerance {key} must be a number, "
+                                 f"got {value!r}")
         return replace(self, **kwargs)
 
     def as_dict(self) -> dict:

@@ -12,7 +12,8 @@ induction on d(x, y) makes it an upper bound too. Sets that fail it (a long
 arc of a cycle) get a BFS inside S.
 
 Strong convexity and the convex closure share one geodesic scan over
-blocks of outside vertices.
+blocks of outside vertices; strong convexity runs it over the boundary
+first, which decides convexity alone.
 """
 
 from dataclasses import dataclass, field
@@ -273,22 +274,28 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     The converse implication genuinely fails on some non-convex sets (e.g. a
     half cycle), so no error is raised in that direction.
 
-    The witness is the first (v, x, y) in order of outside vertex v, then
+    Criterion 1 needs only the boundary. A geodesic between members that
+    leaves S leaves it first at a vertex adjacent to S, which lies on the
+    same geodesic; so S is convex iff no boundary vertex is a witness. That
+    scan costs O(|boundary| m^2) instead of O((n - m) m^2). Only when it
+    finds a witness do all outside vertices get scanned, so the witness
+    reported is the first (v, x, y) in order of outside vertex v, then
     local x, then local y. The result is cached on `sub`; a
     CriterionMismatch is not, and raises again on the next call.
     """
     if "_convexity" in sub.__dict__:
         return sub.__dict__["_convexity"]
-    vset = sub.vset
-    outside = np.flatnonzero(sub._pos < 0)
+    vset, dist, hd = sub.vset, sub.host.dist, sub.host_dist()
 
     witness = None
-    for block, hit in _geodesic_blocks(sub.host.dist, vset, sub.host_dist(),
-                                       outside):
-        if hit.any():
-            j, x, y = np.argwhere(hit)[0]
-            witness = (int(vset[x]), int(vset[y]), int(block[j]))
-            break
+    if any(hit.any() for _, hit in _geodesic_blocks(dist, vset, hd,
+                                                    sub.boundary)):
+        outside = np.flatnonzero(sub._pos < 0)
+        for block, hit in _geodesic_blocks(dist, vset, hd, outside):
+            if hit.any():
+                j, x, y = np.argwhere(hit)[0]
+                witness = (int(vset[x]), int(vset[y]), int(block[j]))
+                break
     convex = witness is None
 
     crit2, crit2_wit = _criterion2(sub)

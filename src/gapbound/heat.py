@@ -48,6 +48,14 @@ def spectral_state(spec: Spectrum, phi0: np.ndarray, t: float) -> np.ndarray:
     return _spectral_states(spec, phi0, [t])[0]
 
 
+def _check_spectrum_of(op: SymmetricOperator, spec: Spectrum) -> None:
+    """ValueError unless `spec` is a spectrum of `op`: built from it, or
+    from an operator with the same entries."""
+    if spec.operator is not op and \
+            not np.array_equal(spec.operator.entries, op.entries):
+        raise ValueError("spectrum was built from another operator")
+
+
 def _spectral_states(spec: Spectrum, phi0: np.ndarray, times) -> np.ndarray:
     """phi(t) for each t, one row each. The coefficients U^T phi0 are
     computed once; each time keeps its own U @ v, because one U @ C for
@@ -90,13 +98,17 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
            dt: Optional[float] = None,
            spectrum: Optional[Spectrum] = None,
            tol: ToleranceConfig = DEFAULT_TOL) -> HeatTrajectory:
-    """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid."""
+    """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid.
+
+    A given `spectrum` must be one of `op`, else ValueError."""
     phi0 = np.asarray(phi0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if (times < 0).any() or (np.diff(times) <= 0).any():
         raise ValueError("times must be non-negative and strictly increasing")
     if phi0.shape != (op.dim,):
         raise ValueError("initial state has wrong length")
+    if spectrum is not None:
+        _check_spectrum_of(op, spectrum)
 
     if method == "spectral":
         spec = spectrum if spectrum is not None else eigendecompose(op, tol)
@@ -269,11 +281,13 @@ def ratio_evolution_check(h: SymmetricOperator, spec: Spectrum, times,
     (i) along the trajectory, d(f)/dt matches the weighted difference sum to
     discretization accuracy; (ii) at t = 0, -gamma f(x) equals that sum
     exactly up to the stationary tolerance. When `h` is the spectrum's own
-    operator, the t = 0 ratio is the one kept on the spectrum.
+    operator, the t = 0 ratio is the one kept on the spectrum; a spectrum of
+    another operator raises ValueError.
     """
     sub = h.source
     if sub is None:
         raise ValueError("operator must come from a graph")
+    _check_spectrum_of(h, spec)
     gamma = spec.gap
     ratio0 = _ground_ratio(spec) if h is spec.operator \
         else RatioFunction.from_spectrum(spec, sub)

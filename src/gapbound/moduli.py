@@ -98,11 +98,25 @@ class ModulusOfContinuity:
 
 @dataclass(frozen=True, eq=False)
 class ModulusOfConcavity:
+    """omega of `g` over the admissible triples of `sub`.
+
+    `g` is a read-only copy of the function scanned. The achievers are built
+    on first read from a fresh scan of the admitted triples, so the values
+    alone cost no sort and keep no per-triple arrays.
+    """
+
     sub: ConvexSubgraph
     g: np.ndarray
     values: np.ndarray            # omega(s) for s = 1..D; NaN if undefined
-    achievers: dict               # s -> (r, 3) triples (y, x, generator)
     admissibility: str
+
+    @property
+    def achievers(self) -> dict:
+        """s -> (r, 3) int64 triples (y, x, generator) within 1e-12
+        max(1, |omega(s)|) of omega(s), sorted; cached read-only."""
+        if "_achievers" not in self.__dict__:
+            self.__dict__["_achievers"] = _omega_achievers(self)
+        return self.__dict__["_achievers"]
 
     @property
     def diameter(self) -> int:
@@ -291,22 +305,28 @@ def modulus_of_concavity(g, sub: ConvexSubgraph,
     """
     if admissibility not in ("step", "raw"):
         raise ValueError(f"unknown admissibility {admissibility!r}")
-    g = np.asarray(g, dtype=np.float64)
-    sub_d = sub.diameter_S
+    g = _ro(np.array(g, dtype=np.float64))
+    best = np.full(sub.diameter_S, np.inf)
+    seen = np.zeros(sub.diameter_S, dtype=bool)
+    for _, _, key, val in _admitted(sub, g, admissibility):
+        np.minimum.at(best, key, val)
+        seen[key] = True
+    best[~seen] = np.nan
+    return ModulusOfConcavity(sub=sub, g=g, values=best,
+                              admissibility=admissibility)
+
+
+def _admitted(sub: ConvexSubgraph, g: np.ndarray, admissibility: str):
+    """Per generator index ai, the admitted (y, x) pairs: y, x, class s - 1
+    and the triple value, in row-major (y, x) order."""
     host = sub.host
-    group = host.group
     gens = list(host.gens)
+    gen_index = {a: i for i, a in enumerate(gens)}
     hd = sub.host_dist()
     m = sub.n_vertices
-
-    gen_index = {a: i for i, a in enumerate(gens)}
-
-    def admitted(ai):
-        """Admitted (y, x) pairs for generator index ai: y, x, class s - 1
-        and the triple value, in row-major (y, x) order."""
-        a = gens[ai]
+    for ai, a in enumerate(gens):
         ax = sub.nbr_local[ai]          # local of a*x per local x, -1 outside
-        ainv_y = sub.nbr_local[gen_index[group.inv(a)]]  # local of a^-1*y
+        ainv_y = sub.nbr_local[gen_index[host.group.inv(a)]]  # local of a^-1*y
         ok_x = ax >= 0
         if admissibility == "step":
             # d(ax, y) == d(x, y) - 1, distances via the host metric
@@ -320,30 +340,25 @@ def modulus_of_concavity(g, sub: ConvexSubgraph,
         admit &= (ainv_y >= 0)[:, None] & (hd >= 1)
         yy, xx = np.nonzero(admit)
         val = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
-        return yy, xx, hd[yy, xx] - 1, val
+        yield yy, xx, hd[yy, xx] - 1, val
 
-    per_gen = [admitted(ai) for ai in range(len(gens))]
-    best = np.full(sub_d, np.inf)
-    seen = np.zeros(sub_d, dtype=bool)
-    for _, _, key, val in per_gen:
-        np.minimum.at(best, key, val)
-        seen[key] = True
-    best[~seen] = np.nan
 
-    # achievers: one mask per generator against the per-class bar, then one
-    # sort into class and (y, x, a) order
+def _omega_achievers(omega: ModulusOfConcavity) -> dict:
+    """One mask per generator against the per-class bar, then one sort into
+    class and (y, x, a) order."""
+    sub, best = omega.sub, omega.values
     bar = best + 1e-12 * np.maximum(1.0, np.abs(best))
     rows = []
-    for (yy, xx, key, val), a in zip(per_gen, gens):
+    for (yy, xx, key, val), a in zip(
+            _admitted(sub, omega.g, omega.admissibility), sub.gens):
         sel = val <= bar[key]
         rows.append(np.stack([key[sel], yy[sel], xx[sel],
                               np.full(int(sel.sum()), a)], axis=1))
     rows = np.concatenate(rows, dtype=np.int64)
     rows = rows[np.lexsort(rows.T[::-1])]
-    ends = np.cumsum(np.bincount(rows[:, 0], minlength=sub_d))
-    achievers = dict(zip(range(1, sub_d + 1), np.split(rows[:, 1:], ends[:-1])))
-    return ModulusOfConcavity(sub=sub, g=g, values=best, achievers=achievers,
-                              admissibility=admissibility)
+    ends = np.cumsum(np.bincount(rows[:, 0], minlength=sub.diameter_S))
+    return dict(zip(range(1, sub.diameter_S + 1),
+                    np.split(_ro(rows[:, 1:]), ends[:-1])))
 
 
 def extremal_pairs(eta: ModulusOfContinuity) -> np.ndarray:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +193,67 @@ def sweep_args(family, lo, hi, out, *extra):
             "--out", str(out), *extra]
 
 
+def counted_sweep(monkeypatch, tmp_path, threads, lo, hi, large_barrier=None):
+    """Run a path sweep with verify_all wrapped in a concurrency counter;
+    return, per size, the sizes below the cut that ran alongside it."""
+    cut = cli._SERIAL_BELOW
+    real = bounds.verify_all
+    lock = threading.Lock()
+    active = set()
+    overlaps = {}
+
+    def counted(sub, *args, **kwargs):
+        n = sub.n_vertices
+        assert threading.current_thread() is not threading.main_thread()
+        with lock:
+            overlaps[n] = set(active)
+            active.add(n)
+        try:
+            if n < cut:
+                time.sleep(0.01)    # releases the GIL: a chance to overlap
+            elif large_barrier is not None:
+                large_barrier.wait()
+            return real(sub, *args, **kwargs)
+        finally:
+            with lock:
+                active.discard(n)
+                overlaps[n] |= active
+    monkeypatch.setenv("GAPBOUND_THREADS", str(threads))
+    monkeypatch.setattr(cli, "verify_all", counted)
+    assert main(sweep_args("path", lo, hi, tmp_path / f"t{threads}")) == 0
+    return {n: {m for m in others if m < cut} for n, others in overlaps.items()}
+
+
+def test_sweep_sizes_below_the_cut_never_overlap(tmp_path, monkeypatch):
+    cut = cli._SERIAL_BELOW
+    overlaps = counted_sweep(monkeypatch, tmp_path, 2, 2, 12)
+    assert sorted(overlaps) == list(range(2, 13))
+    assert all(not others for others in overlaps.values())
+    # the two sizes at or above the cut run at once: each waits for the
+    # other at the barrier
+    barrier = threading.Barrier(2, timeout=30)
+    overlaps = counted_sweep(monkeypatch, tmp_path, 2, cut - 2, cut + 1,
+                             barrier)
+    assert all(not others for n, others in overlaps.items() if n < cut)
+    # one thread: nothing overlaps
+    overlaps = counted_sweep(monkeypatch, tmp_path, 1, cut - 2, cut + 1)
+    assert all(not others for others in overlaps.values())
+
+
+def test_sweep_across_the_cut_is_thread_count_independent(tmp_path,
+                                                          monkeypatch):
+    # hypercube 5..8 holds sizes on both sides of the 128-vertex cut
+    assert 1 << 5 < cli._SERIAL_BELOW <= 1 << 8
+    outs = {}
+    for threads in (1, 2):
+        monkeypatch.setenv("GAPBOUND_THREADS", str(threads))
+        out = tmp_path / f"t{threads}"
+        assert main(sweep_args("hypercube", 5, 8, out)) == 0
+        outs[threads] = [(out / f).read_bytes()
+                         for f in ("sweep.json", "sweep.csv")]
+    assert outs[1] == outs[2]
+
+
 def test_sweep_has_no_analyses_option(tmp_path, capsys):
     # a sweep computes bounds only, so there is nothing to select
     out = tmp_path / "out"
@@ -223,6 +286,51 @@ def test_tol_override_must_be_an_object(tmp_path, capsys):
                  sweep_args("path", 2, 3, out)):
         assert main(argv + ["--tol", "[1]"]) == 2
         assert "--tol must be a JSON object" in capsys.readouterr().err
+
+
+def test_spec_tolerances_must_be_an_object(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 4}},
+                      tolerances=[1])
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "tolerances must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,field", [
+    ({"name": "path"}, "n"), ({"name": "cycle"}, "n"),
+    ({"name": "hypercube"}, "n"), ({"name": "subcube"}, "mask")])
+def test_family_without_its_size_field(tmp_path, capsys, family, field):
+    spec = write_spec(tmp_path / "s.json", instance={"family": family})
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert f"needs the field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("potential,message", [
+    ({"formula": "quadratic", "c": 0.5}, "needs the field 'center'"),
+    ({"formula": "quadratic", "center": 1.5}, "needs the field 'c'")])
+def test_quadratic_potential_without_its_fields(tmp_path, capsys, potential,
+                                                message):
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 4}},
+                      potential=potential)
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_tolerance_values_must_be_numbers(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 4}},
+                      tolerances={"rayleigh": "x"})
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "tolerance rayleigh must be a number" in capsys.readouterr().err
+
+
+def test_empty_sweep_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(sweep_args("path", 5, 2, out)) == 2
+    assert "empty size range" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "sweep.json").exists()
 
 
 def test_bad_schema_and_bad_potential(tmp_path):

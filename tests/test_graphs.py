@@ -436,3 +436,41 @@ def test_convexity_cached_but_mismatch_raises_again(monkeypatch):
             is_strongly_convex(fresh)
     monkeypatch.undo()
     assert is_strongly_convex(fresh) == res
+
+
+def spy_geodesic_scans(monkeypatch):
+    """The vertex sets that is_strongly_convex hands the geodesic scan."""
+    real = graphs._geodesic_blocks
+    scanned = []
+
+    def spy(dist, members, hd, outside):
+        scanned.append(np.array(outside))
+        return real(dist, members, hd, outside)
+    monkeypatch.setattr(graphs, "_geodesic_blocks", spy)
+    return scanned
+
+
+@pytest.mark.parametrize("make", [
+    lambda: induce_subgraph(cycle_graph(80), range(40)),
+    lambda: induce_subgraph(cycle_graph(12), range(5)),
+    lambda: induce_subgraph(hypercube_graph(6),
+                            [v for v in range(64) if v & 0b100100 == 0b100]),
+    lambda: hypercube_graph(3).full_subgraph(),
+], ids=["path40", "C12-arc", "Q6-subcube", "Q3-full"])
+def test_convex_sets_scan_only_their_boundary(make, monkeypatch):
+    sub = make()
+    scanned = spy_geodesic_scans(monkeypatch)
+    assert is_strongly_convex(sub).convex
+    assert len(scanned) == 1
+    assert np.array_equal(scanned[0], sub.boundary)
+
+
+def test_witness_search_scans_every_outside_vertex(monkeypatch):
+    # C8 long arc: a boundary vertex is a witness, and the reported one is
+    # the first in outside-vertex order
+    sub = induce_subgraph(cycle_graph(8), range(6))
+    scanned = spy_geodesic_scans(monkeypatch)
+    res = is_strongly_convex(sub)
+    assert not res.convex
+    assert [s.tolist() for s in scanned] == [sub.boundary.tolist(), [6, 7]]
+    assert res.witness == loop_convexity_witness(sub)

@@ -401,3 +401,22 @@ def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
         mocheat_inequality_check(traj, sub)
     assert str(got.value) == str(want.value)
     assert got.value.witness == want.value.witness
+
+
+def test_spectrum_of_another_operator_rejected():
+    # path(5)'s Laplacian evolved with its boundary Hamiltonian's spectrum
+    # would lose mass (0.318 of 5 at the last sample) without an error
+    sub = path_instance(5)
+    lap = laplacian(sub)
+    ham = dirichlet_hamiltonian(sub, "boundary")
+    spec_lap, spec_ham = eigendecompose(lap), eigendecompose(ham)
+    times = default_times(spec_lap.gap)
+    with pytest.raises(ValueError, match="another operator"):
+        evolve(lap, np.ones(5), times, spectrum=spec_ham)
+    with pytest.raises(ValueError, match="another operator"):
+        ratio_evolution_check(ham, spec_lap, times[1:8])
+    # an operator with the same entries is the same operator
+    traj = evolve(laplacian(sub), np.ones(5), times, spectrum=spec_lap)
+    assert np.allclose(traj.states.sum(axis=1), 5.0, atol=1e-12)
+    ratio_evolution_check(dirichlet_hamiltonian(sub, "boundary"), spec_ham,
+                          times[1:8])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapbound import moduli
+from gapbound.bounds import verify_all
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import EmptyAfterSkips
 from gapbound.families import cycle_graph, hypercube_graph, path_instance
@@ -281,7 +282,7 @@ def test_grad_ops_decreasing_omega_arithmetic():
     c = 0.4
     vals = np.array([c * (d + 1 - s) for s in range(1, d + 1)])
     omega = ModulusOfConcavity(sub=sub, g=np.zeros(5), values=vals,
-                               achievers={}, admissibility="step")
+                               admissibility="step")
     eta = modulus_of_continuity(np.arange(5.0), sub)
     tables = grad_ops(eta, omega)
     expected = [math.cosh(c * (d + 1 - s)) - math.cosh(c * (d - s))
@@ -296,12 +297,11 @@ def test_grad_ops_decreasing_omega_arithmetic():
 def test_omega_convexity_flag():
     sub = path_instance(5)
     zero = ModulusOfConcavity(sub=sub, g=np.zeros(5),
-                              values=np.zeros(4), achievers={},
-                              admissibility="step")
+                              values=np.zeros(4), admissibility="step")
     assert zero.is_convex()
     rising = ModulusOfConcavity(sub=sub, g=np.zeros(5),
                                 values=np.array([0.0, 0.3, 0.6, 0.9]),
-                                achievers={}, admissibility="step")
+                                admissibility="step")
     # increasing then forced back to 0 at D+1: not convex
     assert not rising.is_convex()
 
@@ -599,3 +599,36 @@ def test_block_eta_with_nan_keeps_pair_scan(eta_spy, rng):
     assert same_bits(values, loop_eta_rows(block, q8))
     for f, row in zip(block, values):
         assert same_bits(modulus_of_continuity(f, q8).values, row)
+
+
+def test_omega_achievers_are_built_on_first_read(monkeypatch):
+    sub = path_instance(12)
+    spec = eigendecompose(dirichlet_hamiltonian(sub, "boundary"))
+    real = moduli._omega_achievers
+    monkeypatch.setattr(moduli, "_omega_achievers",
+                        lambda omega: pytest.fail("achievers built"))
+    g = np.log(spec.ground_state)
+    omega = modulus_of_concavity(g, sub)
+    verify_all(sub, "boundary", spectrum=spec)
+    kept = moduli._ground_omega(spec)
+    monkeypatch.setattr(moduli, "_omega_achievers", real)
+    for om in (omega, kept):
+        values, achievers = loop_omega(g, sub, "step")
+        assert np.array_equal(om.values, values, equal_nan=True)
+        assert om.achievers.keys() == achievers.keys()
+        for s in achievers:
+            assert np.array_equal(om.achievers[s], achievers[s])
+            assert not om.achievers[s].flags.writeable
+        assert om.achievers is om.achievers
+
+
+def test_omega_keeps_its_own_copy_of_g():
+    sub = path_instance(6)
+    g = -0.3 * np.arange(6.0) ** 2
+    omega = modulus_of_concavity(g, sub)
+    expected = {s: t.copy() for s, t in
+                modulus_of_concavity(g.copy(), sub).achievers.items()}
+    g[:] = 0.0
+    assert g.flags.writeable and not omega.g.flags.writeable
+    for s, triples in expected.items():
+        assert np.array_equal(omega.achievers[s], triples)
