@@ -314,8 +314,7 @@ def verify_all(sub: ConvexSubgraph, potential=None,
         n_vertices=sub.n_vertices, diameter=d, degree=k,
         lambda0=spec.lambda0, lambda1=spec.lambda1, gap=gap,
         records=tuple(records), tolerances=tol.as_dict(),
-        certificate={"backend": spec.backend, "sweeps": spec.sweeps,
-                     "recurrence_residual": cert.recurrence_residual,
+        certificate={"recurrence_residual": cert.recurrence_residual,
                      "rayleigh_error": cert.rayleigh_error})
 
 

@@ -45,27 +45,35 @@ def _field(obj, key, where):
     return obj[key]
 
 
+def _typed(value, kind, where):
+    """``value`` if it is a JSON ``kind`` (object, list or integer)."""
+    types = {"object": dict, "list": list, "integer": int}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SpecValidationError(f"{where} must be a JSON {kind}, "
+                                  f"got {value!r}")
+    return value
+
+
 def _with_overrides(base, overrides, where):
-    if not isinstance(overrides, dict):
-        raise SpecValidationError(f"{where} must be a JSON object")
-    return base.with_overrides(**overrides)
+    return base.with_overrides(**_typed(overrides, "object", where))
 
 
 def _build_subgraph(inst):
-    _require_keys(inst, {"family", "group", "generators", "subgraph"}, "instance")
+    _require_keys(_typed(inst, "object", "instance"),
+                  {"family", "group", "generators", "subgraph"}, "instance")
     fam = inst.get("family")
     if fam is not None:
         if any(k in inst for k in ("group", "generators", "subgraph")):
             raise SpecValidationError("family excludes explicit group fields")
-        _require_keys(fam, {"name", "n", "mask"}, "instance.family")
+        _require_keys(_typed(fam, "object", "instance.family"),
+                      {"name", "n", "mask"}, "instance.family")
         name = fam.get("name")
         where = f"instance.family {name!r}"
-        if name == "path":
-            return path_instance(int(_field(fam, "n", where)))
-        if name == "cycle":
-            return cycle_instance(int(_field(fam, "n", where)))
-        if name == "hypercube":
-            return hypercube_instance(int(_field(fam, "n", where)))
+        if name in ("path", "cycle", "hypercube"):
+            n = _typed(_field(fam, "n", where), "integer",
+                       f"{where} field 'n'")
+            return {"path": path_instance, "cycle": cycle_instance,
+                    "hypercube": hypercube_instance}[name](n)
         if name == "subcube":
             return subcube_instance(_field(fam, "mask", where))
         raise SpecValidationError(f"unknown family {name!r}")
@@ -112,7 +120,8 @@ def load_spec(path):
         raise SpecValidationError(f"schema must be {SCHEMA!r}")
     if "instance" not in spec:
         raise SpecValidationError("spec needs an instance")
-    analyses = spec.get("analyses", ["bounds"])
+    analyses = _typed(spec.get("analyses", ["bounds"]), "list",
+                      "spec analyses")
     bad = [a for a in analyses if a not in ANALYSES]
     if bad:
         raise SpecValidationError(f"unknown analyses {bad}; known: {ANALYSES}")
@@ -123,25 +132,22 @@ def load_spec(path):
 
 # -- report helpers -----------------------------------------------------------
 
-def _plain(obj):
-    """Make report objects json-serializable (numpy -> python)."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _numpy_json(obj):
+    """json.dumps hook for the numpy values in reports."""
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, default=_numpy_json, sort_keys=True,
+                               indent=2) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -191,8 +197,6 @@ def run_instance(spec, analyses, tol, out_dir: Path):
         report["spectrum"] = {
             "eigenvalues": spectrum.eigenvalues,
             "max_residual": float(spectrum.residuals.max()),
-            "backend": spectrum.backend,
-            "sweeps": spectrum.sweeps,
             "certificate": cert_info,
         }
         write_spectrum_csv(out_dir / "spectrum.csv", spectrum)

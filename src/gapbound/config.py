@@ -9,9 +9,6 @@ from dataclasses import asdict, dataclass, replace
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # eigensolver: stop when off-diagonal Frobenius norm <= factor * ||A||_F
-    eig_offdiag_factor: float = 1e-13
-    eig_max_sweeps: int = 100
     # spectrum certificates
     spectrum_residual: float = 1e-10     # * max(1, |lambda_max|)
     orthonormality: float = 1e-10

@@ -49,7 +49,7 @@ class NegativePotential(GapboundError):
 
 
 class ConvergenceFailure(GapboundError):
-    """Eigensolver hit the sweep cap before reaching the target accuracy."""
+    """LAPACK's symmetric eigensolver did not converge."""
 
 
 class SpectrumInvariantError(GapboundError):

@@ -44,10 +44,6 @@ class HomogeneousGraph:
     def degree(self) -> int:
         return len(self.gens)
 
-    def adjacency(self, x: int):
-        """List of (a, ax) pairs over the generating set."""
-        return [(a, int(self.act[i, x])) for i, a in enumerate(self.gens)]
-
     def full_subgraph(self) -> "ConvexSubgraph":
         return induce_subgraph(self, range(self.n_vertices))
 
@@ -122,19 +118,6 @@ class ConvexSubgraph:
     @property
     def is_full(self) -> bool:
         return self.vset.size == self.host.n_vertices
-
-    @property
-    def boundary_edges(self) -> np.ndarray:
-        """(e, 2) sorted (min, max) host-id pairs of the edges with at least
-        one end in S, in lexicographic order. Built on first use and cached
-        read-only."""
-        if "_boundary_edges" not in self.__dict__:
-            nbr_host = self.host.act[:, self.vset]
-            src = np.broadcast_to(self.vset, nbr_host.shape)
-            pairs = np.stack([np.minimum(src, nbr_host).ravel(),
-                              np.maximum(src, nbr_host).ravel()], axis=1)
-            self.__dict__["_boundary_edges"] = _ro(np.unique(pairs, axis=0))
-        return self.__dict__["_boundary_edges"]
 
     def _distance_classes(self):
         """Unordered local pairs y < x grouped by distance within S.

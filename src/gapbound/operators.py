@@ -1,10 +1,9 @@
 """Combinatorial Laplacians, stoquastic Hamiltonians H = L + W, and spectra.
 
-The eigensolver is LAPACK by default, with cyclic Jacobi as the oracle (see
-jacobi.py). The lambda1 eigenspace gets a canonical basis, so a degenerate
-gap reports the same eigenvectors whichever solver ran. Every Spectrum is
-validated against residual, orthonormality and ground-state sign invariants
-at construction time.
+The eigensolver is LAPACK (see jacobi.py). The lambda1 eigenspace gets a
+canonical basis, so a degenerate gap reports the same eigenvectors whatever
+basis the solver returned. Every Spectrum is validated against residual,
+orthonormality and ground-state sign invariants at construction time.
 """
 
 import math
@@ -69,8 +68,6 @@ class Spectrum:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     operator: SymmetricOperator
-    backend: str
-    sweeps: int
     tolerances: ToleranceConfig
 
     @property
@@ -95,7 +92,7 @@ class Spectrum:
     @property
     def gap_indices(self) -> range:
         """Indices of the eigenvectors spanning the lambda1 eigenspace."""
-        return _lambda1_indices(self.eigenvalues)
+        return _lambda1_indices(self.eigenvalues, self.tolerances)
 
     @property
     def ground_state(self) -> np.ndarray:
@@ -112,15 +109,20 @@ class Spectrum:
         return cache[key]
 
 
-def _lambda1_indices(w: np.ndarray) -> range:
-    """Indices i >= 1 with w[i] = w[1] up to 1e-9 max(1, |w|max).
+def _lambda1_indices(w: np.ndarray, tol: ToleranceConfig) -> range:
+    """Indices i >= 1 with w[i] - w[1] <= spectrum_residual * scale / 2.
 
     ``w`` is ascending, so the cluster is a contiguous run from index 1.
+    scale = max(1, |w|max) is the residual bound's scale. A unit vector in
+    the span of the cluster's eigenvectors has a residual against any
+    cluster eigenvalue of at most the cluster's width, entry by entry, so
+    the canonical basis adds at most half the residual bound to a column.
     """
     if w.size < 2:
         return range(1, 1)
     scale = max(1.0, float(np.abs(w).max()))
-    k = int(np.count_nonzero(w[1:] - w[1] <= 1e-9 * scale))
+    width = 0.5 * tol.spectrum_residual * scale
+    k = int(np.count_nonzero(w[1:] - w[1] <= width))
     return range(1, 1 + k)
 
 
@@ -233,13 +235,11 @@ def path_lattice_laplacian(d: int, parity: str) -> SymmetricOperator:
 def eigendecompose(op: SymmetricOperator,
                    tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     """Full validated spectrum of a symmetric operator."""
-    w, v, info = jacobi_eigh(op.entries, tol_factor=tol.eig_offdiag_factor,
-                             max_sweeps=tol.eig_max_sweeps)
-    _canonical_basis(v, _lambda1_indices(w))
+    w, v, _ = jacobi_eigh(op.entries)
+    _canonical_basis(v, _lambda1_indices(w, tol))
     resid = np.abs(op.entries @ v - v * w).max(axis=0)
     spec = Spectrum(eigenvalues=_ro(w), eigenvectors=_ro(v),
-                    residuals=_ro(resid), operator=op,
-                    backend=info.backend, sweeps=info.sweeps, tolerances=tol)
+                    residuals=_ro(resid), operator=op, tolerances=tol)
     _validate_spectrum(spec, tol)
     return spec
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,3 +21,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def mpmath_eigh(a, dps=30):
+    """(w, v) of a real symmetric matrix from ``mpmath.eigsy`` at ``dps``
+    digits, rounded to float64: the independent oracle for LAPACK."""
+    with mpmath.workdps(dps):
+        e, q = mpmath.eigsy(mpmath.matrix(np.asarray(a, dtype=float).tolist()))
+        return (np.array([float(x) for x in e]),
+                np.array(q.tolist(), dtype=float))
+
+
+@pytest.fixture
+def mp_eigh():
+    return mpmath_eigh

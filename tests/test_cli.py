@@ -6,9 +6,10 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gapbound import bounds, cli, jacobi, moduli, operators
+from gapbound import bounds, cli, moduli, operators
 from gapbound.cli import main, write_eta_csv
 from gapbound.config import DEFAULT_TOL
 from gapbound.families import path_instance
@@ -125,10 +126,10 @@ def test_reports_byte_stable_across_processes(tmp_path):
 
 
 def assert_reports_agree(a, b, tol, where="report"):
-    """Numbers within tol, everything else equal; solver counters ignored."""
+    """Numbers within tol, everything else equal."""
     if isinstance(a, dict):
         assert a.keys() == b.keys(), where
-        for key in a.keys() - {"backend", "sweeps"}:
+        for key in a:
             assert_reports_agree(a[key], b[key], tol, f"{where}.{key}")
     elif isinstance(a, list):
         assert len(a) == len(b), where
@@ -145,15 +146,18 @@ def assert_reports_agree(a, b, tol, where="report"):
     ({"family": {"name": "path", "n": 12}}, "boundary"),
     ({"family": {"name": "subcube", "mask": [None] * 5 + [0]}}, "boundary"),
 ], ids=["Q4", "path12-boundary", "Q5-subcube-boundary"])
-def test_backends_give_equal_reports(tmp_path, monkeypatch, instance,
-                                     potential):
+def test_backends_give_equal_reports(tmp_path, monkeypatch, mp_eigh,
+                                     instance, potential):
+    # the same run with every eigendecomposition taken from mpmath
     spec = write_spec(tmp_path / "s.json", instance=instance,
                       potential=potential, analyses=ALL_ANALYSES)
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
-    monkeypatch.setattr(jacobi, "BACKEND", "python")
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solved.append(len(a)) or mp_eigh(a))
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "p")]) == 0
     default, oracle = load_report(tmp_path / "d"), load_report(tmp_path / "p")
-    assert oracle["spectrum"]["backend"] == "python"
+    assert max(solved) == len(default["spectrum"]["eigenvalues"])
     tol = DEFAULT_TOL.verify_factor * max(1.0, default["bounds"]["exact"]["gap"])
     assert_reports_agree(default, oracle, tol)
 
@@ -323,6 +327,36 @@ def test_tolerance_values_must_be_numbers(tmp_path, capsys):
                       tolerances={"rayleigh": "x"})
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert "tolerance rayleigh must be a number" in capsys.readouterr().err
+
+
+def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 4}},
+                      tolerances={"eig_max_sweeps": 100})
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown tolerance fields: ['eig_max_sweeps']" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"analyses": "bounds"}, "spec analyses must be a JSON list"),
+    ({"instance": "path"}, "instance must be a JSON object"),
+    ({"instance": {"family": "path"}},
+     "instance.family must be a JSON object"),
+    ({"instance": {"family": {"name": "path", "n": 4.7}}},
+     "'path' field 'n' must be a JSON integer, got 4.7"),
+    ({"instance": {"family": {"name": "cycle", "n": True}}},
+     "'cycle' field 'n' must be a JSON integer, got True"),
+    ({"instance": {"family": {"name": "hypercube", "n": "3"}}},
+     "'hypercube' field 'n' must be a JSON integer, got '3'"),
+], ids=["analyses-string", "instance-string", "family-string", "n-float",
+        "n-bool", "n-string"])
+def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
+                                            message):
+    spec = write_spec(tmp_path / "s.json", **{
+        "instance": {"family": {"name": "path", "n": 4}}, **fields})
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_empty_sweep_range(tmp_path, capsys):

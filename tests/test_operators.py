@@ -128,6 +128,19 @@ def test_gap_eigenspace_basis_is_canonical(rng):
     assert np.abs(v - spec.eigenvectors).max() <= 1e-12
 
 
+@pytest.mark.parametrize("delta", [5e-10, 2e-10, 1e-10, 5e-11, 1e-12, 0.0])
+def test_near_degenerate_gap_passes_validation(delta):
+    # lambda1 and lambda2 delta apart: whether or not the lambda1 cluster
+    # merges them, every column must stay within the residual bound
+    r = 1 / math.sqrt(2)
+    q = np.array([[1, 0, 0], [0, r, r], [0, r, -r]])
+    a = q @ np.diag([0.0, 0.5, 0.5 + delta]) @ q.T
+    spec = eigendecompose(SymmetricOperator(entries=(a + a.T) / 2,
+                                            kind="custom"))
+    assert spec.residuals.max() <= spec.tolerances.spectrum_residual
+    assert len(spec.gap_indices) == (2 if delta < 1e-11 else 1)
+
+
 def test_rayleigh_certificates():
     # constant vector: quotient zero on any Laplacian
     lap = laplacian(path_instance(4))
@@ -155,7 +168,6 @@ def test_certificate_failure_surfaces_witness():
     broken[:, 1] = broken[:, 0]
     bad = type(spec)(eigenvalues=spec.eigenvalues, eigenvectors=broken,
                      residuals=spec.residuals, operator=spec.operator,
-                     backend=spec.backend, sweeps=spec.sweeps,
                      tolerances=spec.tolerances)
     with pytest.raises(CertificateFailure):
         rayleigh_gap_check(bad, lap)
