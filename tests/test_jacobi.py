@@ -24,11 +24,17 @@ def random_stoquastic(n, seed):
     return np.diag(adj.sum(axis=1) + rng.uniform(0.0, 4.0, n)) - adj
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 24])
-def test_matches_mpmath_oracle(n, mp_eigh):
+@pytest.mark.parametrize("n,oracle", [
+    (n, oracle) for n in (1, 2, 3, 7, 16, 24, 40) for oracle in ("lapack", "python")
+    # eigsy costs about 3 s at n = 40: the mpmath oracle stops at 24
+    if not (oracle == "python" and n > 24)])
+def test_matches_lapack_oracle(n, oracle, mp_eigh):
+    """LAPACK's eigh through ``jacobi_eigh`` against an oracle: ``lapack`` is
+    numpy's ``eigvalsh`` (a consistency check), ``python`` is the independent
+    ``mpmath.eigsy`` at 30 digits."""
     m = random_symmetric(n, seed=n)
     w, v, _ = jacobi_eigh(m)
-    wref, _ = mp_eigh(m)
+    wref = np.linalg.eigvalsh(m) if oracle == "lapack" else mp_eigh(m)[0]
     scale = max(1.0, np.abs(wref).max())
     assert np.abs(w - wref).max() <= 1e-12 * scale
     assert np.abs(m @ v - v * w).max() <= 1e-11 * scale
