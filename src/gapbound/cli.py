@@ -45,13 +45,44 @@ def _field(obj, key, where):
     return obj[key]
 
 
+_JSON_TYPES = {"object": dict, "list": list, "integer": int,
+               "number": (int, float)}
+
+
 def _typed(value, kind, where):
-    """``value`` if it is a JSON ``kind`` (object, list or integer)."""
-    types = {"object": dict, "list": list, "integer": int}[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    """``value`` if it is a JSON ``kind`` (object, list, integer or number)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise SpecValidationError(f"{where} must be a JSON {kind}, "
                                   f"got {value!r}")
     return value
+
+
+def _typed_list(values, kind, where):
+    """``values`` if it is a JSON list whose every entry is a JSON ``kind``."""
+    types = _JSON_TYPES[kind]
+    for i, v in enumerate(_typed(values, "list", where)):
+        if isinstance(v, bool) or not isinstance(v, types):
+            _typed(v, kind, f"{where}[{i}]")
+    return values
+
+
+def _group_spec(group, where):
+    """``group`` if its sizes, factors and table entries are JSON integers;
+    `groups.build_group` checks the rest."""
+    kind = _typed(group, "object", where).get("kind")
+    if kind in ("cyclic", "elementary_abelian_2"):
+        _typed(_field(group, "n", where), "integer", f"{where} field 'n'")
+    elif kind == "direct_product":
+        factors = _typed(_field(group, "factors", where), "list",
+                         f"{where} field 'factors'")
+        for i, factor in enumerate(factors):
+            _group_spec(factor, f"{where} factors[{i}]")
+    elif kind == "table":
+        rows = _typed(_field(group, "table", where), "list",
+                      f"{where} field 'table'")
+        for i, row in enumerate(rows):
+            _typed_list(row, "integer", f"{where} table[{i}]")
+    return group
 
 
 def _with_overrides(base, overrides, where):
@@ -80,14 +111,16 @@ def _build_subgraph(inst):
     if "group" not in inst or "generators" not in inst:
         raise SpecValidationError("instance needs either a family or "
                                   "group + generators")
-    group = build_group(inst["group"])
-    gens = generator_set(group, inst["generators"])
+    group = build_group(_group_spec(inst["group"], "instance group"))
+    gens = generator_set(group, _typed_list(
+        inst["generators"], "integer", "instance generators"))
     graph = build_cayley(group, gens)
     sel = inst.get("subgraph", "full")
     if sel == "full":
         return graph.full_subgraph()
     if isinstance(sel, list):
-        return induce_subgraph(graph, sel)
+        return induce_subgraph(graph, _typed_list(sel, "integer",
+                                                  "instance subgraph"))
     raise SpecValidationError(f"bad subgraph selector {sel!r}")
 
 
@@ -99,15 +132,19 @@ def _build_potential(sub, pot):
     if isinstance(pot, dict):
         if "values" in pot:
             _require_keys(pot, {"values"}, "potential")
-            vals = np.asarray(pot["values"], dtype=np.float64)
+            vals = np.asarray(_typed_list(pot["values"], "number",
+                                          "potential values"),
+                              dtype=np.float64)
             if vals.shape != (sub.n_vertices,):
                 raise SpecValidationError(
                     f"potential length {vals.size} != |S| = {sub.n_vertices}")
             return vals
         if pot.get("formula") == "quadratic":
             _require_keys(pot, {"formula", "c", "center"}, "potential")
-            return quadratic_potential(sub, float(_field(pot, "c", "potential")),
-                                       float(_field(pot, "center", "potential")))
+            c, center = (_typed(_field(pot, key, "potential"), "number",
+                                f"potential field {key!r}")
+                         for key in ("c", "center"))
+            return quadratic_potential(sub, float(c), float(center))
     raise SpecValidationError(f"bad potential spec {pot!r}")
 
 

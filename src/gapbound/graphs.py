@@ -16,6 +16,7 @@ blocks of outside vertices; strong convexity runs it over the boundary
 first, which decides convexity alone.
 """
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -137,6 +138,29 @@ class ConvexSubgraph:
                 _ro(ys[order].astype(np.int32)), _ro(xs[order].astype(np.int32)),
                 _ro(starts.astype(np.int32)))
         return self.__dict__["_classes"]
+
+    def _class_chunks(self, step: int):
+        """The pair index of `_distance_classes` cut into runs of at most
+        `step` pairs.
+
+        One (ys, xs, c, edges) per run: views of its pairs, and the classes
+        c+1..c+edges.size it meets, which begin at the run offsets `edges`
+        (edges[0] = 0: the first class may have begun in an earlier run).
+        Built on first use per step and cached.
+        """
+        cache = self.__dict__.setdefault("_chunks", {})
+        if step not in cache:
+            ys, xs, starts = self._distance_classes()
+            first = starts.tolist()
+            runs = []
+            for i in range(0, ys.size, step):
+                j = min(i + step, ys.size)
+                c = bisect.bisect_right(first, i) - 1
+                edges = starts[c:bisect.bisect_left(first, j)] - i
+                edges[0] = 0
+                runs.append((ys[i:j], xs[i:j], c, _ro(edges)))
+            cache[step] = tuple(runs)
+        return cache[step]
 
     def host_dist(self) -> np.ndarray:
         """Host distances restricted to S (local indexing), read-only.

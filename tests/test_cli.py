@@ -349,8 +349,33 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
      "'cycle' field 'n' must be a JSON integer, got True"),
     ({"instance": {"family": {"name": "hypercube", "n": "3"}}},
      "'hypercube' field 'n' must be a JSON integer, got '3'"),
+    ({"instance": {"group": {"kind": "cyclic", "n": 6.9},
+                   "generators": [1, 5]}},
+     "instance group field 'n' must be a JSON integer, got 6.9"),
+    ({"instance": {"group": {"kind": "direct_product", "factors": [
+        {"kind": "cyclic", "n": 4}, {"kind": "elementary_abelian_2",
+                                     "n": 1.0}]}, "generators": [4]}},
+     "instance group factors[1] field 'n' must be a JSON integer, got 1.0"),
+    ({"instance": {"group": {"kind": "table", "table": [[0, 1], [1, 0.0]]},
+                   "generators": [1]}},
+     "instance group table[1][1] must be a JSON integer, got 0.0"),
+    ({"instance": {"group": {"kind": "cyclic", "n": 8},
+                   "generators": [1.7, 7]}},
+     "instance generators[0] must be a JSON integer, got 1.7"),
+    ({"instance": {"group": {"kind": "cyclic", "n": 8}, "generators": [1, 7],
+                   "subgraph": [0, 1.5, 2]}},
+     "instance subgraph[1] must be a JSON integer, got 1.5"),
+    ({"potential": {"values": ["a", 1, 1, 1]}},
+     "potential values[0] must be a JSON number, got 'a'"),
+    ({"potential": {"formula": "quadratic", "c": "x", "center": 1.5}},
+     "potential field 'c' must be a JSON number, got 'x'"),
+    ({"potential": {"formula": "quadratic", "c": 0.5, "center": "x"}},
+     "potential field 'center' must be a JSON number, got 'x'"),
 ], ids=["analyses-string", "instance-string", "family-string", "n-float",
-        "n-bool", "n-string"])
+        "n-bool", "n-string", "group-n-float", "factor-n-float",
+        "table-entry-float", "generator-float", "subgraph-vertex-float",
+        "potential-value-string", "quadratic-c-string",
+        "quadratic-center-string"])
 def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
                                             message):
     spec = write_spec(tmp_path / "s.json", **{

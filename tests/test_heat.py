@@ -349,6 +349,9 @@ HEAT_INSTANCES = {
                                   "boundary"),
     "path12-boundary": lambda: (path_instance(12), "boundary"),
     "cycle9": lambda: (cycle_instance(9), None),
+    # the run-path instances whose heat blocks take the pair scan
+    "path160-boundary": lambda: (path_instance(160), "boundary"),
+    "cycle64": lambda: (cycle_instance(64), None),
 }
 
 

@@ -566,6 +566,35 @@ def test_block_eta_spans_several_dilation_blocks(rng, monkeypatch):
     assert same_bits(_eta_dilation(block, sub), loop_eta_rows(block, sub))
 
 
+@pytest.mark.parametrize("b", [1, 2, 315])
+@pytest.mark.parametrize("name", ["path40", "Q5"])
+def test_pair_scan_over_runs_matches_class_loop_bit_for_bit(name, b, rng,
+                                                           monkeypatch):
+    # runs of 24 pairs: path(40)'s class 1 (39 pairs) and Q5's classes (16
+    # to 160 pairs) span several runs, and some runs meet several classes;
+    # B = 1 and 2 reduce by reduceat, B = 315 by the per-class loop
+    monkeypatch.setattr(moduli, "_SCAN_CELLS", 2 * 24 * b)
+    sub = ORACLE_INSTANCES[name]()
+    _, _, starts = sub._distance_classes()
+    runs = sub._class_chunks(24)
+    assert any(edges.size > 1 for _, _, _, edges in runs)
+    assert any(starts[c] < 24 * i for i, (_, _, c, _) in enumerate(runs))
+    m = sub.n_vertices
+    zeros = np.zeros((b, m))
+    zeros[:, ::3] = -0.0
+    # a NaN at vertex 30 falls in the second run of path(40)'s class 1
+    # (pairs 29 and 30), and in every class of Q5
+    nan = rng.normal(size=(b, m))
+    nan[0, 30] = np.nan
+    blocks = [rng.normal(size=(b, m)), np.round(rng.normal(size=(b, m)), 1),
+              zeros, nan]
+    for block in blocks:
+        values = _eta_pairs(block, sub)
+        assert same_bits(values, loop_eta_rows(block, sub))
+        assert np.signbit(values).sum() == 0
+        assert same_bits(values[0], modulus_of_continuity(block[0], sub).values)
+
+
 @pytest.fixture
 def eta_spy(monkeypatch):
     """Names of the eta algorithms _eta_block runs, in call order."""
