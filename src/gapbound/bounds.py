@@ -19,7 +19,10 @@ from .moduli import (ModulusOfConcavity, RatioFunction, _dcosh,
                      _ground_concavity, _ground_eta, _ground_omega,
                      _ground_ratio, c_u0, extremal_pairs,
                      modulus_of_continuity)
-from .operators import (Spectrum, _certificate, boundary_potential,
+# TODO(next benchmark change): perfbench's
+# test_every_binding_is_wrapped_and_restored reads bounds.eigendecompose,
+# which nothing here calls; drop it from this import with that read.
+from .operators import (Spectrum, _certificate, _source,
                         dirichlet_hamiltonian, eigendecompose, laplacian)
 
 
@@ -59,45 +62,44 @@ def bound_thm2(sub: ConvexSubgraph) -> float:
     return 2.0
 
 
-def bound_thm3(sub: ConvexSubgraph, spec: Spectrum,
-               tol: ToleranceConfig = DEFAULT_TOL, which: int = 1):
-    """2 C_{u0} (1 - cos(pi/(D+1))) from the ground-state-weighted constant.
+def bound_thm3(spec: Spectrum, which: int = 1):
+    """2 C_{u0} (1 - cos(pi/(D+1))) from the ground-state-weighted constant
+    of the spectrum's subgraph, under the spectrum's tolerances.
 
     Returns (value, RatioConstant). Raises BoundUnavailable when every
     extremal pair is skipped.
     """
-    return _thm3(sub, *_ratio_scan(sub, spec, tol, which), tol)
+    return _thm3(*_ratio_scan(spec, which), spec.tolerances)
 
 
-def bound_thm4(sub: ConvexSubgraph, spec: Spectrum,
-               tol: ToleranceConfig = DEFAULT_TOL, which: int = 1):
+def bound_thm4(spec: Spectrum, which: int = 1):
     """2 C_{u0} with the distance-<=2 restriction (hypercube-local bound)."""
-    if not is_hypercube(sub):
+    if not is_hypercube(_source(spec.operator)):
         raise NotHypercube("Theorem 4 requires a hypercube host")
-    return _thm4(sub, *_ratio_scan(sub, spec, tol, which), tol)
+    return _thm4(*_ratio_scan(spec, which), spec.tolerances)
 
 
-def _ratio_scan(sub, spec, tol, which):
+def _ratio_scan(spec, which):
     """f = u_which / u0 and its modulus, shared by Theorems 3 and 4 (the
     modulus caches its extremal scan, the ratio its vertex sums)."""
-    if which == 1 and sub is spec.operator.source:
-        return _ground_ratio(spec), _ground_eta(spec, tol)
+    sub = _source(spec.operator)
+    if which == 1:
+        return _ground_ratio(spec), _ground_eta(spec)
     ratio = RatioFunction.from_spectrum(spec, sub, which=which)
-    return ratio, modulus_of_continuity(ratio.f, sub, tol)
+    return ratio, modulus_of_continuity(ratio.f, sub, spec.tolerances)
 
 
-def _thm3(sub, ratio, eta, tol):
+def _thm3(ratio, eta, tol):
     try:
-        const = c_u0(ratio, extremal_pairs(eta), sub, restrict="all", tol=tol)
+        const = c_u0(ratio, extremal_pairs(eta), tol)
     except EmptyAfterSkips as exc:
         raise BoundUnavailable(str(exc)) from exc
-    return const.value * mu_matched(sub.diameter_S), const
+    return const.value * mu_matched(eta.sub.diameter_S), const
 
 
-def _thm4(sub, ratio, eta, tol):
+def _thm4(ratio, eta, tol):
     try:
-        const = c_u0(ratio, extremal_pairs(eta), sub,
-                     restrict="distance_le_2", tol=tol, eta=eta)
+        const = c_u0(ratio, eta.achievers[min(2, eta.diameter)], tol)
     except EmptyAfterSkips as exc:
         raise BoundUnavailable(str(exc)) from exc
     return 2.0 * const.value, const
@@ -194,32 +196,20 @@ def build_operator(sub: ConvexSubgraph, potential=None):
     return dirichlet_hamiltonian(sub, potential)
 
 
-def verify_all(sub: ConvexSubgraph, potential=None,
-               tol: ToleranceConfig = DEFAULT_TOL,
-               spectrum: Optional[Spectrum] = None) -> GapReport:
+def verify_all(spec: Spectrum) -> GapReport:
     """Evaluate every applicable bound against the exact gap.
 
-    `potential` is None (pure Laplacian), "boundary", or a vector. Per-bound
-    failures (e.g. no usable extremal pair) are recorded, not raised.
-
-    A given `spectrum` must be that of build_operator(sub, potential), else
-    ValueError. Its operator is used as is, and the certificate, which = 1
-    ratio scan and ground-state moduli are the ones kept on it (see Spectrum).
+    The instance is the spectrum's: its operator (L, or H = L + W) and the
+    subgraph that operator was built on, checked under `spec.tolerances`.
+    The certificate, which = 1 ratio scan and ground-state moduli are the
+    ones kept on the spectrum. Per-bound failures (e.g. no usable extremal
+    pair) are recorded, not raised.
     """
-    if spectrum is None:
-        op = build_operator(sub, potential)
-    else:
-        op = spectrum.operator
-        if op.source is not sub:
-            raise ValueError("spectrum was built on another subgraph")
-        if isinstance(potential, str) and potential == "boundary":
-            potential = boundary_potential(sub)
-        if not np.array_equal(potential, op.potential):
-            raise ValueError("spectrum was built with another potential")
+    op, tol = spec.operator, spec.tolerances
+    sub = _source(op)
     if op.dim < 2:
         raise ValueError("gap verification needs at least two vertices")
-    spec = spectrum if spectrum is not None else eigendecompose(op, tol)
-    cert = _certificate(spec, tol)
+    cert = _certificate(spec)
     gap = spec.gap
     tol_verify = tol.verify_factor * max(1.0, gap)
     d = sub.diameter_S
@@ -273,20 +263,20 @@ def verify_all(sub: ConvexSubgraph, potential=None,
             if all(hyps.values())}
     outcomes = {name: [] for name in live}
     for which in spec.gap_indices if live else ():
-        scan = _ratio_scan(sub, spec, tol, which)
+        scan = _ratio_scan(spec, which)
         for name, evaluate in live.items():
             try:
-                outcomes[name].append(evaluate(sub, *scan, tol))
+                outcomes[name].append(evaluate(*scan, tol))
             except BoundUnavailable as exc:
                 outcomes[name].append(exc)
     for name, (hyps, _) in ratio_hyps.items():
-        records.append(_ratio_record(name, hyps, spec, tol, outcomes.get(name)))
+        records.append(_ratio_record(name, hyps, spec, outcomes.get(name)))
 
     # Theorems 5 and 6: path graphs with log-concave ground states
     hyps = {"path_graph": path, "diameter_ge_1": d >= 1}
     omega = None
     if all(hyps.values()):
-        concave = _ground_concavity(spec, tol)
+        concave = _ground_concavity(spec)
         hyps["log_concave"] = concave.holds
         if concave.holds:
             omega = _ground_omega(spec)
@@ -318,7 +308,7 @@ def verify_all(sub: ConvexSubgraph, potential=None,
                      "rayleigh_error": cert.rayleigh_error})
 
 
-def _ratio_record(name, hyps, spec, tol, outcomes):
+def _ratio_record(name, hyps, spec, outcomes):
     """Record from the per-eigenvector (value, RatioConstant) results, or the
     BoundUnavailable each raised; outcomes is None when hyps fail."""
     if outcomes is None:
@@ -337,7 +327,7 @@ def _ratio_record(name, hyps, spec, tol, outcomes):
         return TheoremRecord(theorem=name, applicable=True, hypotheses=hyps,
                              unavailable=unavailable or "no eigenvector evaluated")
     gap = spec.gap
-    tol_verify = tol.verify_factor * max(1.0, gap)
+    tol_verify = spec.tolerances.verify_factor * max(1.0, gap)
     value = min(values)
     worst_slack = gap - max(values)
     # the first eigenvector attaining the minimum up to tolerance, so rounding

@@ -227,7 +227,7 @@ def run_instance(spec, analyses, tol, out_dir: Path):
 
     if "spectrum" in analyses:
         try:
-            cert_info = asdict(_certificate(spectrum, tol))
+            cert_info = asdict(_certificate(spectrum))
         except CertificateFailure as exc:
             cert_info = {"ok": False, "error": str(exc), "witness": exc.witness}
             failures.append(f"spectrum certificate: {exc}")
@@ -239,7 +239,7 @@ def run_instance(spec, analyses, tol, out_dir: Path):
         write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
 
     if "bounds" in analyses:
-        gap_report = verify_all(sub, potential, tol, spectrum=spectrum)
+        gap_report = verify_all(spectrum)
         report["bounds"] = gap_report.as_dict()
         for rec in gap_report.records:
             if rec.applicable and rec.bound is not None and not rec.holds:
@@ -248,11 +248,11 @@ def run_instance(spec, analyses, tol, out_dir: Path):
                     f"{gap_report.gap!r}")
 
     if "moduli" in analyses and spectrum.dim >= 2:
-        eta = _ground_eta(spectrum, tol)
+        eta = _ground_eta(spectrum)
         mod = {"eta": eta.values,
                "xi_pairs": int(extremal_pairs(eta).shape[0]),
                "tie_tol": eta.tie_tol}
-        concave = _ground_concavity(spectrum, tol)
+        concave = _ground_concavity(spectrum)
         mod["log_concave"] = concave.holds
         if is_path_graph(sub) and concave.holds:
             omega = _ground_omega(spectrum)
@@ -273,15 +273,14 @@ def run_instance(spec, analyses, tol, out_dir: Path):
             failures.append(f"heat decay: {exc}")
         if convexity.convex:
             try:
-                heat_info["mocheat"] = asdict(
-                    mocheat_inequality_check(traj, sub, tol=tol))
+                heat_info["mocheat"] = asdict(mocheat_inequality_check(traj))
             except CertificateFailure as exc:
                 heat_info["mocheat"] = {"ok": False, "error": str(exc)}
                 failures.append(f"mocheat certificate: {exc}")
         if op.kind == "hamiltonian":
             try:
-                heat_info["ratio"] = asdict(ratio_evolution_check(
-                    op, spectrum, times[1:8], tol=tol))
+                heat_info["ratio"] = asdict(
+                    ratio_evolution_check(spectrum, times[1:8]))
             except CertificateFailure as exc:
                 heat_info["ratio"] = {"ok": False, "error": str(exc)}
                 failures.append(f"ratio certificate: {exc}")
@@ -354,7 +353,8 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
     tasks = ([sizes[:k]] if k else []) + [[n] for n in sizes[k:]]
 
     def run(task):
-        return [(n, verify_all(build(n), None, tol)) for n in task]
+        return [(n, verify_all(eigendecompose(build_operator(build(n)), tol)))
+                for n in task]
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         rows = [row for done in ex.map(run, tasks) for row in done]

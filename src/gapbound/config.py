@@ -21,12 +21,8 @@ class ToleranceConfig:
     # bound verification
     verify_factor: float = 1e-9          # * max(1, gap) for slack checks
     # heat equation
-    mass_conservation: float = 1e-9
-    semigroup: float = 1e-9
-    reconstruction: float = 1e-10        # phi(0) must reproduce phi0
     decay_margin: float = 1e-6           # fitted rate >= mu - margin
     ratio_identity: float = 1e-8         # stationary ratio-evolution identity
-    euler_vs_spectral: float = 1e-6
 
     def with_overrides(self, **kwargs) -> "ToleranceConfig":
         unknown = set(kwargs) - set(asdict(self))

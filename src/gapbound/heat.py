@@ -16,7 +16,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CertificateFailure, InsufficientSpan, UnstableStep
 from .graphs import ConvexSubgraph
 from .moduli import RatioFunction, _eta_block, _ground_ratio, _moduli
-from .operators import (Spectrum, SymmetricOperator, eigendecompose,
+from .operators import (Spectrum, SymmetricOperator, _source, eigendecompose,
                         path_lattice_laplacian)
 
 
@@ -46,14 +46,6 @@ def gershgorin_max(op: SymmetricOperator) -> float:
 def spectral_state(spec: Spectrum, phi0: np.ndarray, t: float) -> np.ndarray:
     """phi(t) = sum_i <u_i, phi0> e^{-lambda_i t} u_i."""
     return _spectral_states(spec, phi0, [t])[0]
-
-
-def _check_spectrum_of(op: SymmetricOperator, spec: Spectrum) -> None:
-    """ValueError unless `spec` is a spectrum of `op`: built from it, or
-    from an operator with the same entries."""
-    if spec.operator is not op and \
-            not np.array_equal(spec.operator.entries, op.entries):
-        raise ValueError("spectrum was built from another operator")
 
 
 def _spectral_states(spec: Spectrum, phi0: np.ndarray, times) -> np.ndarray:
@@ -104,15 +96,17 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
            tol: ToleranceConfig = DEFAULT_TOL) -> HeatTrajectory:
     """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid.
 
-    A given `spectrum` must be one of `op`, else ValueError."""
+    A given `spectrum` must be one of `op` (built from it, or from an
+    operator with the same entries), else ValueError."""
     phi0 = np.asarray(phi0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if (times < 0).any() or (np.diff(times) <= 0).any():
         raise ValueError("times must be non-negative and strictly increasing")
     if phi0.shape != (op.dim,):
         raise ValueError("initial state has wrong length")
-    if spectrum is not None:
-        _check_spectrum_of(op, spectrum)
+    if spectrum is not None and spectrum.operator is not op and \
+            not np.array_equal(spectrum.operator.entries, op.entries):
+        raise ValueError("spectrum was built from another operator")
 
     if method == "spectral":
         spec = spectrum if spectrum is not None else eigendecompose(op, tol)
@@ -194,15 +188,30 @@ class InequalityCertificate:
     ok: bool
 
 
-def mocheat_inequality_check(traj: HeatTrajectory, sub: ConvexSubgraph,
-                             dt: Optional[float] = None,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> InequalityCertificate:
+def _margins(etas, rhs, dt: float) -> np.ndarray:
+    """rhs + tolerance - d(eta)/dt for every sample at once.
+
+    `etas` holds eta at the offsets _OFFSETS along axis 1. The time
+    derivative is the centered difference over offsets -1 and 1, and its
+    tolerance a third-difference estimate of the centered scheme's Taylor
+    remainder, so a certificate on the margins is exact up to
+    discretization.
+    """
+    em2, em1, _, ep1, ep2 = np.moveaxis(etas, 1, 0)
+    deta = (ep1 - em1) / (2 * dt)
+    third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
+    tol_dt = np.abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
+    return rhs + tol_dt - deta
+
+
+def mocheat_inequality_check(traj: HeatTrajectory,
+                             dt: Optional[float] = None) -> InequalityCertificate:
     """Certify d(eta)/dt <= -L_P eta on the parity lattice at each sample.
 
-    The time derivative is a centered difference with the tolerance taken
-    from a third-difference estimate (the Taylor remainder of the centered
-    scheme), so the certificate is exact up to discretization.
+    eta is the modulus over the trajectory operator's subgraph, whose
+    diameter fixes the lattice; the margins are those of `_margins`.
     """
+    sub = _source(traj.operator)
     if traj.spectrum is None:
         raise ValueError("certificate needs a spectral trajectory")
     spec = traj.spectrum
@@ -221,15 +230,10 @@ def mocheat_inequality_check(traj: HeatTrajectory, sub: ConvexSubgraph,
     # eta.table()[coords + D] for every state: eta(|s|) with the sign of s
     lattice_etas = np.where(coords < 0, -etas[..., np.abs(coords)],
                             etas[..., np.abs(coords)])
-    # every sample at once, (samples, lattice points) per offset
-    em2, em1, e0, ep1, ep2 = lattice_etas.transpose(1, 0, 2)
-    deta = (ep1 - em1) / (2 * dt)
-    third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
-    tol_dt = np.abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
-    # matmul runs one L_P @ e0 per sample, rounding as the per-sample
-    # product does; e0 @ L_P^T, one GEMM, would round differently
-    rhs = -np.matmul(lp, e0[:, :, None])[:, :, 0]
-    margin = (rhs + tol_dt - deta)[:, pos]
+    # matmul runs one L_P @ eta(t) per sample, rounding as the per-sample
+    # product does; one GEMM over all samples would round differently
+    rhs = -np.matmul(lp, lattice_etas[:, 2, :, None])[:, :, 0]
+    margin = _margins(lattice_etas, rhs, dt)[:, pos]
     bad = np.argwhere(margin < 0)
     if bad.size:
         k, i = bad[0]
@@ -242,10 +246,11 @@ def mocheat_inequality_check(traj: HeatTrajectory, sub: ConvexSubgraph,
                                  ok=True)
 
 
-def eta2_contraction_check(traj: HeatTrajectory, sub: ConvexSubgraph,
-                           dt: Optional[float] = None,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> InequalityCertificate:
-    """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample."""
+def eta2_contraction_check(traj: HeatTrajectory,
+                           dt: Optional[float] = None) -> InequalityCertificate:
+    """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
+    eta over the trajectory operator's subgraph; see `_margins`."""
+    sub = _source(traj.operator)
     if traj.spectrum is None:
         raise ValueError("certificate needs a spectral trajectory")
     s2 = min(2, sub.diameter_S)
@@ -253,20 +258,16 @@ def eta2_contraction_check(traj: HeatTrajectory, sub: ConvexSubgraph,
         dt = _default_dt(traj.spectrum)
 
     kept, etas = _offset_etas(traj, sub, dt)
-    checked = 0
-    worst = math.inf
-    for t, vals in zip(kept, etas[:, :, s2].tolist()):
-        deta = (vals[3] - vals[1]) / (2 * dt)
-        third = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * dt ** 3)
-        tol_dt = abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
-        margin = -2.0 * vals[2] + tol_dt - deta
-        checked += 1
-        worst = min(worst, margin)
-        if margin < 0:
-            raise CertificateFailure(
-                f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
-    return InequalityCertificate(checked=checked,
-                                 worst_margin=worst if checked else 0.0, ok=True)
+    eta2 = etas[:, :, s2]
+    margin = _margins(eta2, -2.0 * eta2[:, 2], dt)
+    bad = np.flatnonzero(margin < 0)
+    if bad.size:
+        t = kept[bad[0]]
+        raise CertificateFailure(
+            f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
+    worst = float(np.fmin.reduce(margin)) if margin.size else 0.0
+    return InequalityCertificate(checked=margin.size, worst_margin=worst,
+                                 ok=True)
 
 
 @dataclass(frozen=True)
@@ -276,27 +277,21 @@ class RatioCertificate:
     ok: bool
 
 
-def ratio_evolution_check(h: SymmetricOperator, spec: Spectrum, times,
-                          dt: Optional[float] = None,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> RatioCertificate:
+def ratio_evolution_check(spec: Spectrum, times,
+                          dt: Optional[float] = None) -> RatioCertificate:
     """Certify the ground-state-weighted evolution law of the ratio u1/u0.
 
     (i) along the trajectory, d(f)/dt matches the weighted difference sum to
     discretization accuracy; (ii) at t = 0, -gamma f(x) equals that sum
-    exactly up to the stationary tolerance. When `h` is the spectrum's own
-    operator, the t = 0 ratio is the one kept on the spectrum; a spectrum of
-    another operator raises ValueError.
+    exactly up to ``spec.tolerances.ratio_identity``. The operator is the
+    spectrum's own, and the t = 0 ratio is the one kept on the spectrum.
     """
-    sub = h.source
-    if sub is None:
-        raise ValueError("operator must come from a graph")
-    _check_spectrum_of(h, spec)
+    sub = _source(spec.operator)
     gamma = spec.gap
-    ratio0 = _ground_ratio(spec) if h is spec.operator \
-        else RatioFunction.from_spectrum(spec, sub)
+    ratio0 = _ground_ratio(spec)
     weighted0, _ = ratio0.vertex_sums()
     stationary = float(np.abs(-gamma * ratio0.f - weighted0).max())
-    if stationary > tol.ratio_identity:
+    if stationary > spec.tolerances.ratio_identity:
         raise CertificateFailure(
             f"stationary ratio identity residual {stationary:.3e}",
             witness=int(np.argmax(np.abs(-gamma * ratio0.f - weighted0))))

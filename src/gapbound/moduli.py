@@ -437,33 +437,20 @@ def _extremal(eta: ModulusOfContinuity):
 @dataclass(frozen=True, eq=False)
 class RatioConstant:
     value: float
-    restrict: str
     pairs: np.ndarray             # admitted (y, x) pairs
     ratios: np.ndarray            # per admitted pair
     skipped: np.ndarray           # pairs dropped for a near-zero denominator
 
 
-def c_u0(ratio: RatioFunction, xi: np.ndarray, sub: ConvexSubgraph,
-         restrict: str = "all",
-         tol: ToleranceConfig = DEFAULT_TOL,
-         eta: Optional[ModulusOfContinuity] = None) -> RatioConstant:
-    """Ground-state-weighted ratio constant over extremal pairs.
+def c_u0(ratio: RatioFunction, pairs: np.ndarray,
+         tol: ToleranceConfig = DEFAULT_TOL) -> RatioConstant:
+    """Ground-state-weighted ratio constant over the (y, x) pairs given.
 
-    restrict="all" uses the supplied extremal pairs; "distance_le_2" uses
-    the achievers of eta(2) instead (the hypercube-local variant), which
-    requires `eta`. Pairs whose plain-difference denominator is within
-    `tol.denominator_zero` of zero are skipped and reported.
+    Theorem 3 passes the extremal pairs of eta, Theorem 4 the achievers of
+    eta(2) (the hypercube-local variant). Pairs whose plain-difference
+    denominator is within `tol.denominator_zero` of zero are skipped and
+    reported.
     """
-    if restrict == "distance_le_2":
-        if eta is None:
-            raise ValueError("distance_le_2 restriction needs the modulus")
-        s2 = min(2, eta.diameter)
-        pairs = eta.achievers[s2]
-    elif restrict == "all":
-        pairs = xi
-    else:
-        raise ValueError(f"unknown restriction {restrict!r}")
-
     weighted, plain = ratio.vertex_sums()
     y, x = pairs[:, 0], pairs[:, 1]
     den = plain[y] - plain[x]
@@ -474,9 +461,8 @@ def c_u0(ratio: RatioFunction, xi: np.ndarray, sub: ConvexSubgraph,
             f"all {pairs.shape[0]} extremal pairs had |denominator| < "
             f"{tol.denominator_zero:g}")
     ratios = num[keep] / den[keep]
-    return RatioConstant(value=float(ratios.min()), restrict=restrict,
-                         pairs=pairs[keep], ratios=ratios,
-                         skipped=pairs[~keep])
+    return RatioConstant(value=float(ratios.min()), pairs=pairs[keep],
+                         ratios=ratios, skipped=pairs[~keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,16 +520,16 @@ def _ground_ratio(spec: Spectrum) -> RatioFunction:
         spec, spec.operator.source))
 
 
-def _ground_eta(spec: Spectrum, tol: ToleranceConfig) -> ModulusOfContinuity:
-    """eta of the which = 1 ratio, kept on the spectrum per tolerance set."""
-    return spec._derived(("eta", tol), lambda: modulus_of_continuity(
-        _ground_ratio(spec).f, spec.operator.source, tol))
+def _ground_eta(spec: Spectrum) -> ModulusOfContinuity:
+    """eta of the which = 1 ratio, kept on the spectrum."""
+    return spec._derived("eta", lambda: modulus_of_continuity(
+        _ground_ratio(spec).f, spec.operator.source, spec.tolerances))
 
 
-def _ground_concavity(spec: Spectrum, tol: ToleranceConfig) -> ConcavityReport:
-    """log_concavity of log u0, kept on the spectrum per tolerance set."""
-    return spec._derived(("log_concavity", tol), lambda: log_concavity(
-        np.log(spec.ground_state), spec.operator.source, tol))
+def _ground_concavity(spec: Spectrum) -> ConcavityReport:
+    """log_concavity of log u0, kept on the spectrum."""
+    return spec._derived("log_concavity", lambda: log_concavity(
+        np.log(spec.ground_state), spec.operator.source, spec.tolerances))
 
 
 def _ground_omega(spec: Spectrum) -> ModulusOfConcavity:

@@ -20,7 +20,6 @@ from .jacobi import _fix_signs, jacobi_eigh
 
 LAPLACIAN = "laplacian"
 HAMILTONIAN = "hamiltonian"
-PATH_LATTICE = "path_lattice"
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +28,7 @@ class SymmetricOperator:
     kind: str
     source: Optional[ConvexSubgraph] = None
     potential: Optional[np.ndarray] = None
-    coords: Optional[np.ndarray] = None   # lattice coordinates (path_lattice)
+    coords: Optional[np.ndarray] = None   # path lattice coordinates
 
     @property
     def dim(self) -> int:
@@ -41,7 +40,7 @@ class SymmetricOperator:
             raise ValueError("operator must be square")
         if not np.array_equal(a, a.T):
             raise ValueError("operator must be exactly symmetric")
-        if self.kind in (LAPLACIAN, PATH_LATTICE):
+        if self.kind == LAPLACIAN:
             if not np.allclose(a.sum(axis=1), 0.0, atol=0.0):
                 raise ValueError("Laplacian rows must sum to zero")
             off = a - np.diag(np.diag(a))
@@ -59,9 +58,11 @@ class SymmetricOperator:
 class Spectrum:
     """Ascending eigenvalues with orthonormal eigenvector columns.
 
-    Also the per-instance context: it carries the operator, and keeps on
-    first use the positive ground state, the certificate, the which = 1
-    ratio and its eta, and the log-concavity and omega of log u0.
+    Also the per-instance context: it carries the operator (and through it
+    the subgraph) and the tolerances it was built under, which the analyses
+    read from it, and keeps on first use the positive ground state, the
+    certificate, the which = 1 ratio and its eta, and the log-concavity and
+    omega of log u0.
     """
 
     eigenvalues: np.ndarray
@@ -221,14 +222,12 @@ def path_lattice_laplacian(d: int, parity: str) -> SymmetricOperator:
         raise ValueError(f"unknown parity {parity!r}")
     m = coords.size
     a = np.zeros((m, m))
-    for i in range(m - 1):
-        a[i, i + 1] = a[i + 1, i] = -1.0
-    deg = np.ones(m)
-    deg[1:-1] = 2.0
-    if m == 1:
-        deg[0] = 0.0
-    a[np.arange(m), np.arange(m)] = deg
-    return SymmetricOperator(entries=_ro(a), kind=PATH_LATTICE,
+    i = np.arange(m - 1)
+    a[i, i + 1] = a[i + 1, i] = -1.0
+    # degrees from the edge list; -a.sum(axis=1) gives -0.0 for one point
+    a[np.arange(m), np.arange(m)] = np.bincount(np.concatenate([i, i + 1]),
+                                                minlength=m)
+    return SymmetricOperator(entries=_ro(a), kind=LAPLACIAN,
                              coords=_ro(coords.astype(np.int32)))
 
 
@@ -254,7 +253,7 @@ def _validate_spectrum(spec: Spectrum, tol: ToleranceConfig):
     if np.abs(gram).max(initial=0.0) > tol.orthonormality:
         raise SpectrumInvariantError("eigenvectors are not orthonormal")
     kind = spec.operator.kind
-    if kind in (LAPLACIAN, PATH_LATTICE):
+    if kind == LAPLACIAN:
         if abs(w[0]) > tol.spectrum_residual * scale:
             raise SpectrumInvariantError(
                 f"connected Laplacian must have lambda0 = 0, got {w[0]:.3e}")
@@ -265,6 +264,13 @@ def _validate_spectrum(spec: Spectrum, tol: ToleranceConfig):
         raise SpectrumInvariantError(
             "Hamiltonian ground state must be strictly positive "
             "(Perron-Frobenius) but has a non-positive component")
+
+
+def _source(op: SymmetricOperator) -> ConvexSubgraph:
+    """The subgraph `op` was built on; ValueError for a graphless one."""
+    if op.source is None:
+        raise ValueError("operator must come from a graph")
+    return op.source
 
 
 def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
@@ -286,17 +292,6 @@ def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
         if op.potential is not None:
             out = out + op.potential[col] * u
         return out
-    if op.kind == PATH_LATTICE:
-        m = u.shape[0]
-        deg = np.full(m, 2.0)
-        if m == 1:
-            deg[0] = 0.0
-        else:
-            deg[0] = deg[-1] = 1.0
-        out = deg[col] * u
-        out[:-1] -= u[1:]
-        out[1:] -= u[:-1]
-        return out
     if u.ndim == 2:     # one matvec per column keeps each column's bits
         return np.stack([op.entries @ u[:, j] for j in range(u.shape[1])],
                         axis=1)
@@ -313,14 +308,16 @@ class RayleighCertificate:
     ok: bool
 
 
-def rayleigh_gap_check(spec: Spectrum, op: SymmetricOperator,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> RayleighCertificate:
+def rayleigh_gap_check(spec: Spectrum) -> RayleighCertificate:
     """Certify the eigen-recurrence componentwise and the Rayleigh quotient.
 
     (i) every pair satisfies -lambda u(x) = sum_{y~x} (u(y) - u(x)) (plus the
     potential term for Hamiltonians), evaluated through adjacency sums;
     (ii) the quadratic-form Rayleigh quotient of u1 reproduces lambda1.
+    The operator is the spectrum's own, and the bars are
+    ``spec.tolerances.recurrence`` and ``.rayleigh``.
     """
+    op, tol = spec.operator, spec.tolerances
     worst = 0.0
     for lo in range(0, spec.dim, _CERT_BLOCK):
         u = spec.eigenvectors[:, lo:lo + _CERT_BLOCK]
@@ -349,7 +346,6 @@ def rayleigh_gap_check(spec: Spectrum, op: SymmetricOperator,
                                rayleigh_error=rq_err, ok=True)
 
 
-def _certificate(spec: Spectrum, tol: ToleranceConfig) -> RayleighCertificate:
-    """rayleigh_gap_check of the spectrum's own operator, kept per tol."""
-    return spec._derived(("certificate", tol),
-                         lambda: rayleigh_gap_check(spec, spec.operator, tol))
+def _certificate(spec: Spectrum) -> RayleighCertificate:
+    """rayleigh_gap_check of the spectrum, kept on it."""
+    return spec._derived("certificate", lambda: rayleigh_gap_check(spec))

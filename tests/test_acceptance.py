@@ -31,7 +31,7 @@ CERTIFIED = {"count": 0, "worst": 0.0}
 def eig(op):
     """Eigendecompose and certify the recurrence; counts toward criterion 8."""
     spec = eigendecompose(op)
-    cert = rayleigh_gap_check(spec, op)
+    cert = rayleigh_gap_check(spec)
     CERTIFIED["count"] += 1
     CERTIFIED["worst"] = max(CERTIFIED["worst"], cert.recurrence_residual)
     return spec
@@ -156,7 +156,7 @@ def test_criterion_4_thm3_soundness():
             else rng.uniform(0, 5, size=sub.n_vertices)
         spec = eig(dirichlet_hamiltonian(sub, w))
         try:
-            value, const = bound_thm3(sub, spec)
+            value, const = bound_thm3(spec)
         except BoundUnavailable:
             unavailable += 1
             continue
@@ -186,7 +186,7 @@ def test_criterion_5_thm4_soundness():
         w = rng.uniform(0, 5, size=sub.n_vertices)
         spec = eig(dirichlet_hamiltonian(sub, w))
         try:
-            value, _ = bound_thm4(sub, spec)
+            value, _ = bound_thm4(spec)
         except BoundUnavailable:
             continue
         evaluated += 1
@@ -264,7 +264,7 @@ def test_criterion_7_heat_mechanism():
                   spectrum=spec)
     decay = decay_rate_check(traj, mu=bound_thm1(4))
     assert decay.fitted_rate >= bound_thm1(4) - 1e-6
-    moc = mocheat_inequality_check(traj, sub)
+    moc = mocheat_inequality_check(traj)
     assert moc.ok and moc.checked > 0
 
     sub = gb.hypercube_instance(3)
@@ -273,9 +273,9 @@ def test_criterion_7_heat_mechanism():
     traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=spec)
     decay_q = decay_rate_check(traj, mu=2.0)
     assert decay_q.fitted_rate >= 2.0 - 1e-6
-    moc_q = mocheat_inequality_check(traj, sub)
+    moc_q = mocheat_inequality_check(traj)
     assert moc_q.ok
-    eta2 = eta2_contraction_check(traj, sub)
+    eta2 = eta2_contraction_check(traj)
     assert eta2.ok and eta2.checked > 0
 
     # stationary ratio identity on 50 random Hamiltonians
@@ -300,7 +300,7 @@ def test_criterion_7_heat_mechanism():
         worst = max(worst, resid)
         assert resid <= 1e-8, f"instance {i}"
         if i % 10 == 0:
-            cert = ratio_evolution_check(ham, spec, np.array([0.05, 0.2]))
+            cert = ratio_evolution_check(spec, np.array([0.05, 0.2]))
             assert cert.ok
     elapsed = time.perf_counter() - t0
     record_criterion(f"criterion 7 heat mechanism: PASS (rates "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,21 @@ import pytest
 
 from gapbound import moduli
 from gapbound.bounds import (bound_thm1, bound_thm2, bound_thm3, bound_thm4,
-                             bound_thm5, bound_thm6, is_hypercube,
-                             is_path_graph, verify_all)
+                             bound_thm5, bound_thm6, build_operator,
+                             is_hypercube, is_path_graph, verify_all)
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import HypothesisFailed, NotHypercube
 from gapbound.families import (cycle_instance, hypercube_instance,
                                path_instance, quadratic_potential)
 from gapbound.graphs import induce_subgraph
-from gapbound.moduli import ModulusOfConcavity, modulus_of_concavity
+from gapbound.moduli import (ModulusOfConcavity, _ground_eta,
+                             modulus_of_concavity)
 from gapbound.operators import dirichlet_hamiltonian, eigendecompose, laplacian
+
+
+def verify(sub, potential=None):
+    """verify_all on the spectrum of build_operator(sub, potential)."""
+    return verify_all(eigendecompose(build_operator(sub, potential)))
 
 
 def test_bound_thm1_values():
@@ -47,7 +54,7 @@ def test_not_hypercube_detection():
 def test_thm3_reduces_to_thm1_for_zero_potential():
     for sub in (path_instance(5), cycle_instance(7)):
         spec = eigendecompose(laplacian(sub))
-        value, const = bound_thm3(sub, spec)
+        value, const = bound_thm3(spec)
         assert abs(value - bound_thm1(sub.diameter_S)) <= 1e-12
 
 
@@ -55,7 +62,7 @@ def test_thm3_single_edge_hand_oracle():
     sub = path_instance(2)
     v = 2.3
     spec = eigendecompose(dirichlet_hamiltonian(sub, np.array([0.0, v])))
-    value, const = bound_thm3(sub, spec)
+    value, const = bound_thm3(spec)
     lam0 = (2 + v - math.sqrt(v * v + 4)) / 2
     r = 1 - lam0
     expected_c = (r + 1 / r) / 2
@@ -72,7 +79,7 @@ def test_thm3_soundness_random_paths(rng):
         spec = eigendecompose(ham)
         ref = np.linalg.eigvalsh(ham.entries)  # dense oracle
         assert abs(spec.gap - (ref[1] - ref[0])) <= 1e-10
-        value, _ = bound_thm3(sub, spec)
+        value, _ = bound_thm3(spec)
         assert value <= spec.gap + 1e-9
 
 
@@ -80,7 +87,7 @@ def test_thm4_zero_potential_matches_thm2():
     for n in (2, 3, 4):
         sub = hypercube_instance(n)
         spec = eigendecompose(laplacian(sub))
-        value, const = bound_thm4(sub, spec)
+        value, const = bound_thm4(spec)
         assert abs(value - 2.0) <= 1e-10
         assert abs(const.value - 1.0) <= 1e-12
 
@@ -92,7 +99,7 @@ def test_thm4_q2_example_against_dense_oracle():
     spec = eigendecompose(ham)
     ref = np.linalg.eigvalsh(ham.entries)
     assert abs(spec.gap - (ref[1] - ref[0])) <= 1e-10
-    value, _ = bound_thm4(sub, spec)
+    value, _ = bound_thm4(spec)
     assert value <= spec.gap + 1e-9
 
 
@@ -101,7 +108,7 @@ def test_thm4_soundness_random_q3(rng):
     for _ in range(15):
         w = rng.uniform(0, 5, size=8)
         spec = eigendecompose(dirichlet_hamiltonian(sub, w))
-        value, _ = bound_thm4(sub, spec)
+        value, _ = bound_thm4(spec)
         assert value <= spec.gap + 1e-9
 
 
@@ -170,7 +177,7 @@ def test_thm56_pipeline_on_convex_potential(rng):
 
 
 def test_verify_all_path_tight():
-    rep = verify_all(path_instance(5))
+    rep = verify(path_instance(5))
     rec = rep.record("thm1")
     assert rec.applicable and rec.holds
     assert abs(rec.slack) <= 1e-9
@@ -180,7 +187,7 @@ def test_verify_all_path_tight():
 
 
 def test_verify_all_hypercube_tight():
-    rep = verify_all(hypercube_instance(4))
+    rep = verify(hypercube_instance(4))
     rec = rep.record("thm2")
     assert rec.applicable and rec.holds
     assert abs(rec.slack) <= 1e-9
@@ -192,7 +199,7 @@ def test_verify_all_hypercube_tight():
 
 
 def test_verify_all_cycle_sound():
-    rep = verify_all(cycle_instance(6))
+    rep = verify(cycle_instance(6))
     rec = rep.record("thm1")
     assert abs(rep.gap - 1.0) <= 1e-10  # cycle oracle: 2(1 - cos(2 pi/6))
     assert rec.bound <= rep.gap + 1e-9
@@ -203,7 +210,7 @@ def test_verify_all_cycle_sound():
 def test_verify_all_report_invariants(rng):
     sub = path_instance(7)
     w = rng.uniform(0, 5, size=7)
-    rep = verify_all(sub, w)
+    rep = verify(sub, w)
     tol_verify = 1e-9 * max(1.0, rep.gap)
     for rec in rep.records:
         if rec.applicable and rec.bound is not None:
@@ -225,7 +232,7 @@ def test_verify_all_soundness_sweep(rng):
         else:
             sub = hypercube_instance(int(rng.integers(1, 4)))
         w = rng.uniform(0, 4, size=sub.n_vertices) if rng.random() < 0.6 else None
-        rep = verify_all(sub, w)
+        rep = verify(sub, w)
         for rec in rep.records:
             if rec.applicable and rec.bound is not None:
                 assert rec.slack >= -1e-9, (kind, rec)
@@ -254,14 +261,14 @@ def test_verify_all_shares_one_scan_per_eigenvector(n, potential, monkeypatch):
         passes.append(eta)
         return real(eta)
     monkeypatch.setattr(moduli, "_extremal", spy)
-    report = verify_all(sub, potential, spectrum=spec)
+    report = verify_all(spec)
     basis = list(spec.gap_indices)
     assert len(passes) == len(basis) == (n if potential is None else 1)
     assert len({id(eta) for eta in passes}) == len(basis)
 
     for name, bound in (("thm3", bound_thm3), ("thm4", bound_thm4)):
         rec = report.record(name)
-        standalone = [bound(sub, spec, which=which) for which in basis]
+        standalone = [bound(spec, which=which) for which in basis]
         values = [v for v, _ in standalone]
         assert np.array(rec.detail["bounds_per_eigenvector"]).tobytes() == \
             np.array(values).tobytes()
@@ -275,20 +282,28 @@ def test_verify_all_shares_one_scan_per_eigenvector(n, potential, monkeypatch):
         assert rec.detail["skipped_pairs"] == best.skipped.shape[0]
 
 
-def test_verify_all_rejects_a_spectrum_of_another_instance():
-    sub = path_instance(6)
-    spec = eigendecompose(dirichlet_hamiltonian(sub, "boundary"))
-    verify_all(sub, "boundary", spectrum=spec)
-    # an equal subgraph built anew is another instance
-    with pytest.raises(ValueError, match="another subgraph"):
-        verify_all(path_instance(6), "boundary", spectrum=spec)
-    w = np.arange(6.0)
-    for potential in (None, w, np.zeros(6), [1.0] * 5):
-        with pytest.raises(ValueError, match="another potential"):
-            verify_all(sub, potential, spectrum=spec)
-    spec_w = eigendecompose(dirichlet_hamiltonian(sub, w))
-    verify_all(sub, list(w), spectrum=spec_w)
-    with pytest.raises(ValueError, match="another potential"):
-        verify_all(sub, "boundary", spectrum=spec_w)
-    with pytest.raises(ValueError, match="another potential"):
-        verify_all(sub, w, spectrum=eigendecompose(laplacian(sub)))
+def lowered_gap_spectrum(**overrides):
+    """path(6) Laplacian spectrum with lambda1 lowered by 1e-6, under
+    certificate bars that admit the shift, so the tight Theorem 1 bound
+    exceeds the gap by about 1e-6."""
+    tol = DEFAULT_TOL.with_overrides(recurrence=1e-5, rayleigh=1e-5,
+                                     **overrides)
+    spec = eigendecompose(laplacian(path_instance(6)), tol)
+    w = spec.eigenvalues.copy()
+    w[1] -= 1e-6
+    return dataclasses.replace(spec, eigenvalues=w)
+
+
+def test_verify_all_reads_the_spectrum_tolerances():
+    spec = lowered_gap_spectrum(verify_factor=1e-5, tie_factor=1e-4)
+    report = verify_all(spec)
+    assert report.tolerances == spec.tolerances.as_dict()
+    thm1 = report.record("thm1")
+    assert -1e-5 <= thm1.slack < 0 and thm1.holds
+    assert not verify_all(lowered_gap_spectrum()).record("thm1").holds
+    eta = _ground_eta(spec)
+    assert eta.tie_tol == 1e-4 * max(1.0, abs(eta.values[-1]))
+    verify_all(spec)
+    # one entry per quantity, not one per tolerance set
+    assert set(spec._cache) == {"ground_state", "certificate", "ratio", "eta",
+                                "log_concavity", "omega"}

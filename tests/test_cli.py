@@ -206,8 +206,8 @@ def counted_sweep(monkeypatch, tmp_path, threads, lo, hi, large_barrier=None):
     active = set()
     overlaps = {}
 
-    def counted(sub, *args, **kwargs):
-        n = sub.n_vertices
+    def counted(spec):
+        n = spec.dim
         assert threading.current_thread() is not threading.main_thread()
         with lock:
             overlaps[n] = set(active)
@@ -217,7 +217,7 @@ def counted_sweep(monkeypatch, tmp_path, threads, lo, hi, large_barrier=None):
                 time.sleep(0.01)    # releases the GIL: a chance to overlap
             elif large_barrier is not None:
                 large_barrier.wait()
-            return real(sub, *args, **kwargs)
+            return real(spec)
         finally:
             with lock:
                 active.discard(n)
@@ -330,12 +330,20 @@ def test_tolerance_values_must_be_numbers(tmp_path, capsys):
 
 
 def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
-    spec = write_spec(tmp_path / "s.json",
-                      instance={"family": {"name": "path", "n": 4}},
-                      tolerances={"eig_max_sweeps": 100})
-    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown tolerance fields: ['eig_max_sweeps']" in \
-        capsys.readouterr().err
+    # removed fields: the solver's, and four heat bars that nothing read
+    for field in ("eig_max_sweeps", "mass_conservation", "semigroup",
+                  "reconstruction", "euler_vs_spectral"):
+        spec = write_spec(tmp_path / "s.json",
+                          instance={"family": {"name": "path", "n": 4}},
+                          tolerances={field: 100})
+        out = tmp_path / "o"
+        assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"unknown tolerance fields: [{field!r}]" in \
+            capsys.readouterr().err
+        assert main(sweep_args("path", 2, 3, out, "--tol",
+                               json.dumps({field: 1e-6}))) == 2
+        assert f"unknown tolerance fields: [{field!r}]" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields,message", [

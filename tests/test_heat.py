@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gapbound.bounds import bound_thm1
+from gapbound.bounds import bound_thm1, bound_thm3, bound_thm4, verify_all
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import CertificateFailure, InsufficientSpan, UnstableStep
 from gapbound.families import (cycle_instance, hypercube_instance,
@@ -144,7 +144,7 @@ def test_mocheat_constant_initial_state():
     sub = path_instance(5)
     lap = laplacian(sub)
     traj = evolve(lap, np.ones(5), np.array([0.0, 0.5, 1.0]))
-    cert = mocheat_inequality_check(traj, sub)
+    cert = mocheat_inequality_check(traj)
     assert cert.ok
 
 
@@ -154,7 +154,7 @@ def test_mocheat_five_path():
     spec = eigendecompose(lap)
     traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
                   spectrum=spec)
-    cert = mocheat_inequality_check(traj, sub)
+    cert = mocheat_inequality_check(traj)
     assert cert.ok and cert.checked > 0
 
 
@@ -177,7 +177,7 @@ def test_mocheat_failure_witness(n, slow, extra, s, t, message):
     traj = evolve(lap, phi0, default_times(spec.gap),
                   spectrum=dataclasses.replace(spec, eigenvalues=w))
     with pytest.raises(CertificateFailure) as exc:
-        mocheat_inequality_check(traj, sub)
+        mocheat_inequality_check(traj)
     assert str(exc.value) == message
     assert exc.value.witness[0] == s
     assert exc.value.witness[1] in traj.times
@@ -189,7 +189,7 @@ def test_eta2_contraction_q3():
     lap = laplacian(sub)
     spec = eigendecompose(lap)
     traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=spec)
-    cert = eta2_contraction_check(traj, sub)
+    cert = eta2_contraction_check(traj)
     assert cert.ok and cert.checked > 0
 
 
@@ -223,7 +223,7 @@ def test_ratio_evolution_zero_potential():
     lap = laplacian(sub)
     ham = dirichlet_hamiltonian(sub, np.zeros(4))
     spec = eigendecompose(ham)
-    cert = ratio_evolution_check(ham, spec, default_times(spec.gap)[1:6])
+    cert = ratio_evolution_check(spec, default_times(spec.gap)[1:6])
     assert cert.ok
     assert cert.stationary_residual <= 1e-8
 
@@ -234,7 +234,7 @@ def test_ratio_evolution_single_edge_closed_form():
     spec = eigendecompose(ham)
     # closed form: gamma = sqrt(5)
     assert abs(spec.gap - math.sqrt(5.0)) <= 1e-12
-    cert = ratio_evolution_check(ham, spec, np.array([0.05, 0.2, 0.6]))
+    cert = ratio_evolution_check(spec, np.array([0.05, 0.2, 0.6]))
     assert cert.ok
 
 
@@ -244,7 +244,7 @@ def test_ratio_evolution_random_paths(rng):
         sub = path_instance(n)
         ham = dirichlet_hamiltonian(sub, rng.uniform(0, 4, size=n))
         spec = eigendecompose(ham)
-        cert = ratio_evolution_check(ham, spec, np.array([0.1, 0.4]))
+        cert = ratio_evolution_check(spec, np.array([0.1, 0.4]))
         assert cert.ok
         assert cert.stationary_residual <= 1e-8
 
@@ -298,6 +298,7 @@ def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
 
 
 def ref_eta2(traj, sub, tol=DEFAULT_TOL):
+    """(checked, worst_margin) of the per-state loop; raises like the check."""
     spec = traj.spectrum
     s2 = min(2, sub.diameter_S)
     dt = ref_default_dt(spec)
@@ -311,6 +312,9 @@ def ref_eta2(traj, sub, tol=DEFAULT_TOL):
         deta = (vals[3] - vals[1]) / (2 * dt)
         third = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * dt ** 3)
         margin = -2.0 * vals[2] + abs(third) * dt * dt / 6.0 * 4.0 + 1e-12 - deta
+        if margin < 0:
+            raise CertificateFailure(
+                f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
         checked += 1
         worst = min(worst, margin)
     return checked, worst if checked else 0.0
@@ -369,19 +373,19 @@ def test_heat_matches_per_state_reference(name):
         assert eta.values.tobytes() == want.values.tobytes()
         assert float_bits(eta.tie_tol) == float_bits(want.tie_tol)
 
-    cert = mocheat_inequality_check(traj, sub)
+    cert = mocheat_inequality_check(traj)
     checked, worst = ref_mocheat(traj, sub)
     assert cert.checked == checked > 0
     assert float_bits(cert.worst_margin) == float_bits(worst)
 
     if name.startswith("Q"):      # the eta(2) certificate is hypercube-local
-        cert = eta2_contraction_check(traj, sub)
+        cert = eta2_contraction_check(traj)
         checked, worst = ref_eta2(traj, sub)
         assert cert.checked == checked > 0
         assert float_bits(cert.worst_margin) == float_bits(worst)
 
     if pot is not None:
-        cert = ratio_evolution_check(op, spec, times[1:8])
+        cert = ratio_evolution_check(spec, times[1:8])
         assert float_bits(cert.evolution_residual) == \
             float_bits(ref_ratio_residual(op, spec, times[1:8]))
 
@@ -401,7 +405,22 @@ def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
     with pytest.raises(CertificateFailure) as want:
         ref_mocheat(traj, sub)
     with pytest.raises(CertificateFailure) as got:
-        mocheat_inequality_check(traj, sub)
+        mocheat_inequality_check(traj)
+    assert str(got.value) == str(want.value)
+    assert got.value.witness == want.value.witness
+
+
+def test_eta2_failure_matches_per_state_reference():
+    # Q3 with every eigenvalue halved: eta(2) decays too slowly
+    sub = hypercube_instance(3)
+    lap = laplacian(sub)
+    spec = eigendecompose(lap)
+    slow = dataclasses.replace(spec, eigenvalues=0.5 * spec.eigenvalues)
+    traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=slow)
+    with pytest.raises(CertificateFailure) as want:
+        ref_eta2(traj, sub)
+    with pytest.raises(CertificateFailure) as got:
+        eta2_contraction_check(traj)
     assert str(got.value) == str(want.value)
     assert got.value.witness == want.value.witness
 
@@ -416,10 +435,20 @@ def test_spectrum_of_another_operator_rejected():
     times = default_times(spec_lap.gap)
     with pytest.raises(ValueError, match="another operator"):
         evolve(lap, np.ones(5), times, spectrum=spec_ham)
-    with pytest.raises(ValueError, match="another operator"):
-        ratio_evolution_check(ham, spec_lap, times[1:8])
     # an operator with the same entries is the same operator
     traj = evolve(laplacian(sub), np.ones(5), times, spectrum=spec_lap)
     assert np.allclose(traj.states.sum(axis=1), 5.0, atol=1e-12)
-    ratio_evolution_check(dirichlet_hamiltonian(sub, "boundary"), spec_ham,
-                          times[1:8])
+
+
+def test_graphless_operator_is_a_named_error():
+    lattice = path_lattice_laplacian(3, "odd")
+    spec = eigendecompose(lattice)
+    times = default_times(spec.gap)
+    traj = evolve(lattice, spec.vector(1), times, spectrum=spec)
+    for check in (mocheat_inequality_check, eta2_contraction_check):
+        with pytest.raises(ValueError, match="operator must come from a graph"):
+            check(traj)
+    for analysis in (verify_all, bound_thm3, bound_thm4,
+                     lambda spec: ratio_evolution_check(spec, times[1:8])):
+        with pytest.raises(ValueError, match="operator must come from a graph"):
+            analysis(spec)

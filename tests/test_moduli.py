@@ -188,7 +188,7 @@ def test_c_u0_is_one_for_zero_potential():
         spec = eigendecompose(laplacian(sub))
         ratio = RatioFunction.from_spectrum(spec, sub)
         eta = modulus_of_continuity(ratio.f, sub)
-        const = c_u0(ratio, extremal_pairs(eta), sub)
+        const = c_u0(ratio, extremal_pairs(eta))
         assert abs(const.value - 1.0) <= 1e-12
 
 
@@ -203,7 +203,7 @@ def test_c_u0_single_edge_hand_oracle():
     assert abs(spec.lambda0 - lam0) <= 1e-12
     ratio = RatioFunction.from_spectrum(spec, sub)
     eta = modulus_of_continuity(ratio.f, sub)
-    const = c_u0(ratio, extremal_pairs(eta), sub)
+    const = c_u0(ratio, extremal_pairs(eta))
     r = 1 - lam0
     assert abs(const.value - (r + 1 / r) / 2) <= 1e-10
     # Theorem-3 soundness on this instance: gamma >= 2 C
@@ -217,7 +217,7 @@ def test_c_u0_four_path_brute_oracle():
     ratio = RatioFunction.from_spectrum(spec, sub)
     eta = modulus_of_continuity(ratio.f, sub)
     xi = extremal_pairs(eta)
-    const = c_u0(ratio, xi, sub)
+    const = c_u0(ratio, xi)
 
     # independent evaluation straight from the definition
     gens_nbrs = sub.nbr_local
@@ -248,7 +248,7 @@ def test_c_u0_empty_after_skips():
     ratio = RatioFunction.from_vectors(u0, u0, sub)  # constant f: all dens 0
     eta = modulus_of_continuity(ratio.f, sub)
     with pytest.raises(EmptyAfterSkips):
-        c_u0(ratio, extremal_pairs(eta), sub)
+        c_u0(ratio, extremal_pairs(eta))
 
 
 def test_c_u0_distance_le_2_restriction():
@@ -258,8 +258,7 @@ def test_c_u0_distance_le_2_restriction():
     spec = eigendecompose(ham)
     ratio = RatioFunction.from_spectrum(spec, sub)
     eta = modulus_of_continuity(ratio.f, sub)
-    const = c_u0(ratio, extremal_pairs(eta), sub, restrict="distance_le_2",
-                 eta=eta)
+    const = c_u0(ratio, eta.achievers[2])
     for y, x in const.pairs:
         assert 0 < sub.dist_S[y, x] <= 2
         assert ratio.f[y] - ratio.f[x] >= eta.values[2] - eta.tie_tol
@@ -638,7 +637,7 @@ def test_omega_achievers_are_built_on_first_read(monkeypatch):
                         lambda omega: pytest.fail("achievers built"))
     g = np.log(spec.ground_state)
     omega = modulus_of_concavity(g, sub)
-    verify_all(sub, "boundary", spectrum=spec)
+    verify_all(spec)
     kept = moduli._ground_omega(spec)
     monkeypatch.setattr(moduli, "_omega_achievers", real)
     for om in (omega, kept):
