@@ -97,7 +97,9 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
     """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid.
 
     A given `spectrum` must be one of `op` (built from it, or from an
-    operator with the same entries), else ValueError."""
+    operator with the same entries), else ValueError. The eta series of a
+    spectral trajectory reads the tolerances of its spectrum; `tol` builds
+    the spectrum when none is given, and sets those of an Euler one."""
     phi0 = np.asarray(phi0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if (times < 0).any() or (np.diff(times) <= 0).any():
@@ -139,7 +141,8 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
 
     eta_series = None
     if op.source is not None:
-        eta_series = _moduli(states, op.source, tol)
+        eta_series = _moduli(states, op.source,
+                             tol if spec is None else spec.tolerances)
     return HeatTrajectory(operator=op, times=times, states=states,
                           method=method, eta_series=eta_series, spectrum=spec)
 
@@ -157,10 +160,13 @@ def decay_rate_check(traj: HeatTrajectory, mu: float,
     """Fit the decay exponent of |eta|(t) and certify rate >= mu - margin.
 
     The trajectory must span at least three decades of decay; the fit is
-    log-linear least squares on the l2 norm of the modulus table.
+    log-linear least squares on the l2 norm of the modulus table. The margin
+    is that of the trajectory's spectrum; `tol` gives it for an Euler one.
     """
     if traj.eta_series is None:
         raise ValueError("trajectory has no modulus series (no graph source)")
+    if traj.spectrum is not None:
+        tol = traj.spectrum.tolerances
     norms = np.array([np.linalg.norm(e.values[1:]) for e in traj.eta_series])
     keep = norms > 0
     if keep.sum() < 3:

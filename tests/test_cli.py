@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gapbound import bounds, cli, moduli, operators
-from gapbound.cli import main, write_eta_csv
+from gapbound.cli import main, write_eta_csv, write_spectrum_csv
 from gapbound.config import DEFAULT_TOL
 from gapbound.families import path_instance
 from gapbound.heat import default_times, evolve
@@ -269,10 +270,11 @@ def test_sweep_has_no_analyses_option(tmp_path, capsys):
 
 
 def test_bad_thread_count_fails_before_any_size(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GAPBOUND_THREADS", "abc")
     monkeypatch.setattr(cli, "verify_all", lambda *a, **k: pytest.fail("ran"))
-    assert main(sweep_args("path", 2, 4, tmp_path / "out")) == 2
-    assert "GAPBOUND_THREADS" in capsys.readouterr().err
+    for threads in ("abc", "0", "-3"):
+        monkeypatch.setenv("GAPBOUND_THREADS", threads)
+        assert main(sweep_args("path", 2, 4, tmp_path / "out")) == 2
+        assert "GAPBOUND_THREADS" in capsys.readouterr().err
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -449,6 +451,85 @@ def test_eta_csv_matches_per_value_writer(tmp_path):
                          f"{format(float(eta.values[s]), '.17g')}")
     write_eta_csv(tmp_path / "eta.csv", traj.times, traj.eta_series)
     assert (tmp_path / "eta.csv").read_text() == "\n".join(lines) + "\n"
+
+
+class Series:
+    """A hand-built eta sample: all the writer reads is `.values`."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e17,
+               1e-4, 1e-5, 0.0, 1.0, 3.0, 100.0, 2.0 ** 53, 1 / 3, -2.5e-7]
+
+
+def reference_eta_csv(times, eta_series):
+    lines = ["s,t,eta"]
+    for t, eta in zip(times, eta_series):
+        for s in range(1, eta.values.size):
+            lines.append(f"{s},{format(float(t), '.17g')},"
+                         f"{format(float(eta.values[s]), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d,samples", [(1, 3), (160, 4), (160, 1), (7, 0)])
+def test_writers_match_per_value_format_on_edge_values(tmp_path, d, samples):
+    # D = 160 holds every edge value; each sample is the pool rolled by one
+    pool = np.resize(EDGE_VALUES + [1234.5678, -0.1, 7e-300], d + 1)
+    times = np.resize(EDGE_VALUES, samples)
+    series = [Series(np.roll(pool, k)) for k in range(samples)]
+    write_eta_csv(tmp_path / "eta.csv", times, series)
+    assert (tmp_path / "eta.csv").read_text() == \
+        reference_eta_csv(times, series)
+
+    eigenvalues = pool[::-1]
+    write_spectrum_csv(tmp_path / "spectrum.csv",
+                       type("Spec", (), {"eigenvalues": eigenvalues}))
+    want = ["index,eigenvalue"] + [f"{i},{format(float(w), '.17g')}"
+                                   for i, w in enumerate(eigenvalues)]
+    assert (tmp_path / "spectrum.csv").read_text() == "\n".join(want) + "\n"
+
+
+def call_main(argv, capsys):
+    """Exit code, stdout, stderr and output files of one main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    out_dir = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    files = {} if out_dir is None or not out_dir.is_dir() else \
+        {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+    return code, out, err, files
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 5}},
+                      potential="boundary", analyses=ALL_ANALYSES)
+
+    def argv(name, out):
+        common = ["--spec", str(spec), "--out", str(out)]
+        return {"run-tol": ["run", *common, "--tol", '{"tie_factor": 1e-3}'],
+                "run": ["run", *common], "verify": ["verify", *common],
+                "sweep": sweep_args("path", 2, 4, out),
+                "invalid": ["run", "--spec", str(spec), "--bogus"]}[name]
+
+    names = ["run-tol", "run", "verify", "run", "sweep", "run", "invalid",
+             "run"]
+    fresh = {}
+    for name in set(names):
+        cli._parser.cache_clear()
+        fresh[name] = call_main(argv(name, tmp_path / "fresh" / name), capsys)
+    assert fresh["invalid"][0] == 2
+    assert fresh["run-tol"][3]["report.json"] != fresh["run"][3]["report.json"]
+
+    cli._parser.cache_clear()
+    for i, name in enumerate(names):
+        got = call_main(argv(name, tmp_path / "seq" / f"{i}-{name}"), capsys)
+        assert got == fresh[name], (i, name)
+    assert cli._parser.cache_info().misses == 1
 
 
 # instances whose per-instance quantities every analysis reads

@@ -452,3 +452,27 @@ def test_graphless_operator_is_a_named_error():
                      lambda spec: ratio_evolution_check(spec, times[1:8])):
         with pytest.raises(ValueError, match="operator must come from a graph"):
             analysis(spec)
+
+
+def test_spectral_trajectory_reads_its_spectrum_tolerances():
+    # tie_tol and the decay margin follow the spectrum's tolerances, not
+    # the defaults of evolve's and decay_rate_check's own `tol`
+    sub = path_instance(6)
+    lap = laplacian(sub)
+    tol = DEFAULT_TOL.with_overrides(tie_factor=1e-3, decay_margin=-10.0)
+    spec = eigendecompose(lap, tol)
+    times = default_times(spec.gap)
+    traj = evolve(lap, spec.vector(1), times, spectrum=spec)
+    for eta in traj.eta_series:
+        assert eta.tie_tol == 1e-3 * max(1.0, abs(eta.values[-1]))
+    assert traj.eta_series[0].tie_tol >= 1e-3
+    with pytest.raises(CertificateFailure, match="mu - margin"):
+        decay_rate_check(traj, mu=bound_thm1(sub.diameter_S))
+    # an Euler trajectory has no spectrum and keeps the explicit tol
+    euler = evolve(lap, spec.vector(1), times, method="euler", tol=tol)
+    assert euler.spectrum is None
+    assert [e.tie_tol for e in euler.eta_series] == \
+        [1e-3 * max(1.0, abs(e.values[-1])) for e in euler.eta_series]
+    assert decay_rate_check(euler, mu=bound_thm1(sub.diameter_S)).ok
+    with pytest.raises(CertificateFailure, match="mu - margin"):
+        decay_rate_check(euler, mu=bound_thm1(sub.diameter_S), tol=tol)
