@@ -82,11 +82,10 @@ def bound_thm4(spec: Spectrum, which: int = 1):
 def _ratio_scan(spec, which):
     """f = u_which / u0 and its modulus, shared by Theorems 3 and 4 (the
     modulus caches its extremal scan, the ratio its vertex sums)."""
-    sub = _source(spec.operator)
     if which == 1:
         return _ground_ratio(spec), _ground_eta(spec)
-    ratio = RatioFunction.from_spectrum(spec, sub, which=which)
-    return ratio, modulus_of_continuity(ratio.f, sub, spec.tolerances)
+    ratio = RatioFunction.from_spectrum(spec, which=which)
+    return ratio, modulus_of_continuity(ratio.f, ratio.sub, spec.tolerances)
 
 
 def _thm3(ratio, eta, tol):

@@ -50,19 +50,29 @@ _JSON_TYPES = {"object": dict, "list": list, "integer": int,
                "number": (int, float)}
 
 
+def _problem(value, kind):
+    """None if ``value`` is a JSON ``kind``, else what it must be. `json`
+    also reads NaN, Infinity and integers beyond the float range as
+    numbers; a number must be finite."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        return f"a JSON {kind}"
+    if kind == "number" and not abs(value) <= sys.float_info.max:
+        return "finite"
+    return None
+
+
 def _typed(value, kind, where):
     """``value`` if it is a JSON ``kind`` (object, list, integer or number)."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise SpecValidationError(f"{where} must be a JSON {kind}, "
-                                  f"got {value!r}")
+    problem = _problem(value, kind)
+    if problem:
+        raise SpecValidationError(f"{where} must be {problem}, got {value!r}")
     return value
 
 
 def _typed_list(values, kind, where):
     """``values`` if it is a JSON list whose every entry is a JSON ``kind``."""
-    types = _JSON_TYPES[kind]
     for i, v in enumerate(_typed(values, "list", where)):
-        if isinstance(v, bool) or not isinstance(v, types):
+        if _problem(v, kind):
             _typed(v, kind, f"{where}[{i}]")
     return values
 
@@ -151,7 +161,7 @@ def _build_potential(sub, pot):
 
 def load_spec(path):
     with open(path) as fh:
-        spec = json.load(fh)
+        spec = _typed(json.load(fh), "object", "spec")
     _require_keys(spec, {"schema", "instance", "potential", "analyses",
                          "tolerances"}, "spec")
     if spec.get("schema") != SCHEMA:
@@ -196,8 +206,9 @@ def _fmt(x: float) -> str:
     return format(float(x), _G17)
 
 
-def write_eta_csv(path: Path, times, eta_series):
-    """One ``s,t,eta`` line per s = 1..D and sample time.
+def write_eta_csv(path: Path, times, etas):
+    """One ``s,t,eta`` line per s = 1..D and sample time; `etas` holds one
+    eta(0..D) row per time.
 
     A sample's D lines are one template, with the time's digits in place
     of ``@``, formatted by one ``%`` over eta(1..D); ``%`` and `_fmt` give
@@ -205,8 +216,8 @@ def write_eta_csv(path: Path, times, eta_series):
     """
     rows = ["s,t,eta\n"]
     template = None
-    for t, eta in zip(times, eta_series):
-        values = eta.values.tolist()[1:]
+    for t, row in zip(times, etas):
+        values = row.tolist()[1:]
         if template is None:
             template = "".join(f"{s},@,%{_G17}\n"
                                for s in range(1, len(values) + 1))
@@ -297,7 +308,7 @@ def run_instance(spec, analyses, tol, out_dir: Path):
                 heat_info["ratio"] = {"ok": False, "error": str(exc)}
                 failures.append(f"ratio certificate: {exc}")
         report["heat"] = heat_info
-        write_eta_csv(out_dir / "eta_series.csv", traj.times, traj.eta_series)
+        write_eta_csv(out_dir / "eta_series.csv", traj.times, traj.etas)
 
     report["failures"] = failures
     report["ok"] = not failures

@@ -4,6 +4,7 @@ Every numeric tolerance used by the toolkit lives here so reports can echo
 the exact record they were produced under.
 """
 
+import sys
 from dataclasses import asdict, dataclass, replace
 
 
@@ -31,6 +32,11 @@ class ToleranceConfig:
         for key, value in kwargs.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"tolerance {key} must be a number, "
+                                 f"got {value!r}")
+            # json reads NaN, Infinity and integers beyond the float range,
+            # which would switch a check off
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"tolerance {key} must be finite, "
                                  f"got {value!r}")
         return replace(self, **kwargs)
 

@@ -12,10 +12,11 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL
 from .errors import CertificateFailure, InsufficientSpan, UnstableStep
-from .graphs import ConvexSubgraph
-from .moduli import RatioFunction, _eta_block, _ground_ratio, _moduli
+from .graphs import ConvexSubgraph, _ro
+from .moduli import (_NOT_POSITIVE, _difference_sums, _eta_block,
+                     _ground_ratio, _lead_positive)
 from .operators import (Spectrum, SymmetricOperator, _source, eigendecompose,
                         path_lattice_laplacian)
 
@@ -26,14 +27,14 @@ class HeatTrajectory:
     times: np.ndarray
     states: np.ndarray            # (len(times), dim)
     method: str
-    eta_series: Optional[list]    # ModulusOfContinuity per sample, if graphed
+    etas: Optional[np.ndarray]    # (len(times), D + 1) eta(s) rows, if graphed
     spectrum: Optional[Spectrum]
 
 
-def default_times(lambda1: float, samples: int = 64) -> np.ndarray:
-    """0 followed by log-spaced samples out to 10/lambda1."""
+def default_times(lambda1: float) -> np.ndarray:
+    """0 followed by 63 log-spaced samples out to 10/lambda1."""
     horizon = 10.0 / lambda1
-    grid = np.geomspace(horizon / 1000.0, horizon, samples - 1)
+    grid = np.geomspace(horizon / 1000.0, horizon, 63)
     return np.concatenate([[0.0], grid])
 
 
@@ -82,24 +83,26 @@ def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
     return kept, states.reshape(len(kept), len(offsets), phi0.size)
 
 
-def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph, dt: float):
+def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
     """The sample times t >= 2 dt, and eta(s), s = 0..D, of the trajectory's
-    state at t + k dt for k = -2..2, (len(kept), 5, D + 1)."""
+    state at t + k dt for k = -2..2, (len(kept), 5, D + 1); dt is
+    `_default_dt` of the trajectory's spectrum."""
+    dt = _default_dt(traj.spectrum)
     kept, states = _offset_states(traj.spectrum, traj.states[0], traj.times, dt)
     etas = _eta_block(states.reshape(-1, sub.n_vertices), sub)
-    return kept, etas.reshape(len(kept), len(_OFFSETS), sub.diameter_S + 1)
+    return dt, kept, etas.reshape(len(kept), len(_OFFSETS),
+                                  sub.diameter_S + 1)
 
 
 def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
            dt: Optional[float] = None,
-           spectrum: Optional[Spectrum] = None,
-           tol: ToleranceConfig = DEFAULT_TOL) -> HeatTrajectory:
+           spectrum: Optional[Spectrum] = None) -> HeatTrajectory:
     """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid.
 
     A given `spectrum` must be one of `op` (built from it, or from an
-    operator with the same entries), else ValueError. The eta series of a
-    spectral trajectory reads the tolerances of its spectrum; `tol` builds
-    the spectrum when none is given, and sets those of an Euler one."""
+    operator with the same entries), else ValueError; without one the
+    spectral method builds it under the default tolerances. `dt` is the
+    Euler step. On a graph, `etas` holds eta(s), s = 0..D, of each state."""
     phi0 = np.asarray(phi0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if (times < 0).any() or (np.diff(times) <= 0).any():
@@ -111,7 +114,7 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
         raise ValueError("spectrum was built from another operator")
 
     if method == "spectral":
-        spec = spectrum if spectrum is not None else eigendecompose(op, tol)
+        spec = spectrum if spectrum is not None else eigendecompose(op)
         states = _spectral_states(spec, phi0, times)
     elif method == "euler":
         lam_max = gershgorin_max(op)
@@ -139,12 +142,9 @@ def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    eta_series = None
-    if op.source is not None:
-        eta_series = _moduli(states, op.source,
-                             tol if spec is None else spec.tolerances)
+    etas = None if op.source is None else _ro(_eta_block(states, op.source))
     return HeatTrajectory(operator=op, times=times, states=states,
-                          method=method, eta_series=eta_series, spectrum=spec)
+                          method=method, etas=etas, spectrum=spec)
 
 
 @dataclass(frozen=True)
@@ -155,19 +155,17 @@ class DecayCertificate:
     ok: bool
 
 
-def decay_rate_check(traj: HeatTrajectory, mu: float,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> DecayCertificate:
+def decay_rate_check(traj: HeatTrajectory, mu: float) -> DecayCertificate:
     """Fit the decay exponent of |eta|(t) and certify rate >= mu - margin.
 
     The trajectory must span at least three decades of decay; the fit is
     log-linear least squares on the l2 norm of the modulus table. The margin
-    is that of the trajectory's spectrum; `tol` gives it for an Euler one.
+    is that of the trajectory's spectrum, or the default for an Euler one.
     """
-    if traj.eta_series is None:
+    if traj.etas is None:
         raise ValueError("trajectory has no modulus series (no graph source)")
-    if traj.spectrum is not None:
-        tol = traj.spectrum.tolerances
-    norms = np.array([np.linalg.norm(e.values[1:]) for e in traj.eta_series])
+    tol = DEFAULT_TOL if traj.spectrum is None else traj.spectrum.tolerances
+    norms = np.array([np.linalg.norm(row[1:]) for row in traj.etas])
     keep = norms > 0
     if keep.sum() < 3:
         raise InsufficientSpan("fewer than 3 samples with nonzero modulus")
@@ -210,8 +208,7 @@ def _margins(etas, rhs, dt: float) -> np.ndarray:
     return rhs + tol_dt - deta
 
 
-def mocheat_inequality_check(traj: HeatTrajectory,
-                             dt: Optional[float] = None) -> InequalityCertificate:
+def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Certify d(eta)/dt <= -L_P eta on the parity lattice at each sample.
 
     eta is the modulus over the trajectory operator's subgraph, whose
@@ -220,7 +217,6 @@ def mocheat_inequality_check(traj: HeatTrajectory,
     sub = _source(traj.operator)
     if traj.spectrum is None:
         raise ValueError("certificate needs a spectral trajectory")
-    spec = traj.spectrum
     d = sub.diameter_S
     if d < 1:
         return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
@@ -229,10 +225,8 @@ def mocheat_inequality_check(traj: HeatTrajectory,
     coords = lattice.coords
     lp = lattice.entries
     pos = coords > 0
-    if dt is None:
-        dt = _default_dt(spec)
 
-    kept, etas = _offset_etas(traj, sub, dt)
+    dt, kept, etas = _offset_etas(traj, sub)
     # eta.table()[coords + D] for every state: eta(|s|) with the sign of s
     lattice_etas = np.where(coords < 0, -etas[..., np.abs(coords)],
                             etas[..., np.abs(coords)])
@@ -252,18 +246,15 @@ def mocheat_inequality_check(traj: HeatTrajectory,
                                  ok=True)
 
 
-def eta2_contraction_check(traj: HeatTrajectory,
-                           dt: Optional[float] = None) -> InequalityCertificate:
+def eta2_contraction_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
     eta over the trajectory operator's subgraph; see `_margins`."""
     sub = _source(traj.operator)
     if traj.spectrum is None:
         raise ValueError("certificate needs a spectral trajectory")
     s2 = min(2, sub.diameter_S)
-    if dt is None:
-        dt = _default_dt(traj.spectrum)
 
-    kept, etas = _offset_etas(traj, sub, dt)
+    dt, kept, etas = _offset_etas(traj, sub)
     eta2 = etas[:, :, s2]
     margin = _margins(eta2, -2.0 * eta2[:, 2], dt)
     bad = np.flatnonzero(margin < 0)
@@ -283,14 +274,14 @@ class RatioCertificate:
     ok: bool
 
 
-def ratio_evolution_check(spec: Spectrum, times,
-                          dt: Optional[float] = None) -> RatioCertificate:
+def ratio_evolution_check(spec: Spectrum, times) -> RatioCertificate:
     """Certify the ground-state-weighted evolution law of the ratio u1/u0.
 
     (i) along the trajectory, d(f)/dt matches the weighted difference sum to
     discretization accuracy; (ii) at t = 0, -gamma f(x) equals that sum
     exactly up to ``spec.tolerances.ratio_identity``. The operator is the
     spectrum's own, and the t = 0 ratio is the one kept on the spectrum.
+    The evolved states are sampled at t and t +- dt, dt = `_default_dt`.
     """
     sub = _source(spec.operator)
     gamma = spec.gap
@@ -302,26 +293,31 @@ def ratio_evolution_check(spec: Spectrum, times,
             f"stationary ratio identity residual {stationary:.3e}",
             witness=int(np.argmax(np.abs(-gamma * ratio0.f - weighted0))))
 
-    u0, u1 = spec.ground_state, spec.vector(1)
-    if dt is None:
-        dt = _default_dt(spec)
-
-    worst = 0.0
+    dt = _default_dt(spec)
     times = np.asarray(times, dtype=np.float64)
-    kept, ground = _offset_states(spec, u0, times, dt, (-1, 0, 1))
-    _, first = _offset_states(spec, u1, times, dt, (-1, 0, 1))
-    for t, a, b in zip(kept, ground, first):
-        rm, r0, rp = (RatioFunction.from_vectors(a[j], b[j], sub)
-                      for j in range(3))
-        dfdt = (rp.f - rm.f) / (2 * dt)
-        weighted, _ = r0.vertex_sums()
-        fscale = float(np.abs(r0.f).max())
-        tol_dt = (gamma ** 3) * fscale * dt * dt / 6.0 * 4.0 + 1e-10
-        resid = float(np.abs(dfdt - weighted).max())
-        worst = max(worst, resid)
-        if resid > tol_dt:
-            raise CertificateFailure(
-                f"ratio evolution residual {resid:.3e} > {tol_dt:.3e} at "
-                f"t={t:.6g}", witness=float(t))
+    kept, ground = _offset_states(spec, spec.ground_state, times, dt,
+                                  (-1, 0, 1))
+    _, first = _offset_states(spec, spec.vector(1), times, dt, (-1, 0, 1))
+    ground = _lead_positive(ground)
+    # the samples before the first with a non-positive ground state are
+    # checked, so a failure among them is still the first in time order
+    bad = (ground.min(axis=2) <= 0).any(axis=1)
+    stop = int(bad.argmax()) if bad.any() else len(kept)
+    u0 = ground[:stop]
+    f = first[:stop] / u0
+    dfdt = (f[:, 2] - f[:, 0]) / (2 * dt)
+    weighted = _difference_sums(sub, f[:, 1], u0[:, 1])
+    fscale = np.abs(f[:, 1]).max(axis=1)
+    tol_dt = (gamma ** 3) * fscale * dt * dt / 6.0 * 4.0 + 1e-10
+    resid = np.abs(dfdt - weighted).max(axis=1)
+    fail = np.flatnonzero(resid > tol_dt)
+    if fail.size:
+        k = fail[0]
+        raise CertificateFailure(
+            f"ratio evolution residual {resid[k]:.3e} > {tol_dt[k]:.3e} at "
+            f"t={kept[k]:.6g}", witness=float(kept[k]))
+    if stop < len(kept):
+        raise ValueError(_NOT_POSITIVE)
+    worst = float(np.fmax.reduce(resid, initial=0.0))
     return RatioCertificate(stationary_residual=stationary,
                             evolution_residual=worst, ok=True)

@@ -33,8 +33,8 @@ Conventions:
 - the first difference across the Dirichlet boundary is zero, so boundary
   terms drop out of every vertex sum.
 
-The ``_ground_*`` helpers compute the which = 1 ratio, its eta and the
-moduli of log u0 once per Spectrum and keep them on it.
+The ``_ground_*`` helpers compute the which = 1 ratio, its eta, log u0 and
+the moduli of log u0 once per Spectrum and keep them on it.
 """
 
 import math
@@ -46,7 +46,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import EmptyAfterSkips, NoAdmissibleTriple
 from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
-from .operators import Spectrum
+from .operators import Spectrum, _source
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +107,6 @@ class ModulusOfConcavity:
     sub: ConvexSubgraph
     g: np.ndarray
     values: np.ndarray            # omega(s) for s = 1..D; NaN if undefined
-    admissibility: str
 
     @property
     def achievers(self) -> dict:
@@ -156,62 +155,61 @@ class ModulusOfConcavity:
 
 @dataclass(frozen=True, eq=False)
 class RatioFunction:
-    """f = u1/u0 and g = log(u0) on the subgraph vertices."""
+    """f = u1/u0 on the subgraph vertices."""
 
     sub: ConvexSubgraph
     u0: np.ndarray
-    u1: np.ndarray
     f: np.ndarray
-    g: np.ndarray
 
     @classmethod
-    def from_spectrum(cls, spec: Spectrum, sub: ConvexSubgraph,
-                      which: int = 1) -> "RatioFunction":
-        return cls.from_vectors(spec.ground_state, spec.vector(which), sub)
+    def from_spectrum(cls, spec: Spectrum, which: int = 1) -> "RatioFunction":
+        """u_which / u0 on the subgraph the spectrum's operator was built on."""
+        return cls.from_vectors(spec.ground_state, spec.vector(which),
+                                _source(spec.operator))
 
     @classmethod
     def from_vectors(cls, u0, u1, sub: ConvexSubgraph) -> "RatioFunction":
-        u0 = np.asarray(u0, dtype=np.float64)
-        u1 = np.asarray(u1, dtype=np.float64)
-        if u0[np.argmax(np.abs(u0))] < 0:
-            u0 = -u0
+        u0 = _lead_positive(np.asarray(u0, dtype=np.float64))
         if u0.min() <= 0:
-            raise ValueError("ground state must be strictly positive on V(S)")
-        return cls(sub=sub, u0=u0, u1=u1, f=u1 / u0, g=np.log(u0))
-
-    def delta(self, ai: int) -> np.ndarray:
-        """Delta_a f per vertex for generator index ai; zero across the
-        Dirichlet boundary."""
-        cols = self.sub.nbr_local[ai]
-        out = np.zeros_like(self.f)
-        keep = cols >= 0
-        out[keep] = self.f[cols[keep]] - self.f[keep.nonzero()[0]]
-        return out
+            raise ValueError(_NOT_POSITIVE)
+        return cls(sub=sub, u0=u0, f=np.asarray(u1, dtype=np.float64) / u0)
 
     def vertex_sums(self):
-        """Per-vertex (weighted, plain) difference sums.
-
-        weighted[v] = sum_a Delta_a f(v) e^{g(av)-g(v)} and
-        plain[v] = sum_a Delta_a f(v), with Delta_a f zero across the
-        boundary. The weight is computed as the ratio u0(av)/u0(v). Built on
-        first use and cached (read-only).
-        """
+        """Per-vertex (weighted, plain) difference sums of f; see
+        `_difference_sums`. Built on first use and cached (read-only)."""
         if "_sums" not in self.__dict__:
-            self.__dict__["_sums"] = self._vertex_sums()
+            self.__dict__["_sums"] = (
+                _ro(_difference_sums(self.sub, self.f, self.u0)),
+                _ro(_difference_sums(self.sub, self.f)))
         return self.__dict__["_sums"]
 
-    def _vertex_sums(self):
-        sub, f, u0 = self.sub, self.f, self.u0
-        m = sub.n_vertices
-        weighted = np.zeros(m)
-        plain = np.zeros(m)
-        for ai in range(sub.nbr_local.shape[0]):
-            cols = sub.nbr_local[ai]
-            keep = cols >= 0
-            df = f[cols[keep]] - f[keep.nonzero()[0]]
-            plain[keep] += df
-            weighted[keep] += df * (u0[cols[keep]] / u0[keep.nonzero()[0]])
-        return _ro(weighted), _ro(plain)
+
+_NOT_POSITIVE = "ground state must be strictly positive on V(S)"
+
+
+def _lead_positive(u0: np.ndarray) -> np.ndarray:
+    """u0, negated along the last axis where its largest-magnitude entry is
+    negative."""
+    lead = np.take_along_axis(u0, np.abs(u0).argmax(axis=-1)[..., None], -1)
+    return np.where(lead < 0, -u0, u0)
+
+
+def _difference_sums(sub: ConvexSubgraph, f, u0=None) -> np.ndarray:
+    """sum_a Delta_a f(v) for every vertex v, over the last axis of `f`.
+
+    Delta_a f(v) = f(av) - f(v) is zero across the Dirichlet boundary. With
+    `u0` each term carries the weight e^{g(av)-g(v)}, g = log u0, computed
+    as the ratio u0(av)/u0(v).
+    """
+    out = np.zeros_like(f)
+    for cols in sub.nbr_local:
+        keep = cols >= 0
+        y, x = cols[keep], keep.nonzero()[0]
+        df = f[..., y] - f[..., x]
+        if u0 is not None:
+            df = df * (u0[..., y] / u0[..., x])
+        out[..., keep] += df
+    return out
 
 
 def modulus_of_continuity(f, sub: ConvexSubgraph,
@@ -225,17 +223,7 @@ def modulus_of_continuity(f, sub: ConvexSubgraph,
     supremum. A class whose max is NaN leaves eta unchanged (fmax).
     """
     f = np.asarray(f, dtype=np.float64)
-    return _modulus(sub, f, _eta_block(f[None], sub)[0], tol)
-
-
-def _moduli(states, sub: ConvexSubgraph, tol: ToleranceConfig):
-    """ModulusOfContinuity of each row of a (B, m) block."""
-    states = np.asarray(states, dtype=np.float64)
-    return [_modulus(sub, f, values, tol)
-            for f, values in zip(states, _eta_block(states, sub))]
-
-
-def _modulus(sub, f, values, tol):
+    values = _eta_block(f[None], sub)[0]
     tie = tol.tie_factor * max(1.0, abs(values[-1]))
     return ModulusOfContinuity(sub=sub, f=f, values=values, tie_tol=tie)
 
@@ -351,29 +339,25 @@ def _eta_dilation(states, sub: ConvexSubgraph) -> np.ndarray:
     return out
 
 
-def modulus_of_concavity(g, sub: ConvexSubgraph,
-                         admissibility: str = "step") -> ModulusOfConcavity:
+def modulus_of_concavity(g, sub: ConvexSubgraph) -> ModulusOfConcavity:
     """Exact infimum per distance class over admissible (y, x, a) triples.
 
-    "step": a moves x one step along a shortest path toward y, i.e.
-    d(ax, y) = d(x, y) - 1 (implies the a^2-contraction condition).
-    "raw": the literal contraction condition d(a^2 x, y) <= d(x, y); kept
-    for cross-comparison, identical to "step" on path graphs.
+    A triple is admissible when a moves x one step along a shortest path
+    toward y, i.e. d(ax, y) = d(x, y) - 1. That implies the literal
+    a^2-contraction condition d(a^2 x, y) <= d(x, y); on path graphs the
+    two conditions give the same modulus.
     """
-    if admissibility not in ("step", "raw"):
-        raise ValueError(f"unknown admissibility {admissibility!r}")
     g = _ro(np.array(g, dtype=np.float64))
     best = np.full(sub.diameter_S, np.inf)
     seen = np.zeros(sub.diameter_S, dtype=bool)
-    for _, _, key, val in _admitted(sub, g, admissibility):
+    for _, _, key, val in _admitted(sub, g):
         np.minimum.at(best, key, val)
         seen[key] = True
     best[~seen] = np.nan
-    return ModulusOfConcavity(sub=sub, g=g, values=best,
-                              admissibility=admissibility)
+    return ModulusOfConcavity(sub=sub, g=g, values=best)
 
 
-def _admitted(sub: ConvexSubgraph, g: np.ndarray, admissibility: str):
+def _admitted(sub: ConvexSubgraph, g: np.ndarray):
     """Per generator index ai, the admitted (y, x) pairs: y, x, class s - 1
     and the triple value, in row-major (y, x) order."""
     host = sub.host
@@ -385,15 +369,10 @@ def _admitted(sub: ConvexSubgraph, g: np.ndarray, admissibility: str):
         ax = sub.nbr_local[ai]          # local of a*x per local x, -1 outside
         ainv_y = sub.nbr_local[gen_index[host.group.inv(a)]]  # local of a^-1*y
         ok_x = ax >= 0
-        if admissibility == "step":
-            # d(ax, y) == d(x, y) - 1, distances via the host metric
-            dax = np.full((m, m), -2, dtype=np.int64)
-            dax[:, ok_x] = hd[:, ax[ok_x]]
-            admit = dax == hd - 1
-        else:
-            a2x_host = host.act[ai, host.act[ai, sub.vset]]   # a*a*x host ids
-            da2 = host.dist[np.ix_(sub.vset, a2x_host)]       # [y, x]
-            admit = (da2 <= hd) & ok_x[None, :]
+        # d(ax, y) == d(x, y) - 1, distances via the host metric
+        dax = np.full((m, m), -2, dtype=np.int64)
+        dax[:, ok_x] = hd[:, ax[ok_x]]
+        admit = dax == hd - 1
         admit &= (ainv_y >= 0)[:, None] & (hd >= 1)
         yy, xx = np.nonzero(admit)
         val = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
@@ -406,8 +385,7 @@ def _omega_achievers(omega: ModulusOfConcavity) -> dict:
     sub, best = omega.sub, omega.values
     bar = best + 1e-12 * np.maximum(1.0, np.abs(best))
     rows = []
-    for (yy, xx, key, val), a in zip(
-            _admitted(sub, omega.g, omega.admissibility), sub.gens):
+    for (yy, xx, key, val), a in zip(_admitted(sub, omega.g), sub.gens):
         sel = val <= bar[key]
         rows.append(np.stack([key[sel], yy[sel], xx[sel],
                               np.full(int(sel.sum()), a)], axis=1))
@@ -516,8 +494,7 @@ def log_concavity(g, sub: ConvexSubgraph,
 
 def _ground_ratio(spec: Spectrum) -> RatioFunction:
     """f = u1/u0 on the spectrum's own subgraph, kept on the spectrum."""
-    return spec._derived("ratio", lambda: RatioFunction.from_spectrum(
-        spec, spec.operator.source))
+    return spec._derived("ratio", lambda: RatioFunction.from_spectrum(spec))
 
 
 def _ground_eta(spec: Spectrum) -> ModulusOfContinuity:
@@ -526,13 +503,19 @@ def _ground_eta(spec: Spectrum) -> ModulusOfContinuity:
         _ground_ratio(spec).f, spec.operator.source, spec.tolerances))
 
 
+def _ground_log(spec: Spectrum) -> np.ndarray:
+    """log u0, kept on the spectrum (read-only)."""
+    return spec._derived("log_ground_state",
+                         lambda: _ro(np.log(spec.ground_state)))
+
+
 def _ground_concavity(spec: Spectrum) -> ConcavityReport:
     """log_concavity of log u0, kept on the spectrum."""
     return spec._derived("log_concavity", lambda: log_concavity(
-        np.log(spec.ground_state), spec.operator.source, spec.tolerances))
+        _ground_log(spec), spec.operator.source, spec.tolerances))
 
 
 def _ground_omega(spec: Spectrum) -> ModulusOfConcavity:
-    """omega of log u0 over "step" triples, kept on the spectrum."""
+    """omega of log u0, kept on the spectrum."""
     return spec._derived("omega", lambda: modulus_of_concavity(
-        np.log(spec.ground_state), spec.operator.source))
+        _ground_log(spec), spec.operator.source))

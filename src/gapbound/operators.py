@@ -194,8 +194,6 @@ def dirichlet_hamiltonian(sub: ConvexSubgraph, w="boundary") -> SymmetricOperato
         pot = np.asarray(w, dtype=np.float64)
         if pot.shape != (sub.n_vertices,):
             raise ValueError("potential length must match the vertex count")
-        if (pot < 0).any():
-            raise NegativePotential("potential has a negative entry")
     lap = laplacian(sub)
     h = lap.entries + np.diag(pot)
     return SymmetricOperator(entries=_ro(h), kind=HAMILTONIAN, source=sub,

@@ -294,7 +294,7 @@ def test_criterion_7_heat_mechanism():
         w = rng.uniform(0, 5, size=sub.n_vertices)
         ham = dirichlet_hamiltonian(sub, w)
         spec = eig(ham)
-        ratio = RatioFunction.from_spectrum(spec, sub)
+        ratio = RatioFunction.from_spectrum(spec)
         weighted, _ = ratio.vertex_sums()
         resid = float(np.abs(-spec.gap * ratio.f - weighted).max())
         worst = max(worst, resid)

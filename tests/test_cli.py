@@ -381,17 +381,63 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
      "potential field 'c' must be a JSON number, got 'x'"),
     ({"potential": {"formula": "quadratic", "c": 0.5, "center": "x"}},
      "potential field 'center' must be a JSON number, got 'x'"),
+    # json reads NaN and Infinity; they must not reach the operator
+    ({"potential": {"values": [math.nan, 1, 1, 1]}},
+     "potential values[0] must be finite, got nan"),
+    ({"potential": {"values": [1, 1, 1, math.inf]}},
+     "potential values[3] must be finite, got inf"),
+    ({"potential": {"formula": "quadratic", "c": math.nan, "center": 1.5}},
+     "potential field 'c' must be finite, got nan"),
+    ({"potential": {"formula": "quadratic", "c": 0.5, "center": -math.inf}},
+     "potential field 'center' must be finite, got -inf"),
+    ({"potential": {"formula": "quadratic", "c": 10 ** 400, "center": 1.5}},
+     "potential field 'c' must be finite, got 1000"),
+    # a spec file whose top level is not an object
+    ([], "spec must be a JSON object, got []"),
+    (3, "spec must be a JSON object, got 3"),
+    ("x", "spec must be a JSON object, got 'x'"),
 ], ids=["analyses-string", "instance-string", "family-string", "n-float",
         "n-bool", "n-string", "group-n-float", "factor-n-float",
         "table-entry-float", "generator-float", "subgraph-vertex-float",
         "potential-value-string", "quadratic-c-string",
-        "quadratic-center-string"])
+        "quadratic-center-string", "potential-value-nan",
+        "potential-value-inf", "quadratic-c-nan", "quadratic-center-inf",
+        "quadratic-c-huge-int",
+        "spec-list", "spec-number", "spec-string"])
 def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
                                             message):
-    spec = write_spec(tmp_path / "s.json", **{
-        "instance": {"family": {"name": "path", "n": 4}}, **fields})
+    spec = tmp_path / "s.json"
+    if isinstance(fields, dict):
+        write_spec(spec, **{
+            "instance": {"family": {"name": "path", "n": 4}}, **fields})
+    else:
+        spec.write_text(json.dumps(fields))
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_non_finite_tolerances(tmp_path, capsys, value):
+    # a NaN or infinite bar would make every comparison against it pass
+    tols = {"recurrence": value}
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 6}},
+                      tolerances=tols)
+    out = tmp_path / "o"
+    message = f"tolerance recurrence must be finite, got {value!r}"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 6}})
+    for argv in (["run", "--spec", str(spec), "--out", str(out)],
+                 sweep_args("path", 2, 3, out)):
+        assert main(argv + ["--tol", json.dumps(tols)]) == 2
+        assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+    # negative bars stay allowed
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--tol",
+                 json.dumps({"decay_margin": -1.0})]) == 0
 
 
 def test_empty_sweep_range(tmp_path, capsys):
@@ -445,31 +491,24 @@ def test_eta_csv_matches_per_value_writer(tmp_path):
     spec = eigendecompose(op)
     traj = evolve(op, spec.vector(1), default_times(spec.gap), spectrum=spec)
     lines = ["s,t,eta"]
-    for t, eta in zip(traj.times, traj.eta_series):
-        for s in range(1, eta.values.size):
+    for t, eta in zip(traj.times, traj.etas):
+        for s in range(1, eta.size):
             lines.append(f"{s},{format(float(t), '.17g')},"
-                         f"{format(float(eta.values[s]), '.17g')}")
-    write_eta_csv(tmp_path / "eta.csv", traj.times, traj.eta_series)
+                         f"{format(float(eta[s]), '.17g')}")
+    write_eta_csv(tmp_path / "eta.csv", traj.times, traj.etas)
     assert (tmp_path / "eta.csv").read_text() == "\n".join(lines) + "\n"
-
-
-class Series:
-    """A hand-built eta sample: all the writer reads is `.values`."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
 
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e17,
                1e-4, 1e-5, 0.0, 1.0, 3.0, 100.0, 2.0 ** 53, 1 / 3, -2.5e-7]
 
 
-def reference_eta_csv(times, eta_series):
+def reference_eta_csv(times, etas):
     lines = ["s,t,eta"]
-    for t, eta in zip(times, eta_series):
-        for s in range(1, eta.values.size):
+    for t, eta in zip(times, etas):
+        for s in range(1, eta.size):
             lines.append(f"{s},{format(float(t), '.17g')},"
-                         f"{format(float(eta.values[s]), '.17g')}")
+                         f"{format(float(eta[s]), '.17g')}")
     return "\n".join(lines) + "\n"
 
 
@@ -478,10 +517,10 @@ def test_writers_match_per_value_format_on_edge_values(tmp_path, d, samples):
     # D = 160 holds every edge value; each sample is the pool rolled by one
     pool = np.resize(EDGE_VALUES + [1234.5678, -0.1, 7e-300], d + 1)
     times = np.resize(EDGE_VALUES, samples)
-    series = [Series(np.roll(pool, k)) for k in range(samples)]
-    write_eta_csv(tmp_path / "eta.csv", times, series)
+    etas = np.array([np.roll(pool, k) for k in range(samples)])
+    write_eta_csv(tmp_path / "eta.csv", times, etas)
     assert (tmp_path / "eta.csv").read_text() == \
-        reference_eta_csv(times, series)
+        reference_eta_csv(times, etas)
 
     eigenvalues = pool[::-1]
     write_spectrum_csv(tmp_path / "spectrum.csv",

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from gapbound.families import (cycle_instance, hypercube_instance,
 from gapbound.heat import (decay_rate_check, default_times,
                            eta2_contraction_check, evolve, gershgorin_max,
                            mocheat_inequality_check, ratio_evolution_check)
-from gapbound.moduli import (RatioFunction, modulus_of_concavity,
-                             modulus_of_continuity)
+from gapbound.moduli import (RatioFunction, _eta_block,
+                             modulus_of_concavity, modulus_of_continuity)
 from gapbound.operators import (dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian)
 
@@ -93,7 +94,7 @@ def test_eta_series_monotone_for_eigenvector():
     spec = eigendecompose(lap)
     traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
                   spectrum=spec)
-    tops = [eta.values[-1] for eta in traj.eta_series]
+    tops = traj.etas[:, -1]
     assert all(b <= a + 1e-12 for a, b in zip(tops, tops[1:]))
 
 
@@ -202,7 +203,7 @@ def test_pathop_inequality_at_t0(rng):
         w = quadratic_potential(sub, float(rng.uniform(0.1, 1.0)),
                                 float(rng.uniform(0, n - 1)))
         spec = eigendecompose(dirichlet_hamiltonian(sub, w))
-        ratio = RatioFunction.from_spectrum(spec, sub)
+        ratio = RatioFunction.from_spectrum(spec)
         eta = modulus_of_continuity(ratio.f, sub)
         omega = modulus_of_concavity(np.log(spec.vector(0) *
                                             np.sign(spec.vector(0)[0])), sub)
@@ -320,7 +321,8 @@ def ref_eta2(traj, sub, tol=DEFAULT_TOL):
     return checked, worst if checked else 0.0
 
 
-def ref_ratio_residual(h, spec, times):
+def ref_ratio_check(h, spec, times):
+    """evolution_residual of the per-state loop; raises like the check."""
     u0, u1 = spec.vector(0), spec.vector(1)
     if u0[np.argmax(np.abs(u0))] < 0:
         u0 = -u0
@@ -336,8 +338,14 @@ def ref_ratio_residual(h, spec, times):
             continue
         rm, r0, rp = ratio_at(t - dt), ratio_at(t), ratio_at(t + dt)
         weighted, _ = r0.vertex_sums()
-        worst = max(worst, float(np.abs((rp.f - rm.f) / (2 * dt)
-                                        - weighted).max()))
+        resid = float(np.abs((rp.f - rm.f) / (2 * dt) - weighted).max())
+        tol_dt = (spec.gap ** 3) * float(np.abs(r0.f).max()) * dt * dt \
+            / 6.0 * 4.0 + 1e-10
+        if resid > tol_dt:
+            raise CertificateFailure(
+                f"ratio evolution residual {resid:.3e} > {tol_dt:.3e} at "
+                f"t={t:.6g}", witness=float(t))
+        worst = max(worst, resid)
     return worst
 
 
@@ -368,10 +376,10 @@ def test_heat_matches_per_state_reference(name):
     traj = evolve(op, spec.vector(1), times, spectrum=spec)
     ref = np.stack([ref_state(spec, spec.vector(1), t) for t in times])
     assert np.array_equal(traj.states, ref)
-    for state, eta in zip(ref, traj.eta_series):
+    assert not traj.etas.flags.writeable
+    for state, row in zip(ref, traj.etas):
         want = modulus_of_continuity(state, sub)
-        assert eta.values.tobytes() == want.values.tobytes()
-        assert float_bits(eta.tie_tol) == float_bits(want.tie_tol)
+        assert row.tobytes() == want.values.tobytes()
 
     cert = mocheat_inequality_check(traj)
     checked, worst = ref_mocheat(traj, sub)
@@ -387,7 +395,7 @@ def test_heat_matches_per_state_reference(name):
     if pot is not None:
         cert = ratio_evolution_check(spec, times[1:8])
         assert float_bits(cert.evolution_residual) == \
-            float_bits(ref_ratio_residual(op, spec, times[1:8]))
+            float_bits(ref_ratio_check(op, spec, times[1:8]))
 
 
 @pytest.mark.parametrize("n,slow,extra", [(5, slice(None), None), (9, 7, 7)])
@@ -425,6 +433,47 @@ def test_eta2_failure_matches_per_state_reference():
     assert got.value.witness == want.value.witness
 
 
+def ratio_spectrum(case):
+    """path(6)+boundary under a loose stationary bar, with one change."""
+    sub = path_instance(6)
+    op = dirichlet_hamiltonian(sub, "boundary")
+    spec = eigendecompose(op, DEFAULT_TOL.with_overrides(ratio_identity=1e3))
+    w, v = spec.eigenvalues.copy(), spec.eigenvectors.copy()
+    if case == "gap-doubled":           # fails at the first sample
+        w[1] *= 2.0
+    elif case == "lambda2-negative":    # fails only at t = 1.94
+        w[2] = -8.0
+    elif case == "ground-mixed":        # the evolved u0 changes sign
+        v[:, 2] = 10.0 * v[:, 2] + v[:, 0]
+    elif case == "ground-mixed-late":   # fails at t = 0.018, and the
+        w[2] = -8.0                     # evolved u0 changes sign by t = 0.64
+        v[:, 2] = v[:, 2] + 0.01 * v[:, 0]
+    return op, dataclasses.replace(spec, eigenvalues=w, eigenvectors=v)
+
+
+@pytest.mark.parametrize("case", ["exact", "gap-doubled", "lambda2-negative",
+                                  "ground-mixed", "ground-mixed-late"])
+def test_ratio_check_matches_per_state_reference(case):
+    # the whole-array check reports what the per-state loop reports: the
+    # worst residual, the first failure in time order, or the ValueError
+    # of a non-positive ground state
+    op, spec = ratio_spectrum(case)
+    times = default_times(spec.gap)[1:]
+    try:
+        want = ref_ratio_check(op, spec, times)
+    except (CertificateFailure, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ratio_evolution_check(spec, times)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "witness", None) == \
+            getattr(exc, "witness", None)
+        assert case != "exact"
+    else:
+        cert = ratio_evolution_check(spec, times)
+        assert float_bits(cert.evolution_residual) == float_bits(want)
+        assert case == "exact"
+
+
 def test_spectrum_of_another_operator_rejected():
     # path(5)'s Laplacian evolved with its boundary Hamiltonian's spectrum
     # would lose mass (0.318 of 5 at the last sample) without an error
@@ -455,24 +504,19 @@ def test_graphless_operator_is_a_named_error():
 
 
 def test_spectral_trajectory_reads_its_spectrum_tolerances():
-    # tie_tol and the decay margin follow the spectrum's tolerances, not
-    # the defaults of evolve's and decay_rate_check's own `tol`
+    # the decay margin is the spectrum's; an Euler trajectory has no
+    # spectrum and takes the default margin
     sub = path_instance(6)
     lap = laplacian(sub)
-    tol = DEFAULT_TOL.with_overrides(tie_factor=1e-3, decay_margin=-10.0)
+    tol = DEFAULT_TOL.with_overrides(decay_margin=-10.0)
     spec = eigendecompose(lap, tol)
     times = default_times(spec.gap)
     traj = evolve(lap, spec.vector(1), times, spectrum=spec)
-    for eta in traj.eta_series:
-        assert eta.tie_tol == 1e-3 * max(1.0, abs(eta.values[-1]))
-    assert traj.eta_series[0].tie_tol >= 1e-3
     with pytest.raises(CertificateFailure, match="mu - margin"):
         decay_rate_check(traj, mu=bound_thm1(sub.diameter_S))
-    # an Euler trajectory has no spectrum and keeps the explicit tol
-    euler = evolve(lap, spec.vector(1), times, method="euler", tol=tol)
+    euler = evolve(lap, spec.vector(1), times, method="euler")
     assert euler.spectrum is None
-    assert [e.tie_tol for e in euler.eta_series] == \
-        [1e-3 * max(1.0, abs(e.values[-1])) for e in euler.eta_series]
+    assert np.array_equal(euler.etas, _eta_block(euler.states, sub))
     assert decay_rate_check(euler, mu=bound_thm1(sub.diameter_S)).ok
-    with pytest.raises(CertificateFailure, match="mu - margin"):
-        decay_rate_check(euler, mu=bound_thm1(sub.diameter_S), tol=tol)
+    for check in (evolve, decay_rate_check):
+        assert "tol" not in inspect.signature(check).parameters
