@@ -15,10 +15,9 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (BoundUnavailable, EmptyAfterSkips, HypothesisFailed,
                      NotHypercube)
 from .graphs import ConvexSubgraph, is_strongly_convex
-from .moduli import (ModulusOfConcavity, RatioFunction, _dcosh,
-                     _ground_concavity, _ground_eta, _ground_omega,
-                     _ground_ratio, c_u0, extremal_pairs,
-                     modulus_of_continuity)
+from .moduli import (ModulusOfConcavity, _dcosh, _eigenspace_scans,
+                     _ground_concavity, _ground_omega, _ratio_scans, c_u0,
+                     extremal_pairs)
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads bounds.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
@@ -80,12 +79,14 @@ def bound_thm4(spec: Spectrum, which: int = 1):
 
 
 def _ratio_scan(spec, which):
-    """f = u_which / u0 and its modulus, shared by Theorems 3 and 4 (the
-    modulus caches its extremal scan, the ratio its vertex sums)."""
-    if which == 1:
-        return _ground_ratio(spec), _ground_eta(spec)
-    ratio = RatioFunction.from_spectrum(spec, which=which)
-    return ratio, modulus_of_continuity(ratio.f, ratio.sub, spec.tolerances)
+    """f = u_which / u0 and its modulus, shared by Theorems 3 and 4: row
+    which - 1 of the lambda1 eigenspace block kept on the spectrum, or a
+    one-row block of the same helper for a `which` outside gap_indices
+    (the modulus caches its extremal scan; the ratio carries its vertex
+    sums)."""
+    if which in spec.gap_indices:
+        return _eigenspace_scans(spec)[which - 1]
+    return _ratio_scans(spec, [which])[0]
 
 
 def _thm3(ratio, eta, tol):
@@ -200,7 +201,7 @@ def verify_all(spec: Spectrum) -> GapReport:
 
     The instance is the spectrum's: its operator (L, or H = L + W) and the
     subgraph that operator was built on, checked under `spec.tolerances`.
-    The certificate, which = 1 ratio scan and ground-state moduli are the
+    The certificate, lambda1 eigenspace scans and ground-state moduli are the
     ones kept on the spectrum. Per-bound failures (e.g. no usable extremal
     pair) are recorded, not raised.
     """
@@ -253,7 +254,8 @@ def verify_all(spec: Spectrum) -> GapReport:
 
     # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace;
     # the reported bound is the minimum (every member is a valid bound).
-    # Both read one ratio scan per eigenvector; only which = 1 is kept.
+    # Both read the eigenspace block kept on the spectrum, one row per
+    # eigenvector.
     ratio_hyps = {
         "thm3": ({"strongly_convex": convexity.convex, "diameter_ge_1": d >= 1},
                  _thm3),
@@ -261,8 +263,7 @@ def verify_all(spec: Spectrum) -> GapReport:
     live = {name: evaluate for name, (hyps, evaluate) in ratio_hyps.items()
             if all(hyps.values())}
     outcomes = {name: [] for name in live}
-    for which in spec.gap_indices if live else ():
-        scan = _ratio_scan(spec, which)
+    for scan in _eigenspace_scans(spec) if live else ():
         for name, evaluate in live.items():
             try:
                 outcomes[name].append(evaluate(*scan, tol))

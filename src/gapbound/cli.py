@@ -77,9 +77,20 @@ def _typed_list(values, kind, where):
     return values
 
 
+def _typed_ids(values, order, where):
+    """``values`` if it is a JSON list of integers in [0, order): element
+    or vertex ids, range-checked before numpy converts them."""
+    for i, v in enumerate(_typed(values, "list", where)):
+        if _problem(v, "integer") or not 0 <= v < order:
+            _typed(v, "integer", f"{where}[{i}]")
+            raise SpecValidationError(
+                f"{where}[{i}] must be in [0, {order}), got {v!r}")
+    return values
+
+
 def _group_spec(group, where):
-    """``group`` if its sizes, factors and table entries are JSON integers;
-    `groups.build_group` checks the rest."""
+    """``group`` if its sizes and factors are JSON integers and its table
+    entries element ids; `groups.build_group` checks the rest."""
     kind = _typed(group, "object", where).get("kind")
     if kind in ("cyclic", "elementary_abelian_2"):
         _typed(_field(group, "n", where), "integer", f"{where} field 'n'")
@@ -92,7 +103,7 @@ def _group_spec(group, where):
         rows = _typed(_field(group, "table", where), "list",
                       f"{where} field 'table'")
         for i, row in enumerate(rows):
-            _typed_list(row, "integer", f"{where} table[{i}]")
+            _typed_ids(row, len(rows), f"{where} table[{i}]")
     return group
 
 
@@ -123,15 +134,15 @@ def _build_subgraph(inst):
         raise SpecValidationError("instance needs either a family or "
                                   "group + generators")
     group = build_group(_group_spec(inst["group"], "instance group"))
-    gens = generator_set(group, _typed_list(
-        inst["generators"], "integer", "instance generators"))
+    gens = generator_set(group, _typed_ids(
+        inst["generators"], group.order, "instance generators"))
     graph = build_cayley(group, gens)
     sel = inst.get("subgraph", "full")
     if sel == "full":
         return graph.full_subgraph()
     if isinstance(sel, list):
-        return induce_subgraph(graph, _typed_list(sel, "integer",
-                                                  "instance subgraph"))
+        return induce_subgraph(graph, _typed_ids(sel, group.order,
+                                                 "instance subgraph"))
     raise SpecValidationError(f"bad subgraph selector {sel!r}")
 
 

@@ -361,22 +361,25 @@ def _criterion2(sub: ConvexSubgraph):
 
 
 def _sp2_closure(sub: ConvexSubgraph):
-    """If x, ax, y in S and d(ax, y) = d(x, y) + 1 then ay must be in S."""
+    """If x, ax, y in S and d(ax, y) = d(x, y) + 1 then ay must be in S.
+
+    A generator under which no vertex of S leaves S has no violation and is
+    skipped, so the witness is still the first in generator order.
+    """
     host = sub.host
     vset = sub.vset
     hd = sub.host_dist()
     for ai, a in enumerate(host.gens):
         ax_local = sub.nbr_local[ai]          # local index of a*x or -1
-        have = np.nonzero(ax_local >= 0)[0]
-        if have.size == 0:
-            continue
-        # rows: x with ax in S; columns: all y in S
-        cond = hd[ax_local[have], :] == hd[have, :] + 1
         ay_out = ax_local < 0                 # a*y outside S, per local y
-        bad = cond & ay_out[None, :]
+        if not ay_out.any() or ay_out.all():
+            continue
+        # rows: x with ax in S; columns: the y with ay outside S
+        have, out = np.nonzero(~ay_out)[0], np.nonzero(ay_out)[0]
+        bad = hd[ax_local[have, None], out] == hd[have[:, None], out] + 1
         if bad.any():
             xi, yi = np.argwhere(bad)[0]
-            return False, (int(vset[have[xi]]), int(vset[yi]), int(a))
+            return False, (int(vset[have[xi]]), int(vset[out[yi]]), int(a))
     return True, None
 
 

@@ -33,8 +33,12 @@ Conventions:
 - the first difference across the Dirichlet boundary is zero, so boundary
   terms drop out of every vertex sum.
 
-The ``_ground_*`` helpers compute the which = 1 ratio, its eta, log u0 and
-the moduli of log u0 once per Spectrum and keep them on it.
+The lambda1 eigenspace is scanned as one block per Spectrum and kept on
+it: f = U^T / u0 for every basis vector in one division, every row's eta in
+one `_eta_block` call and both vertex-sum tables in one `_difference_sums`
+call each; the extremal scans stay lazy and per vector. The ``_ground_*``
+helpers read the which = 1 ratio and its eta as the block's first row, and
+compute log u0 and the moduli of log u0 once per Spectrum.
 """
 
 import math
@@ -223,9 +227,16 @@ def modulus_of_continuity(f, sub: ConvexSubgraph,
     supremum. A class whose max is NaN leaves eta unchanged (fmax).
     """
     f = np.asarray(f, dtype=np.float64)
-    values = _eta_block(f[None], sub)[0]
-    tie = tol.tie_factor * max(1.0, abs(values[-1]))
-    return ModulusOfContinuity(sub=sub, f=f, values=values, tie_tol=tie)
+    return _continuity_moduli(f[None], sub, tol)[0]
+
+
+def _continuity_moduli(fs, sub: ConvexSubgraph, tol: ToleranceConfig):
+    """A ModulusOfContinuity per row of the (B, m) block `fs`, from one
+    `_eta_block` call."""
+    return [ModulusOfContinuity(
+                sub=sub, f=f, values=values,
+                tie_tol=tol.tie_factor * max(1.0, abs(values[-1])))
+            for f, values in zip(fs, _eta_block(fs, sub))]
 
 
 def _eta_block(states, sub: ConvexSubgraph) -> np.ndarray:
@@ -405,11 +416,20 @@ def extremal_pairs(eta: ModulusOfContinuity) -> np.ndarray:
 
 def _extremal(eta: ModulusOfContinuity):
     """Extremal pairs in row-major (y, x) order, with their d(y, x) and
-    f(y) - f(x)."""
+    f(y) - f(x).
+
+    The bar eta(s) - tie_tol is taken per class, with +inf at s = 0 so that
+    no pair y = x passes: one mask over m x m, one flat nonzero, and the
+    pair, distance and difference gathered by flat index (`take` and a 1-D
+    nonzero are several times faster than fancy and 2-D indexing here)."""
     dist = eta.sub.dist_S
     diff = eta.f[:, None] - eta.f[None, :]
-    mask = (dist > 0) & (diff >= eta.values[dist] - eta.tie_tol)
-    return np.argwhere(mask).astype(np.int32), dist[mask], diff[mask]
+    bar = eta.values - eta.tie_tol
+    bar[0] = np.inf
+    flat = np.flatnonzero(diff >= bar.take(dist))
+    pairs = np.empty((flat.size, 2), dtype=np.int32)
+    pairs[:, 0], pairs[:, 1] = np.divmod(flat, dist.shape[0])
+    return pairs, dist.ravel().take(flat), diff.ravel().take(flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,15 +512,46 @@ def log_concavity(g, sub: ConvexSubgraph,
     return ConcavityReport(holds=holds, worst=worst, witness=witness)
 
 
+def _ratio_scans(spec: Spectrum, which) -> tuple:
+    """(RatioFunction, ModulusOfContinuity) of u_w / u0 for each w in
+    `which`, scanned as one block.
+
+    f = U[:, which]^T / u0 is one division, every row's eta one
+    `_eta_block` call (ball dilation on hypercube-like subgraphs, so their
+    distance-class pair index is never built) and each vertex-sum table one
+    `_difference_sums` call. Per row these are the operations of the
+    one-vector route, and dilation agrees with the pair scan bit for bit, so
+    every row equals that route's result. The rows share read-only arrays.
+    """
+    sub = _source(spec.operator)
+    block = RatioFunction.from_vectors(
+        spec.ground_state, spec.eigenvectors[:, which].T, sub)
+    f, u0 = _ro(block.f), _ro(block.u0)
+    scans = []
+    for eta, row_sums in zip(_continuity_moduli(f, sub, spec.tolerances),
+                             zip(*block.vertex_sums())):
+        ratio = RatioFunction(sub=sub, u0=u0, f=eta.f)
+        ratio.__dict__["_sums"] = row_sums
+        scans.append((ratio, eta))
+    return tuple(scans)
+
+
+def _eigenspace_scans(spec: Spectrum) -> tuple:
+    """`_ratio_scans` of the lambda1 eigenspace basis (row w - 1 for
+    w in gap_indices), kept on the spectrum."""
+    return spec._derived("eigenspace_scans",
+                         lambda: _ratio_scans(spec, spec.gap_indices))
+
+
 def _ground_ratio(spec: Spectrum) -> RatioFunction:
-    """f = u1/u0 on the spectrum's own subgraph, kept on the spectrum."""
-    return spec._derived("ratio", lambda: RatioFunction.from_spectrum(spec))
+    """f = u1/u0 on the spectrum's own subgraph: the eigenspace block's
+    first row."""
+    return _eigenspace_scans(spec)[0][0]
 
 
 def _ground_eta(spec: Spectrum) -> ModulusOfContinuity:
-    """eta of the which = 1 ratio, kept on the spectrum."""
-    return spec._derived("eta", lambda: modulus_of_continuity(
-        _ground_ratio(spec).f, spec.operator.source, spec.tolerances))
+    """eta of the which = 1 ratio: the eigenspace block's first row."""
+    return _eigenspace_scans(spec)[0][1]
 
 
 def _ground_log(spec: Spectrum) -> np.ndarray:

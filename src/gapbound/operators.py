@@ -61,8 +61,8 @@ class Spectrum:
     Also the per-instance context: it carries the operator (and through it
     the subgraph) and the tolerances it was built under, which the analyses
     read from it, and keeps on first use the positive ground state, the
-    certificate, the which = 1 ratio and its eta, and the log-concavity and
-    omega of log u0.
+    certificate, the ratio and eta of every lambda1 eigenvector as one
+    block, and the log-concavity and omega of log u0.
     """
 
     eigenvalues: np.ndarray

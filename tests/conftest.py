@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -35,3 +37,24 @@ def mpmath_eigh(a, dps=30):
 @pytest.fixture
 def mp_eigh():
     return mpmath_eigh
+
+
+def transposition_cayley(n):
+    """Cay(S_n, all transpositions) as an explicit table: (table, gens).
+
+    Elements are the permutations of range(n) in lexicographic order, so
+    the identity is 0; table[a][b] is the composition a o b. The
+    transpositions form a conjugation-invariant set, so the graph is
+    homogeneous; its gap is n, with multiplicity (n - 1)^2.
+    """
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+    gens = sorted(i for i, p in enumerate(perms)
+                  if sum(p[k] != k for k in range(n)) == 2)
+    return table, gens
+
+
+@pytest.fixture
+def transpositions():
+    return transposition_cayley

@@ -375,6 +375,18 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
     ({"instance": {"group": {"kind": "cyclic", "n": 8}, "generators": [1, 7],
                    "subgraph": [0, 1.5, 2]}},
      "instance subgraph[1] must be a JSON integer, got 1.5"),
+    # ids are range-checked before numpy converts them: these were an
+    # OverflowError (exit 1) and an unrelated symmetry message
+    ({"instance": {"group": {"kind": "cyclic", "n": 8}, "generators": [1, 7],
+                   "subgraph": [0, 2 ** 40]}},
+     "instance subgraph[1] must be in [0, 8), got 1099511627776"),
+    ({"instance": {"group": {"kind": "table",
+                             "table": [[0, 1], [1, 10 ** 23]]},
+                   "generators": [1]}},
+     f"instance group table[1][1] must be in [0, 2), got {10 ** 23}"),
+    ({"instance": {"group": {"kind": "cyclic", "n": 8},
+                   "generators": [10 ** 30, 7]}},
+     f"instance generators[0] must be in [0, 8), got {10 ** 30}"),
     ({"potential": {"values": ["a", 1, 1, 1]}},
      "potential values[0] must be a JSON number, got 'a'"),
     ({"potential": {"formula": "quadratic", "c": "x", "center": 1.5}},
@@ -399,6 +411,7 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
 ], ids=["analyses-string", "instance-string", "family-string", "n-float",
         "n-bool", "n-string", "group-n-float", "factor-n-float",
         "table-entry-float", "generator-float", "subgraph-vertex-float",
+        "subgraph-vertex-2**40", "table-entry-10**23", "generator-10**30",
         "potential-value-string", "quadratic-c-string",
         "quadratic-center-string", "potential-value-nan",
         "potential-value-inf", "quadratic-c-nan", "quadratic-center-inf",
@@ -609,16 +622,20 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch, name):
     calls = {fn: spy_everywhere(monkeypatch, mod, fn) for mod, fn in (
         (operators, "eigendecompose"), (bounds, "build_operator"),
         (operators, "laplacian"), (operators, "rayleigh_gap_check"),
-        (moduli, "modulus_of_continuity"), (moduli, "_extremal"),
-        (moduli, "log_concavity"), (moduli, "modulus_of_concavity"))}
+        (moduli, "_ratio_scans"), (moduli, "modulus_of_continuity"),
+        (moduli, "_extremal"), (moduli, "log_concavity"),
+        (moduli, "modulus_of_concavity"))}
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
     count = {fn: len(c) for fn, c in calls.items()}
     (_, spectrum), = calls["eigendecompose"]
-    # one scan per vector of the lambda1 eigenspace: which = 1 only once
+    # one block for the whole lambda1 eigenspace, no per-vector eta; the
+    # extremal scan stays one per basis vector
     basis = len(spectrum.gap_indices)
     want = {"build_operator": 1, "laplacian": 1, "rayleigh_gap_check": 1,
-            "modulus_of_continuity": basis, "_extremal": basis}
+            "_ratio_scans": 1, "modulus_of_continuity": 0, "_extremal": basis}
     assert {fn: count[fn] for fn in want} == want
+    (args, block), = calls["_ratio_scans"]
+    assert args[1] == spectrum.gap_indices and len(block) == basis
     assert count["log_concavity"] <= 1 and count["modulus_of_concavity"] <= 1
 
 
@@ -639,3 +656,34 @@ def test_each_analysis_alone_gives_the_same_block(tmp_path, name):
             json.dumps(full[a], sort_keys=True), a
     for a, csv in (("spectrum", "spectrum.csv"), ("heat", "eta_series.csv")):
         assert (outs[a] / csv).read_bytes() == (outs["all"] / csv).read_bytes()
+
+
+def test_hypercube_run_builds_no_pair_index(tmp_path, monkeypatch):
+    # every eta block on Q6 takes ball dilation: the lambda1 eigenspace
+    # (6 vectors) and the heat trajectory
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "hypercube", "n": 6}},
+                      analyses=ALL_ANALYSES)
+    calls = spy_everywhere(monkeypatch, operators, "eigendecompose")
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    (_, spectrum), = calls
+    assert len(spectrum.gap_indices) == 6
+    assert "_classes" not in spectrum.operator.source.__dict__
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transposition_graph_gap_and_theorem_3(tmp_path, transpositions, n):
+    # Cay(S_n, transpositions): lambda1 = n with multiplicity (n - 1)^2
+    table, gens = transpositions(n)
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"group": {"kind": "table", "table": table},
+                                "generators": gens},
+                      analyses=["spectrum", "bounds"])
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    bounds_block = load_report(tmp_path / "o")["bounds"]
+    gap = bounds_block["exact"]["gap"]
+    assert abs(gap - n) <= DEFAULT_TOL.verify_factor * max(1.0, gap)
+    assert bounds_block["graph"]["diameter"] == n - 1
+    thm3 = next(r for r in bounds_block["theorems"] if r["theorem"] == "thm3")
+    assert thm3["applicable"] and thm3["holds"]
+    assert len(thm3["detail"]["c_u0"]) == (n - 1) ** 2

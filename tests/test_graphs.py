@@ -455,3 +455,38 @@ def test_witness_search_scans_every_outside_vertex(monkeypatch):
     assert not res.convex
     assert [s.tolist() for s in scanned] == [sub.boundary.tolist(), [6, 7]]
     assert res.witness == loop_convexity_witness(sub)
+
+
+def loop_sp2_closure(sub):
+    """(holds, witness) by looping over every (x, y, a): the first
+    violation in generator order, then local x, then local y."""
+    hd = sub.host_dist()
+    m = sub.n_vertices
+    for ai, a in enumerate(sub.gens):
+        step = sub.nbr_local[ai]
+        for x in range(m):
+            for y in range(m):
+                if step[x] >= 0 and hd[step[x], y] == hd[x, y] + 1 \
+                        and step[y] < 0:
+                    return False, (int(sub.vset[x]), int(sub.vset[y]), int(a))
+    return True, None
+
+
+@pytest.mark.parametrize("make", [lambda: hypercube_graph(4),
+                                  lambda: cycle_graph(8)], ids=["Q4", "C8"])
+def test_sp2_closure_matches_loop(make):
+    host = make()
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(200):
+        vset = np.flatnonzero(rng.random(host.n_vertices) < rng.random())
+        try:
+            sub = induce_subgraph(host, vset)
+        except DisconnectedSubgraph:
+            continue
+        got = graphs._sp2_closure(sub)
+        assert got == loop_sp2_closure(sub), vset
+        verdicts.add(got[0])
+    # both verdicts met, and full sets (every generator closed) among them
+    assert verdicts == {True, False}
+    assert graphs._sp2_closure(host.full_subgraph()) == (True, None)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import transposition_cayley
 from gapbound import moduli
-from gapbound.bounds import verify_all
+from gapbound.bounds import _ratio_scan, _thm3, _thm4, bound_thm3, verify_all
 from gapbound.config import DEFAULT_TOL
-from gapbound.errors import EmptyAfterSkips
+from gapbound.errors import BoundUnavailable, EmptyAfterSkips
 from gapbound.families import cycle_graph, hypercube_graph, path_instance
-from gapbound.graphs import induce_subgraph
+from gapbound.graphs import build_cayley, induce_subgraph
+from gapbound.groups import generator_set, group_from_table
 from gapbound.heat import default_times, evolve
 from gapbound.moduli import (ModulusOfConcavity, RatioFunction, _eta_block,
                              _eta_dilation, _eta_pairs, c_u0, extremal_pairs,
@@ -648,3 +650,93 @@ def test_omega_keeps_its_own_copy_of_g():
     assert g.flags.writeable and not omega.g.flags.writeable
     for s, triples in expected.items():
         assert np.array_equal(omega.achievers[s], triples)
+
+
+# -- the lambda1 eigenspace block against the one-vector route ----------------
+
+def transposition_graph(n):
+    table, gens = transposition_cayley(n)
+    group = group_from_table(table, name=f"S{n}")
+    return build_cayley(group, generator_set(group, gens)).full_subgraph()
+
+
+# Q6 and S5 take ball dilation for the block, the others the pair scan
+EIGENSPACE_INSTANCES = {
+    **{f"Q{n}": (lambda n=n: laplacian(hypercube_graph(n).full_subgraph()))
+       for n in range(3, 7)},
+    "Q5-subcube-boundary": lambda: dirichlet_hamiltonian(
+        induce_subgraph(hypercube_graph(6), range(32)), "boundary"),
+    "cycle20": lambda: laplacian(cycle_graph(20).full_subgraph()),
+    # not convex, and its lambda1 is simple: a one-row block
+    "C8-long-arc": lambda: laplacian(induce_subgraph(cycle_graph(8), range(6))),
+    "S4": lambda: laplacian(transposition_graph(4)),
+    "S5": lambda: laplacian(transposition_graph(5)),
+}
+
+
+def per_vector_scan(spec, which):
+    """The one-vector route: u_which / u0, its own modulus and sums."""
+    ratio = RatioFunction.from_spectrum(spec, which)
+    return ratio, modulus_of_continuity(ratio.f, ratio.sub, spec.tolerances)
+
+
+def outcome(theorem, scan, tol):
+    """(value, c_u0) of Theorem 3 or 4 on a scan, or the reason it is
+    unavailable."""
+    try:
+        value, const = theorem(*scan, tol)
+    except BoundUnavailable as exc:
+        return str(exc)
+    return value, const.value
+
+
+def assert_same_scan(got, want, tol):
+    (ratio, eta), (ref_ratio, ref_eta) = got, want
+    f, sub = ref_ratio.f, ref_ratio.sub
+    assert same_bits(ratio.f, f) and same_bits(eta.f, f)
+    assert same_bits(ratio.u0, ref_ratio.u0)
+    assert same_bits(eta.values, ref_eta.values)
+    assert eta.tie_tol == ref_eta.tie_tol
+    # the references are the three-mask scans, so the dtype is int32
+    assert same_bits(extremal_pairs(eta),
+                     loop_extremal(f, sub, ref_eta.values, ref_eta.tie_tol))
+    achievers = loop_eta_achievers(f, sub, ref_eta.values, ref_eta.tie_tol)
+    assert eta.achievers.keys() == achievers.keys()
+    for s, pairs in achievers.items():
+        assert same_bits(eta.achievers[s], pairs), s
+    for table, ref_table in zip(ratio.vertex_sums(), ref_ratio.vertex_sums()):
+        assert same_bits(table, ref_table)
+    for theorem in (_thm3, _thm4):
+        assert outcome(theorem, got, tol) == outcome(theorem, want, tol)
+
+
+@pytest.mark.parametrize("name", EIGENSPACE_INSTANCES)
+def test_eigenspace_block_matches_per_vector_route(name):
+    spec = eigendecompose(EIGENSPACE_INSTANCES[name]())
+    basis = spec.gap_indices
+    assert (len(basis) == 1) == (name == "C8-long-arc")
+    block = moduli._eigenspace_scans(spec)
+    assert len(block) == len(basis)
+    assert moduli._ground_ratio(spec) is block[0][0]
+    assert moduli._ground_eta(spec) is block[0][1]
+    for which in basis:
+        scan = _ratio_scan(spec, which)
+        assert scan is block[which - 1]
+        assert_same_scan(scan, per_vector_scan(spec, which), spec.tolerances)
+
+
+@pytest.mark.parametrize("name", ["Q4", "S4", "C8-long-arc"])
+def test_ratio_scan_outside_the_eigenspace_is_a_one_row_block(name):
+    spec = eigendecompose(EIGENSPACE_INSTANCES[name]())
+    which = spec.gap_indices.stop
+    scan = _ratio_scan(spec, which)
+    assert "eigenspace_scans" not in spec.__dict__.get("_cache", {})
+    want = per_vector_scan(spec, which)
+    assert_same_scan(scan, want, spec.tolerances)
+    try:
+        got = bound_thm3(spec, which)
+    except BoundUnavailable as exc:
+        got = str(exc)
+    else:
+        got = got[0], got[1].value
+    assert got == outcome(_thm3, want, spec.tolerances)
