@@ -297,7 +297,7 @@ def run_instance(spec, analyses, tol, out_dir: Path):
 
     if "heat" in analyses and spectrum.dim >= 2:
         times = default_times(max(spectrum.gap, 1e-12))
-        traj = evolve(op, spectrum.vector(1), times, spectrum=spectrum)
+        traj = evolve(spectrum, spectrum.vector(1), times)
         heat_info = {}
         mu = bound_thm1(max(sub.diameter_S, 1))
         try:

@@ -88,9 +88,5 @@ class HypothesisFailed(GapboundError):
 
 # -- heat -------------------------------------------------------------------
 
-class UnstableStep(GapboundError):
-    """Explicit Euler step size violates the stability limit."""
-
-
 class InsufficientSpan(GapboundError):
     """Trajectory too short to fit a decay rate over the required decades."""

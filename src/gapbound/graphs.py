@@ -101,11 +101,6 @@ class ConvexSubgraph:
     def gens(self) -> GeneratorSet:
         return self.host.gens
 
-    def k_x(self, i: int):
-        """Generator elements a with a*v_i inside S (the set K_x)."""
-        keep = self.nbr_local[:, i] >= 0
-        return [a for a, k in zip(self.host.gens, keep) if k]
-
     @property
     def degrees(self) -> np.ndarray:
         """Degree within S per local vertex."""
@@ -204,9 +199,10 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
     outside = nbr_host[nbr_local < 0]
     boundary = np.unique(outside)
 
-    m = vset.size
-    hd = _ro(host.dist[np.ix_(vset, vset)])
-    if m == host.n_vertices or _host_distances_realised(hd, nbr_local):
+    full = vset.size == host.n_vertices
+    # a full graph's vset is arange(n): it shares the host's n x n array
+    hd = host.dist if full else _ro(host.dist[np.ix_(vset, vset)])
+    if full or _host_distances_realised(hd, nbr_local):
         dist_s = hd
     else:
         dist_s = _all_pairs_bfs(nbr_local)

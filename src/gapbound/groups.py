@@ -36,9 +36,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
 

@@ -1,9 +1,9 @@
 """Heat-equation evolution and the decay certificates behind the gap proofs.
 
-The spectral method is exact up to eigensolve accuracy and is the default;
-explicit Euler stepping exists purely as an independent cross-check (its
-stability limit comes from a Gershgorin bound, not from the spectrum, so
-the two routes share no code path).
+Solutions are evolved spectrally from a validated `Spectrum`, so they are
+exact up to eigensolve accuracy. The tests check them against an explicit
+Euler integrator whose stability limit comes from `gershgorin_max`, not
+from the spectrum, so the two routes share no code path.
 """
 
 import math
@@ -12,23 +12,23 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .errors import CertificateFailure, InsufficientSpan, UnstableStep
+from .errors import CertificateFailure, InsufficientSpan
 from .graphs import ConvexSubgraph, _ro
 from .moduli import (_NOT_POSITIVE, _difference_sums, _eta_block,
                      _ground_ratio, _lead_positive)
+# TODO(next benchmark change): perfbench's
+# test_every_binding_is_wrapped_and_restored reads heat.eigendecompose,
+# which nothing here calls; drop it from this import with that read.
 from .operators import (Spectrum, SymmetricOperator, _source, eigendecompose,
                         path_lattice_laplacian)
 
 
 @dataclass(frozen=True, eq=False)
 class HeatTrajectory:
-    operator: SymmetricOperator
+    spectrum: Spectrum
     times: np.ndarray
     states: np.ndarray            # (len(times), dim)
-    method: str
     etas: Optional[np.ndarray]    # (len(times), D + 1) eta(s) rows, if graphed
-    spectrum: Optional[Spectrum]
 
 
 def default_times(lambda1: float) -> np.ndarray:
@@ -94,57 +94,21 @@ def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
                                   sub.diameter_S + 1)
 
 
-def evolve(op: SymmetricOperator, phi0, times, method: str = "spectral",
-           dt: Optional[float] = None,
-           spectrum: Optional[Spectrum] = None) -> HeatTrajectory:
-    """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid.
-
-    A given `spectrum` must be one of `op` (built from it, or from an
-    operator with the same entries), else ValueError; without one the
-    spectral method builds it under the default tolerances. `dt` is the
-    Euler step. On a graph, `etas` holds eta(s), s = 0..D, of each state."""
+def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
+    """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid, Op
+    the spectrum's operator. On a graph, `etas` holds eta(s), s = 0..D, of
+    each state."""
+    op = spec.operator
     phi0 = np.asarray(phi0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if (times < 0).any() or (np.diff(times) <= 0).any():
         raise ValueError("times must be non-negative and strictly increasing")
     if phi0.shape != (op.dim,):
         raise ValueError("initial state has wrong length")
-    if spectrum is not None and spectrum.operator is not op and \
-            not np.array_equal(spectrum.operator.entries, op.entries):
-        raise ValueError("spectrum was built from another operator")
-
-    if method == "spectral":
-        spec = spectrum if spectrum is not None else eigendecompose(op)
-        states = _spectral_states(spec, phi0, times)
-    elif method == "euler":
-        lam_max = gershgorin_max(op)
-        limit = 1.0 / lam_max if lam_max > 0 else math.inf
-        if dt is None:
-            dt = 0.5 * limit if math.isfinite(limit) else 1e-2
-        if dt >= limit:
-            raise UnstableStep(
-                f"dt = {dt:g} >= 1/lambda_max bound {limit:g}")
-        spec = None
-        states = [phi0.copy()]
-        cur = phi0.copy()
-        t_prev = 0.0
-        a = op.entries
-        for t in times:
-            span = t - t_prev
-            if span > 0:
-                steps = max(1, int(math.ceil(span / dt)))
-                h = span / steps
-                for _ in range(steps):
-                    cur = cur - h * (a @ cur)
-            t_prev = t
-            states.append(cur.copy())
-        states = np.stack(states[1:])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    states = _spectral_states(spec, phi0, times)
     etas = None if op.source is None else _ro(_eta_block(states, op.source))
-    return HeatTrajectory(operator=op, times=times, states=states,
-                          method=method, etas=etas, spectrum=spec)
+    return HeatTrajectory(spectrum=spec, times=times, states=states,
+                          etas=etas)
 
 
 @dataclass(frozen=True)
@@ -160,11 +124,11 @@ def decay_rate_check(traj: HeatTrajectory, mu: float) -> DecayCertificate:
 
     The trajectory must span at least three decades of decay; the fit is
     log-linear least squares on the l2 norm of the modulus table. The margin
-    is that of the trajectory's spectrum, or the default for an Euler one.
+    is that of the trajectory's spectrum.
     """
     if traj.etas is None:
         raise ValueError("trajectory has no modulus series (no graph source)")
-    tol = DEFAULT_TOL if traj.spectrum is None else traj.spectrum.tolerances
+    tol = traj.spectrum.tolerances
     norms = np.array([np.linalg.norm(row[1:]) for row in traj.etas])
     keep = norms > 0
     if keep.sum() < 3:
@@ -214,9 +178,7 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     eta is the modulus over the trajectory operator's subgraph, whose
     diameter fixes the lattice; the margins are those of `_margins`.
     """
-    sub = _source(traj.operator)
-    if traj.spectrum is None:
-        raise ValueError("certificate needs a spectral trajectory")
+    sub = _source(traj.spectrum.operator)
     d = sub.diameter_S
     if d < 1:
         return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
@@ -227,7 +189,8 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     pos = coords > 0
 
     dt, kept, etas = _offset_etas(traj, sub)
-    # eta.table()[coords + D] for every state: eta(|s|) with the sign of s
+    # eta at every lattice point s = -D..D of every state: eta(|s|) with
+    # the sign of s
     lattice_etas = np.where(coords < 0, -etas[..., np.abs(coords)],
                             etas[..., np.abs(coords)])
     # matmul runs one L_P @ eta(t) per sample, rounding as the per-sample
@@ -249,9 +212,7 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
 def eta2_contraction_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
     eta over the trajectory operator's subgraph; see `_margins`."""
-    sub = _source(traj.operator)
-    if traj.spectrum is None:
-        raise ValueError("certificate needs a spectral trajectory")
+    sub = _source(traj.spectrum.operator)
     s2 = min(2, sub.diameter_S)
 
     dt, kept, etas = _offset_etas(traj, sub)

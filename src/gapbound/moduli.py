@@ -93,11 +93,6 @@ class ModulusOfContinuity:
         mag = min(abs(s), self.diameter)
         return math.copysign(1.0, s) * float(self.values[mag])
 
-    def table(self) -> np.ndarray:
-        """eta over [-D, D] as a vector (index i -> s = i - D)."""
-        pos = self.values[1:]
-        return np.concatenate([-pos[::-1], [0.0], pos])
-
 
 @dataclass(frozen=True, eq=False)
 class ModulusOfConcavity:

@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
 import pytest
+
+from gapbound.heat import gershgorin_max
 
 # Acceptance tests append one line per criterion; printed after the run so
 # they survive pytest's output capture.
@@ -37,6 +40,32 @@ def mpmath_eigh(a, dps=30):
 @pytest.fixture
 def mp_eigh():
     return mpmath_eigh
+
+
+def euler_states(op, phi0, times, dt):
+    """Explicit Euler states of d(phi)/dt = -A phi at each sample time: the
+    independent oracle for the spectral heat route.
+
+    Each interval between samples takes ceil(span / dt) equal steps
+    phi <- (I - h A) phi, applied as one matrix power (repeated squaring),
+    which is the same iterate as stepping one at a time up to rounding. The
+    step must lie below the stability limit 1 / gershgorin_max(op), a bound
+    that needs no eigensolve.
+    """
+    lam_max = gershgorin_max(op)
+    assert lam_max <= 0 or dt < 1.0 / lam_max, "Euler step past stability"
+    eye = np.eye(op.dim)
+    cur = np.asarray(phi0, dtype=np.float64)
+    states, t_prev = [], 0.0
+    for t in times:
+        span = t - t_prev
+        if span > 0:
+            steps = max(1, math.ceil(span / dt))
+            h = span / steps
+            cur = np.linalg.matrix_power(eye - h * op.entries, steps) @ cur
+        t_prev = t
+        states.append(cur)
+    return np.stack(states)
 
 
 def transposition_cayley(n):

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance.
 
 A pass/fail line per criterion is printed in the terminal summary (see
-conftest). Every spectrum computed here goes through the eigen-recurrence
-certificate, which the final criterion reports on.
+conftest). Every spectrum of criteria 1-7 goes through the eigen-recurrence
+certificate, which the final criterion reports on. The final criterion also
+checks the spectral heat route against the explicit Euler oracle,
+`conftest.euler_states`, which lives in the tests only.
 """
 
 import math
@@ -23,7 +25,7 @@ from gapbound.moduli import (RatioFunction, log_concavity,
 from gapbound.operators import (dirichlet_hamiltonian, eigendecompose,
                                 laplacian, rayleigh_gap_check)
 
-from conftest import record_criterion
+from conftest import euler_states, record_criterion
 
 CERTIFIED = {"count": 0, "worst": 0.0}
 
@@ -260,8 +262,7 @@ def test_criterion_7_heat_mechanism():
     sub = gb.path_instance(5)
     lap = laplacian(sub)
     spec = eig(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
-                  spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.lambda1))
     decay = decay_rate_check(traj, mu=bound_thm1(4))
     assert decay.fitted_rate >= bound_thm1(4) - 1e-6
     moc = mocheat_inequality_check(traj)
@@ -270,7 +271,7 @@ def test_criterion_7_heat_mechanism():
     sub = gb.hypercube_instance(3)
     lap = laplacian(sub)
     spec = eig(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.gap))
     decay_q = decay_rate_check(traj, mu=2.0)
     assert decay_q.fitted_rate >= 2.0 - 1e-6
     moc_q = mocheat_inequality_check(traj)
@@ -328,10 +329,9 @@ def test_criterion_8_oracle_equivalence():
         lam = gershgorin_max(ham)
         times = np.array([0.1, 0.25, 0.5]) / lam
         phi0 = rng.normal(size=sub.n_vertices)
-        spectral = evolve(ham, phi0, times)
-        euler = evolve(ham, phi0, times, method="euler",
-                       dt=times[-1] / 250000)
-        diff = float(np.abs(spectral.states - euler.states).max())
+        spectral = evolve(eigendecompose(ham), phi0, times)
+        euler = euler_states(ham, phi0, times, dt=times[-1] / 250000)
+        diff = float(np.abs(spectral.states - euler).max())
         worst = max(worst, diff)
         assert diff <= 1e-6, f"instance {i}"
     elapsed = time.perf_counter() - t0

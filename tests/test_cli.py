@@ -502,7 +502,7 @@ def test_eta_csv_matches_per_value_writer(tmp_path):
     sub = path_instance(9)
     op = dirichlet_hamiltonian(sub, "boundary")
     spec = eigendecompose(op)
-    traj = evolve(op, spec.vector(1), default_times(spec.gap), spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.gap))
     lines = ["s,t,eta"]
     for t, eta in zip(traj.times, traj.etas):
         for s in range(1, eta.size):

@@ -9,9 +9,16 @@ from gapbound.graphs import (build_cayley, convex_closure, induce_subgraph,
                              is_strongly_convex)
 from gapbound.groups import (cyclic_group, direct_product, generator_set,
                              group_from_table)
-from gapbound.families import cycle_graph, hypercube_graph
+from gapbound.families import (cycle_graph, cycle_instance, hypercube_graph,
+                               hypercube_instance)
 
 from test_groups import s3_table
+
+
+def k_x(sub, i):
+    """Generator elements a with a*v_i inside S (the set K_x)."""
+    keep = sub.nbr_local[:, i] >= 0
+    return [a for a, k in zip(sub.host.gens, keep) if k]
 
 
 def bfs_dist_oracle(graph):
@@ -201,14 +208,25 @@ def test_full_subgraph_trivial_boundary():
     assert np.array_equal(sub.dist_S, graph.dist)
 
 
+@pytest.mark.parametrize("make", [lambda: hypercube_instance(6),
+                                  lambda: cycle_instance(9)],
+                         ids=["Q6", "cycle9"])
+def test_full_graph_keeps_one_distance_array(make):
+    # a full graph's distances within S are the host's, not an n x n copy
+    sub = make()
+    assert np.shares_memory(sub.dist_S, sub.host.dist)
+    assert np.shares_memory(sub.host_dist(), sub.host.dist)
+    assert not sub.dist_S.flags.writeable
+
+
 def test_arc_in_cycle_boundary():
     graph = cycle_graph(6)
     sub = induce_subgraph(graph, [0, 1, 2])
     assert sorted(sub.boundary.tolist()) == [3, 5]
     assert sub.diameter_S == 2
     assert sub.boundary_degree.tolist() == [1, 0, 1]
-    assert sub.k_x(1) == [1, 5]
-    assert sub.k_x(0) == [1]    # only +1 keeps vertex 0 inside
+    assert k_x(sub, 1) == [1, 5]
+    assert k_x(sub, 0) == [1]    # only +1 keeps vertex 0 inside
 
 
 def test_halfcube_boundary():

@@ -7,17 +7,20 @@ import pytest
 
 from gapbound.bounds import bound_thm1, bound_thm3, bound_thm4, verify_all
 from gapbound.config import DEFAULT_TOL
-from gapbound.errors import CertificateFailure, InsufficientSpan, UnstableStep
+import gapbound.errors
+from gapbound.errors import CertificateFailure, InsufficientSpan
 from gapbound.families import (cycle_instance, hypercube_instance,
                                path_instance, quadratic_potential,
                                subcube_instance)
-from gapbound.heat import (decay_rate_check, default_times,
+from gapbound.heat import (HeatTrajectory, decay_rate_check, default_times,
                            eta2_contraction_check, evolve, gershgorin_max,
                            mocheat_inequality_check, ratio_evolution_check)
-from gapbound.moduli import (RatioFunction, _eta_block,
-                             modulus_of_concavity, modulus_of_continuity)
+from gapbound.moduli import (RatioFunction, modulus_of_concavity,
+                             modulus_of_continuity)
 from gapbound.operators import (dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian)
+
+from conftest import euler_states
 
 
 def test_eigenvector_decays_exponentially():
@@ -25,7 +28,7 @@ def test_eigenvector_decays_exponentially():
     lap = laplacian(sub)
     spec = eigendecompose(lap)
     times = np.array([0.0, 0.3, 1.0, 2.5])
-    traj = evolve(lap, spec.vector(1), times, spectrum=spec)
+    traj = evolve(spec, spec.vector(1), times)
     for j, t in enumerate(times):
         expected = spec.vector(1) * math.exp(-spec.lambda1 * t)
         assert np.abs(traj.states[j] - expected).max() <= 1e-12
@@ -35,7 +38,7 @@ def test_constant_state_is_stationary():
     sub = cycle_instance(5)
     lap = laplacian(sub)
     times = np.array([0.0, 1.0, 4.0])
-    traj = evolve(lap, np.ones(5), times)
+    traj = evolve(eigendecompose(lap), np.ones(5), times)
     assert np.abs(traj.states - 1.0).max() <= 1e-10
 
 
@@ -43,7 +46,7 @@ def test_reproduces_initial_state():
     sub = path_instance(6)
     lap = laplacian(sub)
     phi0 = np.sin(np.arange(6.0))
-    traj = evolve(lap, phi0, np.array([0.0, 0.1]))
+    traj = evolve(eigendecompose(lap), phi0, np.array([0.0, 0.1]))
     assert np.abs(traj.states[0] - phi0).max() <= 1e-10
 
 
@@ -51,7 +54,7 @@ def test_mass_conservation_for_laplacian(rng):
     sub = cycle_instance(7)
     lap = laplacian(sub)
     phi0 = rng.normal(size=7)
-    traj = evolve(lap, phi0, np.array([0.0, 0.5, 2.0, 5.0]))
+    traj = evolve(eigendecompose(lap), phi0, np.array([0.0, 0.5, 2.0, 5.0]))
     sums = traj.states.sum(axis=1)
     assert np.abs(sums - phi0.sum()).max() <= 1e-9
 
@@ -62,9 +65,9 @@ def test_semigroup_property(rng):
     spec = eigendecompose(lap)
     phi0 = rng.normal(size=5)
     t, s = 0.7, 1.1
-    one = evolve(lap, phi0, np.array([t + s]), spectrum=spec).states[-1]
-    half = evolve(lap, phi0, np.array([t]), spectrum=spec).states[-1]
-    two = evolve(lap, half, np.array([s]), spectrum=spec).states[-1]
+    one = evolve(spec, phi0, np.array([t + s])).states[-1]
+    half = evolve(spec, phi0, np.array([t])).states[-1]
+    two = evolve(spec, half, np.array([s])).states[-1]
     assert np.abs(one - two).max() <= 1e-9
 
 
@@ -75,25 +78,16 @@ def test_spectral_vs_euler_cross_check(rng):
     lam = gershgorin_max(ham)
     times = np.array([0.1, 0.25, 0.5]) / lam
     phi0 = rng.normal(size=5)
-    spectral = evolve(ham, phi0, times)
-    euler = evolve(ham, phi0, times, method="euler", dt=times[-1] / 200000)
-    assert np.abs(spectral.states - euler.states).max() <= 1e-6
-
-
-def test_euler_stability_guard():
-    sub = path_instance(4)
-    lap = laplacian(sub)
-    lam = gershgorin_max(lap)
-    with pytest.raises(UnstableStep):
-        evolve(lap, np.ones(4), np.array([1.0]), method="euler", dt=2.0 / lam)
+    spectral = evolve(eigendecompose(ham), phi0, times)
+    euler = euler_states(ham, phi0, times, dt=times[-1] / 200000)
+    assert np.abs(spectral.states - euler).max() <= 1e-6
 
 
 def test_eta_series_monotone_for_eigenvector():
     sub = path_instance(5)
     lap = laplacian(sub)
     spec = eigendecompose(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
-                  spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.lambda1))
     tops = traj.etas[:, -1]
     assert all(b <= a + 1e-12 for a, b in zip(tops, tops[1:]))
 
@@ -102,8 +96,7 @@ def test_decay_rate_three_path():
     sub = path_instance(3)
     lap = laplacian(sub)
     spec = eigendecompose(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
-                  spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.lambda1))
     cert = decay_rate_check(traj, mu=bound_thm1(2))
     assert cert.fitted_rate >= 1.0 - 1e-6
     assert abs(cert.fitted_rate - 1.0) <= 1e-6
@@ -113,7 +106,7 @@ def test_decay_rate_hypercube():
     sub = hypercube_instance(2)
     lap = laplacian(sub)
     spec = eigendecompose(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.gap))
     cert = decay_rate_check(traj, mu=2.0)
     assert cert.fitted_rate >= 2.0 - 1e-6
 
@@ -124,8 +117,7 @@ def test_decay_rate_cycle_oracle():
     spec = eigendecompose(lap)
     # cycle spectrum oracle: lambda_1 = 2(1 - cos(2 pi / 6)) = 1
     assert abs(spec.lambda1 - 1.0) <= 1e-10
-    traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
-                  spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.lambda1))
     mu = 2 * (1 - math.cos(math.pi / 4))  # D = 3 bound
     cert = decay_rate_check(traj, mu=mu)
     assert cert.fitted_rate >= mu - 1e-6
@@ -136,7 +128,7 @@ def test_insufficient_span():
     lap = laplacian(sub)
     spec = eigendecompose(lap)
     times = np.array([0.0, 0.01, 0.02]) / spec.lambda1
-    traj = evolve(lap, spec.vector(1), times, spectrum=spec)
+    traj = evolve(spec, spec.vector(1), times)
     with pytest.raises(InsufficientSpan):
         decay_rate_check(traj, mu=1.0)
 
@@ -144,7 +136,7 @@ def test_insufficient_span():
 def test_mocheat_constant_initial_state():
     sub = path_instance(5)
     lap = laplacian(sub)
-    traj = evolve(lap, np.ones(5), np.array([0.0, 0.5, 1.0]))
+    traj = evolve(eigendecompose(lap), np.ones(5), np.array([0.0, 0.5, 1.0]))
     cert = mocheat_inequality_check(traj)
     assert cert.ok
 
@@ -153,8 +145,7 @@ def test_mocheat_five_path():
     sub = path_instance(5)
     lap = laplacian(sub)
     spec = eigendecompose(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.lambda1),
-                  spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.lambda1))
     cert = mocheat_inequality_check(traj)
     assert cert.ok and cert.checked > 0
 
@@ -175,8 +166,8 @@ def test_mocheat_failure_witness(n, slow, extra, s, t, message):
     w[slow] *= 0.5
     phi0 = spec.vector(1) if extra is None \
         else spec.vector(1) + spec.vector(extra)
-    traj = evolve(lap, phi0, default_times(spec.gap),
-                  spectrum=dataclasses.replace(spec, eigenvalues=w))
+    traj = evolve(dataclasses.replace(spec, eigenvalues=w),
+                  phi0, default_times(spec.gap))
     with pytest.raises(CertificateFailure) as exc:
         mocheat_inequality_check(traj)
     assert str(exc.value) == message
@@ -189,7 +180,7 @@ def test_eta2_contraction_q3():
     sub = hypercube_instance(3)
     lap = laplacian(sub)
     spec = eigendecompose(lap)
-    traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.gap))
     cert = eta2_contraction_check(traj)
     assert cert.ok and cert.checked > 0
 
@@ -265,6 +256,12 @@ def ref_default_dt(spec):
     return 1e-3 / lam_max if lam_max > 0 else 1e-3
 
 
+def eta_table(eta):
+    """eta over [-D, D] as a vector (index i -> s = i - D)."""
+    pos = eta.values[1:]
+    return np.concatenate([-pos[::-1], [0.0], pos])
+
+
 def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
     """(checked, worst_margin) of the per-state loop; raises like the check."""
     spec = traj.spectrum
@@ -279,8 +276,8 @@ def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
         if t < 2 * dt:
             continue
         em2, em1, e0, ep1, ep2 = [
-            modulus_of_continuity(ref_state(spec, phi0, t + k * dt), sub,
-                                  tol).table()[slot]
+            eta_table(modulus_of_continuity(
+                ref_state(spec, phi0, t + k * dt), sub, tol))[slot]
             for k in (-2, -1, 0, 1, 2)]
         deta = (ep1 - em1) / (2 * dt)
         third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
@@ -373,7 +370,7 @@ def test_heat_matches_per_state_reference(name):
     op = laplacian(sub) if pot is None else dirichlet_hamiltonian(sub, pot)
     spec = eigendecompose(op)
     times = default_times(spec.gap)
-    traj = evolve(op, spec.vector(1), times, spectrum=spec)
+    traj = evolve(spec, spec.vector(1), times)
     ref = np.stack([ref_state(spec, spec.vector(1), t) for t in times])
     assert np.array_equal(traj.states, ref)
     assert not traj.etas.flags.writeable
@@ -408,8 +405,8 @@ def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
     w[slow] *= 0.5
     phi0 = spec.vector(1) if extra is None \
         else spec.vector(1) + spec.vector(extra)
-    traj = evolve(lap, phi0, default_times(spec.gap),
-                  spectrum=dataclasses.replace(spec, eigenvalues=w))
+    traj = evolve(dataclasses.replace(spec, eigenvalues=w),
+                  phi0, default_times(spec.gap))
     with pytest.raises(CertificateFailure) as want:
         ref_mocheat(traj, sub)
     with pytest.raises(CertificateFailure) as got:
@@ -424,7 +421,7 @@ def test_eta2_failure_matches_per_state_reference():
     lap = laplacian(sub)
     spec = eigendecompose(lap)
     slow = dataclasses.replace(spec, eigenvalues=0.5 * spec.eigenvalues)
-    traj = evolve(lap, spec.vector(1), default_times(spec.gap), spectrum=slow)
+    traj = evolve(slow, spec.vector(1), default_times(spec.gap))
     with pytest.raises(CertificateFailure) as want:
         ref_eta2(traj, sub)
     with pytest.raises(CertificateFailure) as got:
@@ -474,26 +471,11 @@ def test_ratio_check_matches_per_state_reference(case):
         assert case == "exact"
 
 
-def test_spectrum_of_another_operator_rejected():
-    # path(5)'s Laplacian evolved with its boundary Hamiltonian's spectrum
-    # would lose mass (0.318 of 5 at the last sample) without an error
-    sub = path_instance(5)
-    lap = laplacian(sub)
-    ham = dirichlet_hamiltonian(sub, "boundary")
-    spec_lap, spec_ham = eigendecompose(lap), eigendecompose(ham)
-    times = default_times(spec_lap.gap)
-    with pytest.raises(ValueError, match="another operator"):
-        evolve(lap, np.ones(5), times, spectrum=spec_ham)
-    # an operator with the same entries is the same operator
-    traj = evolve(laplacian(sub), np.ones(5), times, spectrum=spec_lap)
-    assert np.allclose(traj.states.sum(axis=1), 5.0, atol=1e-12)
-
-
 def test_graphless_operator_is_a_named_error():
     lattice = path_lattice_laplacian(3, "odd")
     spec = eigendecompose(lattice)
     times = default_times(spec.gap)
-    traj = evolve(lattice, spec.vector(1), times, spectrum=spec)
+    traj = evolve(spec, spec.vector(1), times)
     for check in (mocheat_inequality_check, eta2_contraction_check):
         with pytest.raises(ValueError, match="operator must come from a graph"):
             check(traj)
@@ -504,19 +486,19 @@ def test_graphless_operator_is_a_named_error():
 
 
 def test_spectral_trajectory_reads_its_spectrum_tolerances():
-    # the decay margin is the spectrum's; an Euler trajectory has no
-    # spectrum and takes the default margin
+    # the decay margin is the spectrum's, and the spectrum is the only
+    # instance argument: evolve takes no operator, method or step
     sub = path_instance(6)
     lap = laplacian(sub)
     tol = DEFAULT_TOL.with_overrides(decay_margin=-10.0)
     spec = eigendecompose(lap, tol)
-    times = default_times(spec.gap)
-    traj = evolve(lap, spec.vector(1), times, spectrum=spec)
+    traj = evolve(spec, spec.vector(1), default_times(spec.gap))
+    assert traj.spectrum is spec
     with pytest.raises(CertificateFailure, match="mu - margin"):
         decay_rate_check(traj, mu=bound_thm1(sub.diameter_S))
-    euler = evolve(lap, spec.vector(1), times, method="euler")
-    assert euler.spectrum is None
-    assert np.array_equal(euler.etas, _eta_block(euler.states, sub))
-    assert decay_rate_check(euler, mu=bound_thm1(sub.diameter_S)).ok
-    for check in (evolve, decay_rate_check):
-        assert "tol" not in inspect.signature(check).parameters
+    assert list(inspect.signature(evolve).parameters) == \
+        ["spec", "phi0", "times"]
+    assert [f.name for f in dataclasses.fields(HeatTrajectory)] == \
+        ["spectrum", "times", "states", "etas"]
+    assert not hasattr(gapbound.errors, "UnstableStep")
+    assert "tol" not in inspect.signature(decay_rate_check).parameters

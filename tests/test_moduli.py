@@ -528,8 +528,8 @@ def eta_blocks(sub, rng):
     if m >= 2:
         op = dirichlet_hamiltonian(sub, "boundary")
         spec = eigendecompose(op)
-        blocks.append(evolve(op, spec.vector(1) + spec.vector(m - 1),
-                             default_times(spec.gap)[::5], spectrum=spec).states)
+        blocks.append(evolve(spec, spec.vector(1) + spec.vector(m - 1),
+                             default_times(spec.gap)[::5]).states)
     return blocks
 
 
