@@ -88,10 +88,19 @@ def _typed_ids(values, order, where):
     return values
 
 
+# the keys `groups.build_group` reads, per group kind
+_GROUP_KEYS = {"cyclic": {"kind", "n"}, "elementary_abelian_2": {"kind", "n"},
+               "direct_product": {"kind", "factors"},
+               "table": {"kind", "table", "name"}}
+
+
 def _group_spec(group, where):
-    """``group`` if its sizes and factors are JSON integers and its table
-    entries element ids; `groups.build_group` checks the rest."""
+    """``group`` if it has only its kind's keys, its sizes and factors are
+    JSON integers and its table entries element ids; `groups.build_group`
+    checks the rest."""
     kind = _typed(group, "object", where).get("kind")
+    if kind in _GROUP_KEYS:
+        _require_keys(group, _GROUP_KEYS[kind], where)
     if kind in ("cyclic", "elementary_abelian_2"):
         _typed(_field(group, "n", where), "integer", f"{where} field 'n'")
     elif kind == "direct_product":
@@ -128,7 +137,15 @@ def _build_subgraph(inst):
             return {"path": path_instance, "cycle": cycle_instance,
                     "hypercube": hypercube_instance}[name](n)
         if name == "subcube":
-            return subcube_instance(_field(fam, "mask", where))
+            mask = _typed(_field(fam, "mask", where), "list",
+                          f"{where} field 'mask'")
+            for i, bit in enumerate(mask):
+                if bit is not None and (_problem(bit, "integer")
+                                        or bit not in (0, 1)):
+                    raise SpecValidationError(
+                        f"{where} mask[{i}] must be 0, 1 or null, "
+                        f"got {bit!r}")
+            return subcube_instance(mask)
         raise SpecValidationError(f"unknown family {name!r}")
     if "group" not in inst or "generators" not in inst:
         raise SpecValidationError("instance needs either a family or "

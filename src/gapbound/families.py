@@ -80,7 +80,7 @@ def vertex_coordinate(sub: ConvexSubgraph) -> np.ndarray:
 
 
 def quadratic_potential(sub: ConvexSubgraph, c: float, center: float) -> np.ndarray:
-    """W(x) = c * (coord(x) - center)^2, clipped at zero for safety."""
+    """W(x) = c * (coord(x) - center)^2; c < 0 gives a negative potential,
+    which the Hamiltonian rejects."""
     coord = vertex_coordinate(sub)
-    w = c * (coord - center) ** 2
-    return np.maximum(w, 0.0)
+    return c * (coord - center) ** 2

@@ -1,6 +1,6 @@
 """Dense symmetric eigensolver front end over LAPACK (``numpy.linalg.eigh``).
 
-Eigenvalues come out ascending with ties kept in stable order, and each
+Eigenvalues come out ascending, as LAPACK returns them, and each
 eigenvector's sign is fixed, so the output is deterministic for a fixed
 BLAS thread count. The tests check it against ``mpmath.eigsy`` at 30 digits.
 """
@@ -23,9 +23,9 @@ class JacobiInfo:
 def jacobi_eigh(matrix):
     """Full eigendecomposition of a real symmetric matrix.
 
-    Returns (w, v, info) with eigenvalues ``w`` ascending and orthonormal
-    eigenvectors in the columns of ``v``. Ties in the final sort are broken
-    stably and each eigenvector's sign is fixed.
+    Returns (w, v, info) with eigenvalues ``w`` ascending, as LAPACK
+    returns them, and orthonormal eigenvectors in the columns of ``v``,
+    each with its sign fixed.
 
     Raises ConvergenceFailure if LAPACK does not converge.
     """
@@ -36,9 +36,6 @@ def jacobi_eigh(matrix):
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigh did not converge: {exc}") from exc
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
     _fix_signs(v)
     return w, v, JacobiInfo()
 

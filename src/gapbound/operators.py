@@ -3,7 +3,10 @@
 The eigensolver is LAPACK (see jacobi.py). The lambda1 eigenspace gets a
 canonical basis, so a degenerate gap reports the same eigenvectors whatever
 basis the solver returned. Every Spectrum is validated against residual,
-orthonormality and ground-state sign invariants at construction time.
+orthonormality and ground-state sign invariants at construction time. The
+residual |H v - lambda v| of each pair is computed once, through neighbour
+sums, and kept on the Spectrum; that check and the eigen-recurrence
+certificate both read it.
 """
 
 import math
@@ -61,13 +64,12 @@ class Spectrum:
     Also the per-instance context: it carries the operator (and through it
     the subgraph) and the tolerances it was built under, which the analyses
     read from it, and keeps on first use the positive ground state, the
-    certificate, the ratio and eta of every lambda1 eigenvector as one
-    block, and the log-concavity and omega of log u0.
+    residuals, the certificate, the ratio and eta of every lambda1
+    eigenvector as one block, and the log-concavity and omega of log u0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residuals: np.ndarray
     operator: SymmetricOperator
     tolerances: ToleranceConfig
 
@@ -101,6 +103,11 @@ class Spectrum:
         u0 = self.eigenvectors[:, 0]
         return self._derived("ground_state", lambda: _ro(-u0)
                              if u0[np.argmax(np.abs(u0))] < 0 else u0)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """max_x |(Op u - lambda u)(x)| of each pair; read-only."""
+        return self._derived("residuals", lambda: _ro(_residuals(self)))
 
     def _derived(self, key, make):
         """make() on first use, then the kept value; a raise keeps nothing."""
@@ -234,15 +241,14 @@ def eigendecompose(op: SymmetricOperator,
     """Full validated spectrum of a symmetric operator."""
     w, v, _ = jacobi_eigh(op.entries)
     _canonical_basis(v, _lambda1_indices(w, tol))
-    resid = np.abs(op.entries @ v - v * w).max(axis=0)
-    spec = Spectrum(eigenvalues=_ro(w), eigenvectors=_ro(v),
-                    residuals=_ro(resid), operator=op, tolerances=tol)
-    _validate_spectrum(spec, tol)
+    spec = Spectrum(eigenvalues=_ro(w), eigenvectors=_ro(v), operator=op,
+                    tolerances=tol)
+    _validate_spectrum(spec)
     return spec
 
 
-def _validate_spectrum(spec: Spectrum, tol: ToleranceConfig):
-    w, v = spec.eigenvalues, spec.eigenvectors
+def _validate_spectrum(spec: Spectrum):
+    w, v, tol = spec.eigenvalues, spec.eigenvectors, spec.tolerances
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     if spec.residuals.max(initial=0.0) > tol.spectrum_residual * scale:
         raise SpectrumInvariantError(
@@ -274,9 +280,10 @@ def _source(op: SymmetricOperator) -> ConvexSubgraph:
 def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
     """Apply the operator through neighbor sums, bypassing its dense matrix.
 
-    Routes the eigen-recurrence certificate through graph structure instead
-    of the assembled entries. ``u`` is a vector or a block of column
-    vectors; each column gets the same arithmetic as it would alone.
+    Routes the spectrum residuals through graph structure instead of the
+    assembled entries; a graphless operator (a path lattice) has only its
+    entries. ``u`` is a vector or a block of column vectors; each column
+    gets the same arithmetic as it would alone.
     """
     col = (slice(None),) + (None,) * (u.ndim - 1)   # broadcast vertex data
     sub = op.source
@@ -296,7 +303,19 @@ def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
     return op.entries @ u
 
 
-_CERT_BLOCK = 64    # eigenvector columns per recurrence-certificate pass
+_CERT_BLOCK = 64    # eigenvector columns per residual pass
+
+
+def _residuals(spec: Spectrum) -> np.ndarray:
+    """Spectrum.residuals, in blocks of _CERT_BLOCK columns."""
+    w, v = spec.eigenvalues, spec.eigenvectors
+    out = np.empty(spec.dim)
+    for lo in range(0, spec.dim, _CERT_BLOCK):
+        u = v[:, lo:lo + _CERT_BLOCK]
+        out[lo:lo + _CERT_BLOCK] = np.abs(
+            _apply_by_adjacency(spec.operator, u)
+            - u * w[lo:lo + _CERT_BLOCK]).max(axis=0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -310,25 +329,24 @@ def rayleigh_gap_check(spec: Spectrum) -> RayleighCertificate:
     """Certify the eigen-recurrence componentwise and the Rayleigh quotient.
 
     (i) every pair satisfies -lambda u(x) = sum_{y~x} (u(y) - u(x)) (plus the
-    potential term for Hamiltonians), evaluated through adjacency sums;
+    potential term for Hamiltonians): the spectrum's own residuals, computed
+    through adjacency sums, are read against the bar, and only the first
+    failing pair is applied again, for the vertex that witnesses it;
     (ii) the quadratic-form Rayleigh quotient of u1 reproduces lambda1.
     The operator is the spectrum's own, and the bars are
     ``spec.tolerances.recurrence`` and ``.rayleigh``.
     """
     op, tol = spec.operator, spec.tolerances
-    worst = 0.0
-    for lo in range(0, spec.dim, _CERT_BLOCK):
-        u = spec.eigenvectors[:, lo:lo + _CERT_BLOCK]
-        r = np.abs(_apply_by_adjacency(op, u)
-                   - u * spec.eigenvalues[lo:lo + _CERT_BLOCK])
-        bad = r.max(axis=0)
-        fail = np.flatnonzero(bad > tol.recurrence)
-        if fail.size:
-            j = fail[0]
-            raise CertificateFailure(
-                f"eigen-recurrence fails for pair {lo + j} (residual "
-                f"{bad[j]:.3e})", witness=int(np.argmax(r[:, j])))
-        worst = max(worst, float(np.fmax.reduce(bad)))
+    resid = spec.residuals
+    fail = np.flatnonzero(resid > tol.recurrence)
+    if fail.size:
+        j = int(fail[0])
+        u = spec.vector(j)
+        r = np.abs(_apply_by_adjacency(op, u) - u * spec.eigenvalues[j])
+        raise CertificateFailure(
+            f"eigen-recurrence fails for pair {j} (residual "
+            f"{resid[j]:.3e})", witness=int(np.argmax(r)))
+    worst = float(np.fmax.reduce(resid, initial=0.0))
 
     rq_err = 0.0
     if spec.dim >= 2:

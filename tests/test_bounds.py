@@ -301,6 +301,6 @@ def test_verify_all_reads_the_spectrum_tolerances():
     assert eta.tie_tol == 1e-4 * max(1.0, abs(eta.values[-1]))
     verify_all(spec)
     # one entry per quantity, not one per tolerance set
-    assert set(spec._cache) == {"ground_state", "certificate",
+    assert set(spec._cache) == {"ground_state", "residuals", "certificate",
                                 "eigenspace_scans", "log_ground_state",
                                 "log_concavity", "omega"}

@@ -277,11 +277,23 @@ def test_bad_thread_count_fails_before_any_size(tmp_path, monkeypatch, capsys):
         assert "GAPBOUND_THREADS" in capsys.readouterr().err
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_unknown_keys_rejected(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json",
                       instance={"family": {"name": "path", "n": 5}},
                       potential="none", analyses=["bounds"], bogus=1)
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    # group objects too, a direct-product factor included
+    cyclic = {"kind": "cyclic", "n": 4}
+    for group, where in (
+            ({**cyclic, "foo": 1}, "instance group"),
+            ({"kind": "direct_product", "factors": [
+                {**cyclic, "foo": 1}, {"kind": "cyclic", "n": 2}]},
+             "instance group factors[0]")):
+        spec = write_spec(tmp_path / "s.json",
+                          instance={"group": group, "generators": [1, 3]})
+        assert main(["run", "--spec", str(spec),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys in {where}: ['foo']" in capsys.readouterr().err
 
 
 def test_tol_override_must_be_an_object(tmp_path, capsys):
@@ -387,6 +399,14 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
     ({"instance": {"group": {"kind": "cyclic", "n": 8},
                    "generators": [10 ** 30, 7]}},
      f"instance generators[0] must be in [0, 8), got {10 ** 30}"),
+    ({"instance": {"family": {"name": "subcube", "mask": 5}}},
+     "'subcube' field 'mask' must be a JSON list, got 5"),
+    ({"instance": {"family": {"name": "subcube",
+                              "mask": [True, None, None]}}},
+     "'subcube' mask[0] must be 0, 1 or null, got True"),
+    ({"instance": {"family": {"name": "subcube",
+                              "mask": [None, 1.0, None]}}},
+     "'subcube' mask[1] must be 0, 1 or null, got 1.0"),
     ({"potential": {"values": ["a", 1, 1, 1]}},
      "potential values[0] must be a JSON number, got 'a'"),
     ({"potential": {"formula": "quadratic", "c": "x", "center": 1.5}},
@@ -412,6 +432,7 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
         "n-bool", "n-string", "group-n-float", "factor-n-float",
         "table-entry-float", "generator-float", "subgraph-vertex-float",
         "subgraph-vertex-2**40", "table-entry-10**23", "generator-10**30",
+        "mask-integer", "mask-entry-bool", "mask-entry-float",
         "potential-value-string", "quadratic-c-string",
         "quadratic-center-string", "potential-value-nan",
         "potential-value-inf", "quadratic-c-nan", "quadratic-center-inf",
@@ -427,6 +448,18 @@ def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
         spec.write_text(json.dumps(fields))
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_negative_quadratic_potential_is_rejected(tmp_path, capsys):
+    # c < 0 gives W < 0, rejected like the same values given explicitly
+    path6 = {"family": {"name": "path", "n": 6}}
+    quadratic = {"formula": "quadratic", "c": -0.5, "center": 2.5}
+    values = {"values": [-0.5 * (x - 2.5) ** 2 for x in range(6)]}
+    for pot in (quadratic, values):
+        spec = write_spec(tmp_path / "s.json", instance=path6, potential=pot)
+        assert main(["run", "--spec", str(spec),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "potential has a negative entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
@@ -669,6 +702,28 @@ def test_hypercube_run_builds_no_pair_index(tmp_path, monkeypatch):
     (_, spectrum), = calls
     assert len(spectrum.gap_indices) == 6
     assert "_classes" not in spectrum.operator.source.__dict__
+
+
+@pytest.mark.parametrize("name", ["Q8", "Q8-subcube-boundary", "S4"])
+def test_max_residual_is_the_certificate_residual(tmp_path, transpositions,
+                                                  name):
+    # one residual array: the report's max_residual, the spectrum
+    # certificate and the bounds certificate read the same numbers
+    table, gens = transpositions(4)
+    instance, potential = {
+        "Q8": ({"family": {"name": "hypercube", "n": 8}}, "none"),
+        "Q8-subcube-boundary": ({"family": {"name": "subcube",
+                                            "mask": [None] * 7 + [0]}},
+                                "boundary"),
+        "S4": ({"group": {"kind": "table", "table": table},
+                "generators": gens}, "none")}[name]
+    spec = write_spec(tmp_path / "s.json", instance=instance,
+                      potential=potential, analyses=["spectrum", "bounds"])
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    report = load_report(tmp_path / "o")
+    resid = report["spectrum"]["max_residual"]
+    assert resid == report["spectrum"]["certificate"]["recurrence_residual"]
+    assert resid == report["bounds"]["certificate"]["recurrence_residual"]
 
 
 @pytest.mark.parametrize("n", [4, 5])

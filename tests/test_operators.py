@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from gapbound import operators
 from gapbound.bounds import verify_all
-from gapbound.errors import CertificateFailure, NegativePotential
+from gapbound.config import DEFAULT_TOL
+from gapbound.errors import (CertificateFailure, NegativePotential,
+                             SpectrumInvariantError)
 from gapbound.families import (cycle_graph, hypercube_instance,
                                path_instance)
 from gapbound.graphs import induce_subgraph
-from gapbound.operators import (SymmetricOperator, _apply_by_adjacency,
-                                _canonical_basis, _certificate,
+from gapbound.operators import (Spectrum, SymmetricOperator,
+                                _apply_by_adjacency, _canonical_basis,
+                                _certificate, _validate_spectrum,
                                 boundary_potential,
                                 dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian,
@@ -172,8 +176,7 @@ def test_certificate_failure_surfaces_witness():
     broken = spec.eigenvectors.copy()
     broken[:, 1] = broken[:, 0]
     bad = type(spec)(eigenvalues=spec.eigenvalues, eigenvectors=broken,
-                     residuals=spec.residuals, operator=spec.operator,
-                     tolerances=spec.tolerances)
+                     operator=spec.operator, tolerances=spec.tolerances)
     with pytest.raises(CertificateFailure):
         rayleigh_gap_check(bad)
 
@@ -216,6 +219,48 @@ def test_block_certificate_matches_pair_loop():
     assert str(exc.value) == (f"eigen-recurrence fails for pair 70 "
                               f"(residual {float(r.max()):.3e})")
     assert exc.value.witness == int(np.argmax(r))
+
+
+def test_spectrum_fields_hold_no_residuals():
+    # the residuals are derived from the eigenpairs, never handed in
+    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+        "eigenvalues", "eigenvectors", "operator", "tolerances"]
+
+
+def test_residuals_follow_the_eigenvectors():
+    spec = eigendecompose(laplacian(path_instance(6)))
+    broken = spec.eigenvectors.copy()
+    broken[:, 2] = broken[:, 3]
+    bad = dataclasses.replace(spec, eigenvectors=broken)
+    r = np.abs(_apply_by_adjacency(spec.operator, broken[:, 2])
+               - spec.eigenvalues[2] * broken[:, 2])
+    assert bad.residuals[2] == r.max() > 0.1
+    keep = np.arange(spec.dim) != 2
+    assert np.array_equal(bad.residuals[keep], spec.residuals[keep])
+    with pytest.raises(SpectrumInvariantError, match="residual"):
+        _validate_spectrum(bad)
+
+
+def test_residual_above_its_bar_fails_construction():
+    tol = DEFAULT_TOL.with_overrides(spectrum_residual=1e-20)
+    with pytest.raises(SpectrumInvariantError, match="residual .* exceeds"):
+        eigendecompose(laplacian(hypercube_instance(3)), tol)
+
+
+def test_certificate_reads_the_kept_residuals(monkeypatch):
+    # the construction check computed every pair's residual; the
+    # certificate applies the operator once more, for the Rayleigh quotient
+    spec = eigendecompose(laplacian(hypercube_instance(7)))
+    calls = []
+    real = operators._apply_by_adjacency
+
+    def counted(op, u):
+        calls.append(u.shape)
+        return real(op, u)
+    monkeypatch.setattr(operators, "_apply_by_adjacency", counted)
+    cert = rayleigh_gap_check(spec)
+    assert calls == [(spec.dim,)]
+    assert cert.recurrence_residual == spec.residuals.max()
 
 
 def test_trace_identity_and_nonnegativity(rng):
