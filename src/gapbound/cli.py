@@ -46,7 +46,7 @@ def _field(obj, key, where):
     return obj[key]
 
 
-_JSON_TYPES = {"object": dict, "list": list, "integer": int,
+_JSON_TYPES = {"object": dict, "list": list, "string": str, "integer": int,
                "number": (int, float)}
 
 
@@ -62,7 +62,8 @@ def _problem(value, kind):
 
 
 def _typed(value, kind, where):
-    """``value`` if it is a JSON ``kind`` (object, list, integer or number)."""
+    """``value`` if it is a JSON ``kind`` (object, list, string, integer or
+    number)."""
     problem = _problem(value, kind)
     if problem:
         raise SpecValidationError(f"{where} must be {problem}, got {value!r}")
@@ -96,8 +97,8 @@ _GROUP_KEYS = {"cyclic": {"kind", "n"}, "elementary_abelian_2": {"kind", "n"},
 
 def _group_spec(group, where):
     """``group`` if it has only its kind's keys, its sizes and factors are
-    JSON integers and its table entries element ids; `groups.build_group`
-    checks the rest."""
+    JSON integers, its table entries element ids and its name a JSON
+    string; `groups.build_group` checks the rest."""
     kind = _typed(group, "object", where).get("kind")
     if kind in _GROUP_KEYS:
         _require_keys(group, _GROUP_KEYS[kind], where)
@@ -113,6 +114,8 @@ def _group_spec(group, where):
                       f"{where} field 'table'")
         for i, row in enumerate(rows):
             _typed_ids(row, len(rows), f"{where} table[{i}]")
+        if "name" in group:
+            _typed(group["name"], "string", f"{where} field 'name'")
     return group
 
 
@@ -291,13 +294,20 @@ def run_instance(spec, analyses, tol, out_dir: Path):
         write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
 
     if "bounds" in analyses:
-        gap_report = verify_all(spectrum)
-        report["bounds"] = gap_report.as_dict()
-        for rec in gap_report.records:
-            if rec.applicable and rec.bound is not None and not rec.holds:
-                failures.append(
-                    f"{rec.theorem}: bound {rec.bound!r} exceeds gap "
-                    f"{gap_report.gap!r}")
+        try:
+            gap_report = verify_all(spectrum)
+        except CertificateFailure as exc:
+            report["bounds"] = {"ok": False, "error": str(exc),
+                                "witness": exc.witness}
+            failures.append(f"bounds certificate: {exc}")
+        else:
+            report["bounds"] = gap_report.as_dict()
+            for rec in gap_report.records:
+                if rec.applicable and rec.bound is not None \
+                        and not rec.holds:
+                    failures.append(
+                        f"{rec.theorem}: bound {rec.bound!r} exceeds gap "
+                        f"{gap_report.gap!r}")
 
     if "moduli" in analyses and spectrum.dim >= 2:
         eta = _ground_eta(spectrum)

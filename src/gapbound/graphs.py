@@ -318,8 +318,12 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     return result
 
 
-# cells of d(x, v) + d(v, y) compared per block of the geodesic scan; larger
-# blocks save little time and raise peak memory
+# The one scratch budget of every blocked pass, in array cells (512 KiB of
+# float64): the d(x, v) + d(v, y) cells of a geodesic-scan block, the
+# pair-scan gather buffers, ball dilation's live arrays together, the heat
+# stencil's states per block of sample times, and each row or column block
+# of the extremal scans, the operator checks and the residuals. Larger
+# blocks save little time and raise peak memory.
 _SCAN_CELLS = 1 << 16
 
 

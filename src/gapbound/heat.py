@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateFailure, InsufficientSpan
-from .graphs import ConvexSubgraph, _ro
+from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
 from .moduli import (_NOT_POSITIVE, _difference_sums, _eta_block,
                      _ground_ratio, _lead_positive)
 # TODO(next benchmark change): perfbench's
@@ -46,22 +46,24 @@ def gershgorin_max(op: SymmetricOperator) -> float:
 
 def spectral_state(spec: Spectrum, phi0: np.ndarray, t: float) -> np.ndarray:
     """phi(t) = sum_i <u_i, phi0> e^{-lambda_i t} u_i."""
-    return _spectral_states(spec, phi0, [t])[0]
+    return _spectral_states(spec, spec.eigenvectors.T @ phi0, [t])[0]
 
 
-def _spectral_states(spec: Spectrum, phi0: np.ndarray, times) -> np.ndarray:
-    """phi(t) for each t, one row each.
+def _spectral_states(spec: Spectrum, coeff: np.ndarray, times) -> np.ndarray:
+    """phi(t) for each t, one row each, from the coefficients U^T phi0.
 
-    The coefficients U^T phi0 are computed once, and coeff * e^{-lambda t}
-    for every sample time as one (T, n) grid; exp and the products are
-    elementwise, so each row has the bits of its own time. Each row is then
-    U times its grid row, one matrix-vector product per time: matmul of U
-    with a stack of vectors runs them in turn, while one U @ grid^T for all
-    times rounds differently.
+    coeff * e^{-lambda t} for every sample time is one (T, n) grid, built
+    in place; exp and the products are elementwise, so each row has the
+    bits of its own time. Each row is then U times its grid row, one
+    matrix-vector product per time: matmul of U with a stack of vectors
+    runs them in turn, while one U @ grid^T for all times rounds
+    differently.
     """
     u = spec.eigenvectors
-    coeff = u.T @ phi0
-    grid = coeff * np.exp(-np.multiply.outer(times, spec.eigenvalues))
+    grid = np.multiply.outer(times, spec.eigenvalues)
+    np.negative(grid, out=grid)
+    np.exp(grid, out=grid)
+    grid *= coeff
     return np.matmul(u, grid[:, :, None])[:, :, 0]
 
 
@@ -73,25 +75,37 @@ def _default_dt(spec: Spectrum) -> float:
     return 1e-3 / lam_max if lam_max > 0 else 1e-3
 
 
-def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
+def _offset_states(spec: Spectrum, coeff: np.ndarray, times, dt: float,
                    offsets=_OFFSETS):
-    """The sample times t >= -min(offsets) dt, and the states at
-    t + k dt for k in offsets, (len(kept), len(offsets), dim)."""
-    kept = [t for t in times if t >= -min(offsets) * dt]
-    states = _spectral_states(spec, phi0,
-                              [t + k * dt for t in kept for k in offsets])
-    return kept, states.reshape(len(kept), len(offsets), phi0.size)
+    """The states at t + k dt for each t in `times` and k in offsets, from
+    the coefficients U^T phi0, (len(times), len(offsets), dim)."""
+    states = _spectral_states(spec, coeff,
+                              [t + k * dt for t in times for k in offsets])
+    return states.reshape(len(times), len(offsets), spec.dim)
 
 
 def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
     """The sample times t >= 2 dt, and eta(s), s = 0..D, of the trajectory's
     state at t + k dt for k = -2..2, (len(kept), 5, D + 1); dt is
-    `_default_dt` of the trajectory's spectrum."""
-    dt = _default_dt(traj.spectrum)
-    kept, states = _offset_states(traj.spectrum, traj.states[0], traj.times, dt)
-    etas = _eta_block(states.reshape(-1, sub.n_vertices), sub)
-    return dt, kept, etas.reshape(len(kept), len(_OFFSETS),
-                                  sub.diameter_S + 1)
+    `_default_dt` of the trajectory's spectrum.
+
+    The states are built and scanned in blocks of sample times, each block
+    at most _SCAN_CELLS state cells; a state's eta does not depend on the
+    block it is scanned in.
+    """
+    spec = traj.spectrum
+    dt = _default_dt(spec)
+    kept = [t for t in traj.times if t >= 2 * dt]
+    coeff = spec.eigenvectors.T @ traj.states[0]
+    m, k = sub.n_vertices, len(_OFFSETS)
+    step = max(1, _SCAN_CELLS // (k * m))
+    etas = np.empty((len(kept), k, sub.diameter_S + 1))
+    for lo in range(0, len(kept), step):
+        states = _offset_states(spec, coeff, kept[lo:lo + step], dt)
+        etas[lo:lo + step] = _eta_block(states.reshape(-1, m), sub).reshape(
+            -1, k, sub.diameter_S + 1)
+        del states      # freed before the next block's
+    return dt, kept, etas
 
 
 def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
@@ -105,7 +119,7 @@ def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
         raise ValueError("times must be non-negative and strictly increasing")
     if phi0.shape != (op.dim,):
         raise ValueError("initial state has wrong length")
-    states = _spectral_states(spec, phi0, times)
+    states = _spectral_states(spec, spec.eigenvectors.T @ phi0, times)
     etas = None if op.source is None else _ro(_eta_block(states, op.source))
     return HeatTrajectory(spectrum=spec, times=times, states=states,
                           etas=etas)
@@ -255,10 +269,11 @@ def ratio_evolution_check(spec: Spectrum, times) -> RatioCertificate:
             witness=int(np.argmax(np.abs(-gamma * ratio0.f - weighted0))))
 
     dt = _default_dt(spec)
-    times = np.asarray(times, dtype=np.float64)
-    kept, ground = _offset_states(spec, spec.ground_state, times, dt,
-                                  (-1, 0, 1))
-    _, first = _offset_states(spec, spec.vector(1), times, dt, (-1, 0, 1))
+    kept = [t for t in np.asarray(times, dtype=np.float64) if t >= dt]
+    u = spec.eigenvectors
+    ground = _offset_states(spec, u.T @ spec.ground_state, kept, dt,
+                            (-1, 0, 1))
+    first = _offset_states(spec, u.T @ spec.vector(1), kept, dt, (-1, 0, 1))
     ground = _lead_positive(ground)
     # the samples before the first with a non-positive ground state are
     # checked, so a failure among them is still the first in time order

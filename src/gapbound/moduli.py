@@ -240,14 +240,16 @@ def _eta_block(states, sub: ConvexSubgraph) -> np.ndarray:
 
     Dilation runs for a block of more than one row with every value finite
     when (k_live + 2) D < m, k_live counting the generators with an in-S
-    neighbour. Dilation makes D steps of 2 k_live + 3 passes over m cells,
-    with k_live + 3 numpy calls per step; the pair scan makes five passes,
-    two of them gathers, over m (m - 1) / 2 pair cells, and a pair cell
-    costs about 4.5 dilation cell passes (2.0-2.6 ns against 0.5 ns). So
-    dilation wins when about (k_live + 1.5) D < m, and its per-call cost
-    moves the cut to (k_live + 2) D < m. That picks the faster algorithm on
-    every instance timed with B = 315 random rows (median ms of 9 runs; B =
-    64 in brackets, where Q6 is a tie):
+    neighbour. Dilation makes D steps of 2 k_live + 2 passes over m cells
+    (a gather and a max per generator, the difference and its max), one
+    numpy call each; the pair scan makes five passes, two of them gathers,
+    over m (m - 1) / 2 pair cells, and a pair cell costs about 4.5 dilation
+    cell passes (2.0-2.6 ns against 0.5 ns). So dilation wins when about
+    (k_live + 1.5) D < m, and its per-call cost moves the cut to
+    (k_live + 2) D < m. That picks the faster algorithm on every instance
+    timed with B = 315 random rows (median ms of 9 runs; B = 64 in
+    brackets, where Q6 is a tie; timed before dilation reused its buffers,
+    which took about 30% off its Q8 time):
 
     ========  ===  ===  ======  ============  ============
     instance    m    D  k_live  pair scan     dilation
@@ -318,26 +320,39 @@ def _eta_pairs(states, sub: ConvexSubgraph) -> np.ndarray:
 
 
 def _eta_dilation(states, sub: ConvexSubgraph) -> np.ndarray:
-    """Ball dilation over blocks of about _SCAN_CELLS cells; finite input.
+    """Ball dilation over blocks of rows; finite input.
 
     Vertices are rows (m + 1, b), the last a -inf sentinel that the -1
-    entries of nbr_local index.
+    entries of nbr_local index. f is the block of `states`, read in place;
+    the ball, the grown ball and the gathered neighbour rows are allocated
+    once per block and hold at most _SCAN_CELLS cells together. The first
+    neighbour maximum reads the ball itself, so a step makes no copy, and
+    the differences M_s - f reuse the gather buffer function-major, so that
+    each max over the vertices runs along contiguous memory.
     """
     m, d = sub.n_vertices, sub.diameter_S
     live = [cols for cols in sub.nbr_local if (cols >= 0).any()]
     out = np.zeros((states.shape[0], d + 1))
-    step = max(1, _SCAN_CELLS // m)
+    step = max(1, _SCAN_CELLS // (3 * (m + 1)))
     for i in range(0, states.shape[0], step):
-        f = np.ascontiguousarray(states[i:i + step].T)
-        ball = np.empty((m + 1, f.shape[1]))
-        ball[:m] = f
+        f = states[i:i + step]
+        ball = np.empty((m + 1, f.shape[0]))
+        ball[:m] = f.T
         ball[m] = -np.inf
+        grown = ball.copy()
+        near = np.empty((m, f.shape[0]))
+        diff = near.reshape(f.shape)
         for s in range(1, d + 1):
-            grown = ball.copy()
+            acc = ball[:m]
             for cols in live:
-                np.maximum(grown[:m], ball[cols], out=grown[:m])
-            ball = grown
-            out[i:i + step, s] = (ball[:m] - f).max(axis=0)
+                # mode="wrap" sends the -1 entries to the sentinel row
+                # without the copy that the default mode makes for `out`
+                ball.take(cols, axis=0, out=near, mode="wrap")
+                acc = np.maximum(acc, near, out=grown[:m])
+            ball, grown = grown, ball
+            np.subtract(ball[:m].T, f, out=diff)
+            out[i:i + step, s] = diff.max(axis=1)
+        del ball, grown, near, diff     # freed before the next block's
     # max may keep -0.0 over an equal +0.0, so an all-zero difference could
     # read -0.0; adding +0.0 maps it to the pair scan's +0.0 and is exact
     # for every other value
@@ -414,17 +429,27 @@ def _extremal(eta: ModulusOfContinuity):
     f(y) - f(x).
 
     The bar eta(s) - tie_tol is taken per class, with +inf at s = 0 so that
-    no pair y = x passes: one mask over m x m, one flat nonzero, and the
-    pair, distance and difference gathered by flat index (`take` and a 1-D
-    nonzero are several times faster than fancy and 2-D indexing here)."""
-    dist = eta.sub.dist_S
-    diff = eta.f[:, None] - eta.f[None, :]
+    no pair y = x passes. Blocks of rows y of at most _SCAN_CELLS pair cells
+    each take one mask and one flat nonzero, and the pair, distance and
+    difference are gathered by flat index (`take` and a 1-D nonzero are
+    several times faster than fancy and 2-D indexing here). The blocks are
+    taken in row order, so their pairs join in row-major order."""
+    dist, f = eta.sub.dist_S, eta.f
+    m = dist.shape[0]
     bar = eta.values - eta.tie_tol
     bar[0] = np.inf
-    flat = np.flatnonzero(diff >= bar.take(dist))
-    pairs = np.empty((flat.size, 2), dtype=np.int32)
-    pairs[:, 0], pairs[:, 1] = np.divmod(flat, dist.shape[0])
-    return pairs, dist.ravel().take(flat), diff.ravel().take(flat)
+    step = max(1, _SCAN_CELLS // m)
+    pieces = []
+    for lo in range(0, m, step):
+        block = dist[lo:lo + step]
+        diff = f[lo:lo + step, None] - f[None, :]
+        flat = np.flatnonzero(diff >= bar.take(block))
+        pairs = np.empty((flat.size, 2), dtype=np.int32)
+        pairs[:, 0], pairs[:, 1] = np.divmod(flat, m)
+        pairs[:, 0] += lo
+        pieces.append((pairs, block.ravel().take(flat),
+                       diff.ravel().take(flat)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (CertificateFailure, NegativePotential,
                      SpectrumInvariantError)
-from .graphs import ConvexSubgraph, HomogeneousGraph, _ro
+from .graphs import _SCAN_CELLS, ConvexSubgraph, HomogeneousGraph, _ro
 from .jacobi import _fix_signs, jacobi_eigh
 
 LAPLACIAN = "laplacian"
@@ -41,20 +41,46 @@ class SymmetricOperator:
         a = self.entries
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("operator must be square")
-        if not np.array_equal(a, a.T):
-            raise ValueError("operator must be exactly symmetric")
-        if self.kind == LAPLACIAN:
-            if not np.allclose(a.sum(axis=1), 0.0, atol=0.0):
-                raise ValueError("Laplacian rows must sum to zero")
-            off = a - np.diag(np.diag(a))
-            if not np.isin(off, (0.0, -1.0)).all():
-                raise ValueError("Laplacian off-diagonals must be 0 or -1")
+        problem = _entry_problem(a, self.kind == LAPLACIAN)
+        if problem:
+            raise ValueError(problem)
         if self.kind == HAMILTONIAN and self.potential is not None:
             if (self.potential < 0).any():
                 raise NegativePotential("potential has a negative entry")
 
     def __repr__(self):
         return f"SymmetricOperator({self.kind}, dim={self.dim})"
+
+
+def _entry_problem(a: np.ndarray, laplacian: bool) -> Optional[str]:
+    """The first check the square matrix `a` fails, or None.
+
+    The checks, in order: exact symmetry; then, for a Laplacian, rows that
+    sum to exactly zero and off-diagonals of 0 or -1 (a - diag(diag(a)) in
+    {0, -1}, so a non-finite diagonal fails too). One pass over blocks of
+    rows of at most _SCAN_CELLS cells, each block against the matching
+    column strip, with the arithmetic of the whole-matrix checks.
+    """
+    m = a.shape[0]
+    step = max(1, _SCAN_CELLS // max(1, m))
+    sums = offdiag = True
+    for lo in range(0, m, step):
+        rows = a[lo:lo + step]
+        if not np.array_equal(rows, a[:, lo:lo + step].T):
+            return "operator must be exactly symmetric"
+        if laplacian and sums:
+            sums = np.allclose(rows.sum(axis=1), 0.0, atol=0.0)
+        if laplacian and offdiag:
+            ok = np.isin(rows, (0.0, -1.0))
+            i = np.arange(ok.shape[0])
+            # the diagonal of a - diag(diag(a)) is a_ii - a_ii: 0, or NaN
+            ok[i, lo + i] = np.isfinite(rows[i, lo + i])
+            offdiag = ok.all()
+    if not sums:
+        return "Laplacian rows must sum to zero"
+    if not offdiag:
+        return "Laplacian off-diagonals must be 0 or -1"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +227,9 @@ def dirichlet_hamiltonian(sub: ConvexSubgraph, w="boundary") -> SymmetricOperato
         pot = np.asarray(w, dtype=np.float64)
         if pot.shape != (sub.n_vertices,):
             raise ValueError("potential length must match the vertex count")
-    lap = laplacian(sub)
-    h = lap.entries + np.diag(pot)
+    h = laplacian(sub).entries.copy()
+    i = np.arange(sub.n_vertices)
+    h[i, i] += pot
     return SymmetricOperator(entries=_ro(h), kind=HAMILTONIAN, source=sub,
                              potential=_ro(pot.copy()))
 
@@ -303,18 +330,18 @@ def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
     return op.entries @ u
 
 
-_CERT_BLOCK = 64    # eigenvector columns per residual pass
-
-
 def _residuals(spec: Spectrum) -> np.ndarray:
-    """Spectrum.residuals, in blocks of _CERT_BLOCK columns."""
+    """Spectrum.residuals, over blocks of columns of at most _SCAN_CELLS
+    cells, each copied contiguous so that the neighbour gathers read whole
+    rows."""
     w, v = spec.eigenvalues, spec.eigenvectors
     out = np.empty(spec.dim)
-    for lo in range(0, spec.dim, _CERT_BLOCK):
-        u = v[:, lo:lo + _CERT_BLOCK]
-        out[lo:lo + _CERT_BLOCK] = np.abs(
-            _apply_by_adjacency(spec.operator, u)
-            - u * w[lo:lo + _CERT_BLOCK]).max(axis=0)
+    step = max(1, _SCAN_CELLS // max(1, spec.dim))
+    for lo in range(0, spec.dim, step):
+        cols = slice(lo, lo + step)
+        u = np.ascontiguousarray(v[:, cols])
+        out[cols] = np.abs(_apply_by_adjacency(spec.operator, u)
+                           - u * w[cols]).max(axis=0)
     return out
 
 

@@ -424,6 +424,10 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
      "potential field 'center' must be finite, got -inf"),
     ({"potential": {"formula": "quadratic", "c": 10 ** 400, "center": 1.5}},
      "potential field 'c' must be finite, got 1000"),
+    ({"instance": {"group": {"kind": "table", "table": [[0, 1], [1, 0]],
+                             "name": 5},
+                   "generators": [1]}},
+     "instance group field 'name' must be a JSON string, got 5"),
     # a spec file whose top level is not an object
     ([], "spec must be a JSON object, got []"),
     (3, "spec must be a JSON object, got 3"),
@@ -436,7 +440,7 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
         "potential-value-string", "quadratic-c-string",
         "quadratic-center-string", "potential-value-nan",
         "potential-value-inf", "quadratic-c-nan", "quadratic-center-inf",
-        "quadratic-c-huge-int",
+        "quadratic-c-huge-int", "table-name-integer",
         "spec-list", "spec-number", "spec-string"])
 def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
                                             message):
@@ -517,6 +521,28 @@ def test_verification_failure_exits_one(tmp_path):
     rep = load_report(out)
     assert not rep["ok"]
     assert rep["failures"]
+
+
+@pytest.mark.parametrize("analyses", [["bounds"], ["spectrum", "bounds"]])
+def test_bounds_certificate_failure_ends_in_a_report(tmp_path, capsys,
+                                                     analyses):
+    # a recurrence bar no residual meets: verify_all's certificate fails,
+    # and the bounds block records it as the spectrum block does
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 8}},
+                      analyses=analyses, tolerances={"recurrence": 1e-20})
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = load_report(out)
+    assert not rep["ok"]
+    block = rep["bounds"]
+    assert block["ok"] is False
+    assert block["error"].startswith("eigen-recurrence fails for pair 0 ")
+    assert isinstance(block["witness"], int)
+    assert f"bounds certificate: {block['error']}" in rep["failures"]
+    if "spectrum" in analyses:
+        assert rep["spectrum"]["certificate"] == block
 
 
 def test_eta_csv_17_digits(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from gapbound.bounds import bound_thm1, bound_thm3, bound_thm4, verify_all
 from gapbound.config import DEFAULT_TOL
 import gapbound.errors
+from gapbound import heat
 from gapbound.errors import CertificateFailure, InsufficientSpan
 from gapbound.families import (cycle_instance, hypercube_instance,
                                path_instance, quadratic_potential,
@@ -413,6 +414,24 @@ def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
         mocheat_inequality_check(traj)
     assert str(got.value) == str(want.value)
     assert got.value.witness == want.value.witness
+
+
+@pytest.mark.parametrize("start", ["u1", "delta"])
+def test_stencil_over_two_blocks_matches_per_state_reference(start):
+    # Q8 has 256 vertices, so a block of _SCAN_CELLS state cells holds 51
+    # sample times of the 5-offset stencil: the 63 kept times take two
+    # blocks, each built and scanned on its own
+    sub = hypercube_instance(8)
+    spec = eigendecompose(laplacian(sub))
+    phi0 = spec.vector(1) if start == "u1" else np.eye(spec.dim)[5]
+    traj = evolve(spec, phi0, default_times(spec.gap))
+    kept = [t for t in traj.times if t >= 2 * ref_default_dt(spec)]
+    per_block = heat._SCAN_CELLS // (5 * sub.n_vertices)
+    assert per_block < len(kept) <= 2 * per_block
+    cert = mocheat_inequality_check(traj)
+    checked, worst = ref_mocheat(traj, sub)
+    assert cert.checked == checked > 0
+    assert float_bits(cert.worst_margin) == float_bits(worst)
 
 
 def test_eta2_failure_matches_per_state_reference():

@@ -8,7 +8,8 @@ from gapbound import moduli
 from gapbound.bounds import _ratio_scan, _thm3, _thm4, bound_thm3, verify_all
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import BoundUnavailable, EmptyAfterSkips
-from gapbound.families import cycle_graph, hypercube_graph, path_instance
+from gapbound.families import (cycle_graph, hypercube_graph,
+                               hypercube_instance, path_instance)
 from gapbound.graphs import build_cayley, induce_subgraph
 from gapbound.groups import generator_set, group_from_table
 from gapbound.heat import default_times, evolve
@@ -688,6 +689,25 @@ def outcome(theorem, scan, tol):
     except BoundUnavailable as exc:
         return str(exc)
     return value, const.value
+
+
+def test_extremal_scan_over_row_blocks_matches_the_mask(rng):
+    # Q9 has 512 vertices, so the scan takes its rows y in four blocks of
+    # _SCAN_CELLS // 512 = 128; the rounded vector ties many pairs, in
+    # every block
+    sub = hypercube_instance(9)
+    m = sub.n_vertices
+    rows = moduli._SCAN_CELLS // m
+    assert rows < m
+    spec = eigendecompose(laplacian(sub))
+    for f in (spec.vector(1), np.round(rng.normal(size=m), 1)):
+        eta = modulus_of_continuity(f, sub)
+        pairs, dist, diff = moduli._extremal(eta)
+        want = loop_extremal(f, sub, eta.values, eta.tie_tol)
+        assert np.unique(want[:, 0] // rows).size > 1
+        assert same_bits(pairs, want)
+        assert same_bits(dist, sub.dist_S[want[:, 0], want[:, 1]])
+        assert same_bits(diff, f[want[:, 0]] - f[want[:, 1]])
 
 
 def assert_same_scan(got, want, tol):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from gapbound.bounds import verify_all
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import (CertificateFailure, NegativePotential,
                              SpectrumInvariantError)
-from gapbound.families import (cycle_graph, hypercube_instance,
-                               path_instance)
+from gapbound.families import (cycle_graph, cycle_instance,
+                               hypercube_instance, path_instance)
 from gapbound.graphs import induce_subgraph
+from gapbound.heat import default_times, evolve, mocheat_inequality_check
 from gapbound.operators import (Spectrum, SymmetricOperator,
                                 _apply_by_adjacency, _canonical_basis,
                                 _certificate, _validate_spectrum,
@@ -199,7 +201,8 @@ def test_apply_by_adjacency_block_equals_columns(make, rng):
 
 
 def test_block_certificate_matches_pair_loop():
-    # Q7 has 128 eigenpairs, so the certificate runs two column blocks
+    # Q7's 128 eigenpairs are one column block; see
+    # test_residuals_over_column_blocks_match_each_pair for several
     lap = laplacian(hypercube_instance(7))
     spec = eigendecompose(lap)
     worst = max(float(np.abs(_apply_by_adjacency(lap, spec.vector(i))
@@ -207,7 +210,7 @@ def test_block_certificate_matches_pair_loop():
                 for i in range(spec.dim))
     assert rayleigh_gap_check(spec).recurrence_residual == worst
 
-    # break pairs 100 and 70: the error names the first, in the second block
+    # break pairs 100 and 70: the error names the first
     broken = spec.eigenvectors.copy()
     broken[:, 100] = broken[:, 3]
     broken[:, 70] = broken[:, 2]
@@ -316,3 +319,102 @@ def test_ground_state_is_positive_and_read_only():
         assert u0 is s.ground_state
         assert not u0.flags.writeable
         assert np.array_equal(u0, spec.eigenvectors[:, 0])
+
+
+def dense_entry_problem(a, laplacian):
+    """The operator checks on the whole matrix at once, with their
+    messages: the reference for the checks over row blocks."""
+    if not np.array_equal(a, a.T):
+        return "operator must be exactly symmetric"
+    if laplacian:
+        if not np.allclose(a.sum(axis=1), 0.0, atol=0.0):
+            return "Laplacian rows must sum to zero"
+        off = a - np.diag(np.diag(a))
+        if not np.isin(off, (0.0, -1.0)).all():
+            return "Laplacian off-diagonals must be 0 or -1"
+    return None
+
+
+# entries (i, j, value) set on the Laplacian of cycle(640); r and c = r + 1
+# are neighbours in the last row block, and "far" reaches the first block
+BAD_ENTRIES = {
+    "asymmetric": lambda r, c: [(r, c, 0.0)],
+    "asymmetric-far": lambda r, c: [(r, 0, -1.0)],
+    "row-sum": lambda r, c: [(r, r, 3.0)],
+    "off-diagonal-half": lambda r, c: [(r, c, -0.5), (c, r, -0.5),
+                                       (r, r, 1.5), (c, c, 1.5)],
+    "nan-diagonal": lambda r, c: [(r, r, math.nan)],
+    "nan-pair": lambda r, c: [(r, c, math.nan), (c, r, math.nan)],
+    "inf-diagonal": lambda r, c: [(r, r, math.inf)],
+    "inf-pair": lambda r, c: [(r, c, math.inf), (c, r, math.inf)],
+    "negative-zero-pair": lambda r, c: [(r, r - 5, -0.0), (r - 5, r, -0.0)],
+}
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "hamiltonian"])
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+def test_operator_checks_over_row_blocks_match_the_dense_checks(bad, kind):
+    a = laplacian(cycle_instance(640)).entries.copy()
+    m = a.shape[0]
+    rows = operators._SCAN_CELLS // m
+    last = (m - 1) // rows * rows
+    r = m - 3
+    assert 0 < last <= r - 5
+    for i, j, value in BAD_ENTRIES[bad](r, r + 1):
+        a[i, j] = value
+    want = dense_entry_problem(a, kind == "laplacian")
+    if kind == "laplacian":
+        assert (want is None) == (bad == "negative-zero-pair")
+    if want is None:
+        SymmetricOperator(entries=a, kind=kind)
+        return
+    with pytest.raises(ValueError) as exc:
+        SymmetricOperator(entries=a, kind=kind)
+    assert str(exc.value) == want
+
+
+def test_residuals_over_column_blocks_match_each_pair():
+    # Q9 has 512 eigenpairs: four blocks of _SCAN_CELLS // 512 columns;
+    # broken pairs in the third and fourth blocks
+    spec = eigendecompose(laplacian(hypercube_instance(9)))
+    cols = operators._SCAN_CELLS // spec.dim
+    assert 2 * cols < 300 and 3 * cols < 500
+    broken = spec.eigenvectors.copy()
+    broken[:, 500] = broken[:, 3]
+    broken[:, 300] = broken[:, 2]
+    for s in (spec, dataclasses.replace(spec, eigenvectors=broken)):
+        v = s.eigenvectors
+        want = np.array([np.abs(_apply_by_adjacency(s.operator, v[:, i])
+                                - v[:, i] * s.eigenvalues[i]).max()
+                         for i in range(s.dim)])
+        assert np.array_equal(s.residuals, want)
+    with pytest.raises(CertificateFailure, match="pair 300 "):
+        rayleigh_gap_check(dataclasses.replace(spec, eigenvectors=broken))
+
+
+def traced_peak(make):
+    """make() and the tracemalloc peak while it runs, in bytes above what
+    was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return make(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage_scratch_is_bounded_by_the_scan_budget():
+    # Q9: a 2 MiB operator and blocks of _SCAN_CELLS float64 cells (512
+    # KiB). Measured peaks, whole-array passes -> blocks: operator build
+    # 6.30 -> 2.30 MB, verify_all 8.60 -> 4.36 MB, mocheat 3.43 -> 1.25 MB
+    sub = hypercube_instance(9)
+    block = 8 * operators._SCAN_CELLS
+    op, peak = traced_peak(lambda: laplacian(sub))
+    matrix = op.entries.nbytes
+    assert peak <= matrix + block
+    spec = eigendecompose(op)
+    _, peak = traced_peak(lambda: verify_all(spec))
+    assert peak <= 2.5 * matrix
+    traj = evolve(spec, spec.vector(1), default_times(spec.gap))
+    _, peak = traced_peak(lambda: mocheat_inequality_check(traj))
+    assert peak <= 3 * block
