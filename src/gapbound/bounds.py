@@ -12,8 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import (BoundUnavailable, EmptyAfterSkips, HypothesisFailed,
-                     NotHypercube)
+from .errors import BoundUnavailable, HypothesisFailed, NotHypercube
 from .graphs import ConvexSubgraph, is_strongly_convex
 from .moduli import (ModulusOfConcavity, _dcosh, _eigenspace_scans,
                      _ground_concavity, _ground_omega, _ratio_scans, c_u0,
@@ -65,8 +64,8 @@ def bound_thm3(spec: Spectrum, which: int = 1):
     """2 C_{u0} (1 - cos(pi/(D+1))) from the ground-state-weighted constant
     of the spectrum's subgraph, under the spectrum's tolerances.
 
-    Returns (value, RatioConstant). Raises BoundUnavailable when every
-    extremal pair is skipped.
+    Returns (value, RatioConstant). Raises EmptyAfterSkips, a
+    BoundUnavailable, when every extremal pair is skipped.
     """
     return _thm3(*_ratio_scan(spec, which), spec.tolerances)
 
@@ -90,18 +89,12 @@ def _ratio_scan(spec, which):
 
 
 def _thm3(ratio, eta, tol):
-    try:
-        const = c_u0(ratio, extremal_pairs(eta), tol)
-    except EmptyAfterSkips as exc:
-        raise BoundUnavailable(str(exc)) from exc
+    const = c_u0(ratio, extremal_pairs(eta), tol)
     return const.value * mu_matched(eta.sub.diameter_S), const
 
 
 def _thm4(ratio, eta, tol):
-    try:
-        const = c_u0(ratio, eta.achievers[min(2, eta.diameter)], tol)
-    except EmptyAfterSkips as exc:
-        raise BoundUnavailable(str(exc)) from exc
+    const = c_u0(ratio, eta.achievers[min(2, eta.diameter)], tol)
     return 2.0 * const.value, const
 
 
@@ -221,56 +214,66 @@ def verify_all(spec: Spectrum) -> GapReport:
     hypercube = is_hypercube(sub)
     path = is_path_graph(sub)
 
-    def record(theorem, hyps, value=None, unavailable=None, detail=None):
-        applicable = all(hyps.values())
-        if not applicable or value is None:
-            return TheoremRecord(theorem=theorem, applicable=applicable,
+    def record(theorem, hyps, values, detail, unavailable=None):
+        """A theorem's record from its bound values, one per eigenvector for
+        Theorems 3-4 and none when unavailable: the bound is the least, and
+        it holds when the greatest is within tolerance of the gap."""
+        if not values:
+            return TheoremRecord(theorem=theorem,
+                                 applicable=all(hyps.values()),
                                  hypotheses=hyps, unavailable=unavailable,
-                                 detail=detail or {})
-        slack = gap - value
+                                 detail=detail)
+        bound = min(values)
         return TheoremRecord(theorem=theorem, applicable=True, hypotheses=hyps,
-                             bound=value, slack=slack,
-                             holds=bool(slack >= -tol_verify),
-                             unavailable=unavailable, detail=detail or {})
+                             bound=bound, slack=gap - bound,
+                             holds=bool(gap - max(values) >= -tol_verify),
+                             unavailable=unavailable, detail=detail)
 
     records = []
 
     # Theorem 1: diameter bound for the pure Laplacian on a convex subgraph
     hyps = {"strongly_convex": convexity.convex, "zero_potential": zero_w,
             "diameter_ge_1": d >= 1}
-    detail = {}
-    value = None
+    values, detail = [], {}
     if all(hyps.values()):
-        value = bound_thm1(d)
-        detail = {"normalized_laplacian_bound": value / k,
+        values = [bound_thm1(d)]
+        detail = {"normalized_laplacian_bound": values[0] / k,
                   "neumann_reference": 1.0 / (8.0 * k * d * d)}
-    records.append(record("thm1", hyps, value, detail=detail))
+    records.append(record("thm1", hyps, values, detail))
 
     # Theorem 2: hypercube tightness
     hyps = {"hypercube": hypercube, "zero_potential": zero_w}
-    value = 2.0 if all(hyps.values()) else None
-    detail = {"normalized_laplacian_bound": 2.0 / k} if value else {}
-    records.append(record("thm2", hyps, value, detail=detail))
+    values, detail = [], {}
+    if all(hyps.values()):
+        values, detail = [2.0], {"normalized_laplacian_bound": 2.0 / k}
+    records.append(record("thm2", hyps, values, detail))
 
-    # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace;
-    # the reported bound is the minimum (every member is a valid bound).
-    # Both read the eigenspace block kept on the spectrum, one row per
-    # eigenvector.
-    ratio_hyps = {
-        "thm3": ({"strongly_convex": convexity.convex, "diameter_ge_1": d >= 1},
-                 _thm3),
-        "thm4": ({"hypercube": hypercube}, _thm4)}
-    live = {name: evaluate for name, (hyps, evaluate) in ratio_hyps.items()
-            if all(hyps.values())}
-    outcomes = {name: [] for name in live}
-    for scan in _eigenspace_scans(spec) if live else ():
-        for name, evaluate in live.items():
+    # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace,
+    # one row each of the eigenspace block kept on the spectrum; the
+    # reported bound is the minimum (every member is a valid bound).
+    for name, hyps, evaluate in (
+            ("thm3", {"strongly_convex": convexity.convex,
+                      "diameter_ge_1": d >= 1}, _thm3),
+            ("thm4", {"hypercube": hypercube}, _thm4)):
+        values, consts, unavailable, detail = [], [], None, {}
+        for scan in _eigenspace_scans(spec) if all(hyps.values()) else ():
             try:
-                outcomes[name].append(evaluate(*scan, tol))
+                value, const = evaluate(*scan, tol)
             except BoundUnavailable as exc:
-                outcomes[name].append(exc)
-    for name, (hyps, _) in ratio_hyps.items():
-        records.append(_ratio_record(name, hyps, spec, outcomes.get(name)))
+                unavailable = str(exc)
+            else:
+                values.append(value)
+                consts.append(const)
+        if values:
+            # the first eigenvector attaining the minimum up to tolerance, so
+            # rounding cannot pick a different one among equal bounds
+            low = min(values) + tol_verify
+            best = consts[next(i for i, v in enumerate(values) if v <= low)]
+            detail = {"c_u0": [c.value for c in consts],
+                      "bounds_per_eigenvector": values,
+                      "pairs": int(best.pairs.shape[0]),
+                      "skipped_pairs": int(best.skipped.shape[0])}
+        records.append(record(name, hyps, values, detail, unavailable))
 
     # Theorems 5 and 6: path graphs with log-concave ground states
     hyps = {"path_graph": path, "diameter_ge_1": d >= 1}
@@ -285,20 +288,18 @@ def verify_all(spec: Spectrum) -> GapReport:
     for name, fn, extra_key in (("thm5", bound_thm5, "weak_member"),
                                 ("thm6", bound_thm6, "eq1_value")):
         h = dict(hyps)
-        value = None
-        detail = {}
-        unavailable = None
+        values, detail, unavailable = [], {}, None
         if all(h.values()) and omega is not None:
             try:
                 value, extra = fn(omega, d, tol)
             except HypothesisFailed as exc:
                 unavailable = str(exc)
             else:
+                values = [value]
                 detail["omega_bar"] = omega.omega_bar
                 detail["omega_convex"] = omega.is_convex(tol.denominator_zero)
                 detail[extra_key] = extra
-        records.append(record(name, h, value, unavailable=unavailable,
-                              detail=detail))
+        records.append(record(name, h, values, detail, unavailable))
 
     return GapReport(
         n_vertices=sub.n_vertices, diameter=d, degree=k,
@@ -306,41 +307,3 @@ def verify_all(spec: Spectrum) -> GapReport:
         records=tuple(records), tolerances=tol.as_dict(),
         certificate={"recurrence_residual": cert.recurrence_residual,
                      "rayleigh_error": cert.rayleigh_error})
-
-
-def _ratio_record(name, hyps, spec, outcomes):
-    """Record from the per-eigenvector (value, RatioConstant) results, or the
-    BoundUnavailable each raised; outcomes is None when hyps fail."""
-    if outcomes is None:
-        return TheoremRecord(theorem=name, applicable=False, hypotheses=hyps)
-    values = []
-    consts = []
-    unavailable = None
-    for outcome in outcomes:
-        if isinstance(outcome, BoundUnavailable):
-            unavailable = str(outcome)
-            continue
-        value, const = outcome
-        values.append(value)
-        consts.append(const)
-    if not values:
-        return TheoremRecord(theorem=name, applicable=True, hypotheses=hyps,
-                             unavailable=unavailable or "no eigenvector evaluated")
-    gap = spec.gap
-    tol_verify = spec.tolerances.verify_factor * max(1.0, gap)
-    value = min(values)
-    worst_slack = gap - max(values)
-    # the first eigenvector attaining the minimum up to tolerance, so rounding
-    # cannot pick a different one among equal bounds
-    best = consts[next(i for i, v in enumerate(values)
-                       if v <= value + tol_verify)]
-    detail = {
-        "c_u0": [c.value for c in consts],
-        "bounds_per_eigenvector": values,
-        "pairs": int(best.pairs.shape[0]),
-        "skipped_pairs": int(best.skipped.shape[0]),
-    }
-    return TheoremRecord(theorem=name, applicable=True, hypotheses=hyps,
-                         bound=value, slack=gap - value,
-                         holds=bool(worst_slack >= -tol_verify),
-                         unavailable=unavailable, detail=detail)

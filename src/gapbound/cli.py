@@ -1,7 +1,9 @@
 """Batch front end: validate instance specs, run analyses, write reports.
 
 Exit status: 0 when every requested verification holds, 1 on a verification
-failure (witnesses land in the report), 2 on a spec/validation error.
+failure, 2 on a spec/validation error. Every failed check is named in the
+report's `failures`; a failed certificate's block carries its `error` and
+`witness`.
 """
 
 import argparse
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_thm1, build_operator, is_path_graph, verify_all
+from .bounds import (GapReport, bound_thm1, build_operator, is_path_graph,
+                     verify_all)
 from .config import DEFAULT_TOL
 from .errors import CertificateFailure, GapboundError, SpecValidationError
 from .families import (cycle_instance, hypercube_instance, path_instance,
@@ -264,6 +267,18 @@ def write_spectrum_csv(path: Path, spec):
 
 # -- analyses -----------------------------------------------------------------
 
+def _checked(label, failures, check, as_dict=asdict):
+    """`as_dict` of what `check()` returns. A failed certificate gives the
+    block {"ok": false, "error", "witness"} instead, and appends
+    "<label>: <error>" to `failures`."""
+    try:
+        result = check()
+    except CertificateFailure as exc:
+        failures.append(f"{label}: {exc}")
+        return {"ok": False, "error": str(exc), "witness": exc.witness}
+    return as_dict(result)
+
+
 def run_instance(spec, analyses, tol, out_dir: Path):
     sub = _build_subgraph(spec["instance"])
     potential = _build_potential(sub, spec.get("potential", "none"))
@@ -281,33 +296,22 @@ def run_instance(spec, analyses, tol, out_dir: Path):
         report["convexity_witness"] = list(convexity.witness)
 
     if "spectrum" in analyses:
-        try:
-            cert_info = asdict(_certificate(spectrum))
-        except CertificateFailure as exc:
-            cert_info = {"ok": False, "error": str(exc), "witness": exc.witness}
-            failures.append(f"spectrum certificate: {exc}")
         report["spectrum"] = {
             "eigenvalues": spectrum.eigenvalues,
             "max_residual": float(spectrum.residuals.max()),
-            "certificate": cert_info,
+            "certificate": _checked("spectrum certificate", failures,
+                                    lambda: _certificate(spectrum)),
         }
         write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
 
     if "bounds" in analyses:
-        try:
-            gap_report = verify_all(spectrum)
-        except CertificateFailure as exc:
-            report["bounds"] = {"ok": False, "error": str(exc),
-                                "witness": exc.witness}
-            failures.append(f"bounds certificate: {exc}")
-        else:
-            report["bounds"] = gap_report.as_dict()
-            for rec in gap_report.records:
-                if rec.applicable and rec.bound is not None \
-                        and not rec.holds:
-                    failures.append(
-                        f"{rec.theorem}: bound {rec.bound!r} exceeds gap "
-                        f"{gap_report.gap!r}")
+        block = report["bounds"] = _checked(
+            "bounds certificate", failures, lambda: verify_all(spectrum),
+            GapReport.as_dict)
+        failures += [f"{rec['theorem']}: bound {rec['bound']!r} exceeds gap "
+                     f"{block['exact']['gap']!r}"
+                     for rec in block.get("theorems", ())
+                     if rec["holds"] is False]
 
     if "moduli" in analyses and spectrum.dim >= 2:
         eta = _ground_eta(spectrum)
@@ -325,26 +329,17 @@ def run_instance(spec, analyses, tol, out_dir: Path):
     if "heat" in analyses and spectrum.dim >= 2:
         times = default_times(max(spectrum.gap, 1e-12))
         traj = evolve(spectrum, spectrum.vector(1), times)
-        heat_info = {}
         mu = bound_thm1(max(sub.diameter_S, 1))
-        try:
-            heat_info["decay"] = asdict(decay_rate_check(traj, mu))
-        except GapboundError as exc:
-            heat_info["decay"] = {"ok": False, "error": str(exc)}
-            failures.append(f"heat decay: {exc}")
+        heat_info = {"decay": _checked("heat decay", failures,
+                                       lambda: decay_rate_check(traj, mu))}
         if convexity.convex:
-            try:
-                heat_info["mocheat"] = asdict(mocheat_inequality_check(traj))
-            except CertificateFailure as exc:
-                heat_info["mocheat"] = {"ok": False, "error": str(exc)}
-                failures.append(f"mocheat certificate: {exc}")
+            heat_info["mocheat"] = _checked(
+                "mocheat certificate", failures,
+                lambda: mocheat_inequality_check(traj))
         if op.kind == "hamiltonian":
-            try:
-                heat_info["ratio"] = asdict(
-                    ratio_evolution_check(spectrum, times[1:8]))
-            except CertificateFailure as exc:
-                heat_info["ratio"] = {"ok": False, "error": str(exc)}
-                failures.append(f"ratio certificate: {exc}")
+            heat_info["ratio"] = _checked(
+                "ratio certificate", failures,
+                lambda: ratio_evolution_check(spectrum, times[1:8]))
         report["heat"] = heat_info
         write_eta_csv(out_dir / "eta_series.csv", traj.times, traj.etas)
 
@@ -429,11 +424,11 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
     for n, rep in rows:
         row = {"size": n, "diameter": rep.diameter, "gap": rep.gap}
         for rec in rep.records:
-            if rec.applicable and rec.bound is not None:
+            if rec.bound is not None:
                 row[f"{rec.theorem}_bound"] = rec.bound
                 row[f"{rec.theorem}_slack"] = rec.slack
-                if not rec.holds:
-                    failures.append(f"{family}({n}) {rec.theorem}")
+            if rec.holds is False:
+                failures.append(f"{family}({n}) {rec.theorem}")
         table.append(row)
         reports[str(n)] = rep.as_dict()
 

@@ -70,10 +70,6 @@ class NoAdmissibleTriple(GapboundError):
     """A distance class admits no (y, x, a) triple for the concavity modulus."""
 
 
-class EmptyAfterSkips(GapboundError):
-    """Every extremal pair was skipped (near-zero denominator); no constant available."""
-
-
 class NotHypercube(GapboundError):
     """Graph is not a standard-generator hypercube Cayley graph."""
 
@@ -82,11 +78,17 @@ class BoundUnavailable(GapboundError):
     """A theorem's bound could not be evaluated (e.g. no usable extremal pair)."""
 
 
+class EmptyAfterSkips(BoundUnavailable):
+    """Every extremal pair was skipped (near-zero denominator), so no constant,
+    and no Theorem 3 or 4 bound, is available."""
+
+
 class HypothesisFailed(GapboundError):
     """A theorem's hypothesis does not hold on this instance."""
 
 
 # -- heat -------------------------------------------------------------------
 
-class InsufficientSpan(GapboundError):
-    """Trajectory too short to fit a decay rate over the required decades."""
+class InsufficientSpan(CertificateFailure):
+    """Trajectory too short to fit a decay rate over the required decades: the
+    decay certificate fails, with no witness."""

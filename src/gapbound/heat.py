@@ -87,7 +87,8 @@ def _offset_states(spec: Spectrum, coeff: np.ndarray, times, dt: float,
 def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
     """The sample times t >= 2 dt, and eta(s), s = 0..D, of the trajectory's
     state at t + k dt for k = -2..2, (len(kept), 5, D + 1); dt is
-    `_default_dt` of the trajectory's spectrum.
+    `_default_dt` of the trajectory's spectrum. The state at t + k dt is the
+    trajectory's first state evolved for t - times[0] + k dt.
 
     The states are built and scanned in blocks of sample times, each block
     at most _SCAN_CELLS state cells; a state's eta does not depend on the
@@ -96,12 +97,13 @@ def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
     spec = traj.spectrum
     dt = _default_dt(spec)
     kept = [t for t in traj.times if t >= 2 * dt]
+    since = [t - traj.times[0] for t in kept]
     coeff = spec.eigenvectors.T @ traj.states[0]
     m, k = sub.n_vertices, len(_OFFSETS)
     step = max(1, _SCAN_CELLS // (k * m))
     etas = np.empty((len(kept), k, sub.diameter_S + 1))
     for lo in range(0, len(kept), step):
-        states = _offset_states(spec, coeff, kept[lo:lo + step], dt)
+        states = _offset_states(spec, coeff, since[lo:lo + step], dt)
         etas[lo:lo + step] = _eta_block(states.reshape(-1, m), sub).reshape(
             -1, k, sub.diameter_S + 1)
         del states      # freed before the next block's

@@ -467,7 +467,8 @@ def c_u0(ratio: RatioFunction, pairs: np.ndarray,
     Theorem 3 passes the extremal pairs of eta, Theorem 4 the achievers of
     eta(2) (the hypercube-local variant). Pairs whose plain-difference
     denominator is within `tol.denominator_zero` of zero are skipped and
-    reported.
+    reported; when every pair is skipped it raises EmptyAfterSkips, a
+    BoundUnavailable.
     """
     weighted, plain = ratio.vertex_sums()
     y, x = pairs[:, 0], pairs[:, 1]
@@ -515,16 +516,15 @@ class ConcavityReport:
 def log_concavity(g, sub: ConvexSubgraph,
                   tol: ToleranceConfig = DEFAULT_TOL) -> ConcavityReport:
     """Discrete log-concavity predicate: sum_a (g(ay) - g(y)) <= 0 at every
-    interior vertex. Vertices adjacent to the boundary satisfy it trivially
-    (the boundary value is -infinity) and are not tested."""
+    interior vertex, the `_difference_sums` of g there. Vertices adjacent to
+    the boundary satisfy it trivially (the boundary value is -infinity) and
+    are not tested."""
     g = np.asarray(g, dtype=np.float64)
     interior = (sub.nbr_local >= 0).all(axis=0)
     if not interior.any():
         return ConcavityReport(holds=True, worst=0.0, witness=None)
     idx = np.nonzero(interior)[0]
-    sums = np.zeros(idx.size)
-    for ai in range(sub.nbr_local.shape[0]):
-        sums += g[sub.nbr_local[ai, idx]] - g[idx]
+    sums = _difference_sums(sub, g)[idx]
     scale = max(1.0, float(np.abs(g[idx]).max()))
     worst = float(sums.max())
     holds = worst <= tol.concavity_slack * scale

@@ -304,3 +304,23 @@ def test_verify_all_reads_the_spectrum_tolerances():
     assert set(spec._cache) == {"ground_state", "residuals", "certificate",
                                 "eigenspace_scans", "log_ground_state",
                                 "log_concavity", "omega"}
+
+
+def test_verify_all_records_unavailable_and_failing_bounds():
+    # thm3 applies, but c_u0 skips every extremal pair: the record keeps
+    # the message and has no bound
+    tol = DEFAULT_TOL.with_overrides(denominator_zero=1e6)
+    spec = eigendecompose(build_operator(path_instance(6), "boundary"), tol)
+    rec = verify_all(spec).record("thm3")
+    assert rec.applicable
+    assert (rec.bound, rec.slack, rec.holds, rec.detail) == \
+        (None, None, None, {})
+    assert rec.unavailable == "all 7 extremal pairs had |denominator| < 1e+06"
+    # the tight hypercube bound sits a rounding above Q4's computed gap, so
+    # it fails with no tolerance
+    tol = DEFAULT_TOL.with_overrides(verify_factor=0)
+    report = verify_all(eigendecompose(laplacian(hypercube_instance(4)), tol))
+    rec = report.record("thm2")
+    assert rec.applicable and rec.bound == 2.0
+    assert rec.slack == report.gap - 2.0 < 0
+    assert rec.holds is False

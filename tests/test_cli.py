@@ -14,7 +14,9 @@ from gapbound import bounds, cli, moduli, operators
 from gapbound.cli import main, write_eta_csv, write_spectrum_csv
 from gapbound.config import DEFAULT_TOL
 from gapbound.families import path_instance
-from gapbound.heat import default_times, evolve
+from gapbound.errors import CertificateFailure
+from gapbound.heat import (decay_rate_check, default_times, evolve,
+                           mocheat_inequality_check, ratio_evolution_check)
 from gapbound.operators import dirichlet_hamiltonian, eigendecompose
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -543,6 +545,41 @@ def test_bounds_certificate_failure_ends_in_a_report(tmp_path, capsys,
     assert f"bounds certificate: {block['error']}" in rep["failures"]
     if "spectrum" in analyses:
         assert rep["spectrum"]["certificate"] == block
+
+
+@pytest.mark.parametrize("check", ["decay", "mocheat", "ratio"])
+def test_heat_certificate_failure_ends_in_a_report(tmp_path, check):
+    # a failed heat certificate's block is its error and the witness the
+    # check raised, as a failed spectrum or bounds certificate's is
+    n, potential, tolerances, label = {
+        "decay": (4, "none", {"decay_margin": -10.0}, "heat decay"),
+        "mocheat": (8, {"values": [0, 1, 2, 3, 3, 2, 1, 0]}, {},
+                    "mocheat certificate"),
+        "ratio": (8, "boundary", {"ratio_identity": 1e-30},
+                  "ratio certificate")}[check]
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": n}},
+                      potential=potential, analyses=["heat"],
+                      tolerances=tolerances)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    rep = load_report(out)
+
+    sub = path_instance(n)
+    op = bounds.build_operator(sub, cli._build_potential(sub, potential))
+    spectrum = eigendecompose(op, DEFAULT_TOL.with_overrides(**tolerances))
+    times = default_times(spectrum.gap)
+    traj = evolve(spectrum, spectrum.vector(1), times)
+    run = {"decay": lambda: decay_rate_check(traj, bounds.bound_thm1(n - 1)),
+           "mocheat": lambda: mocheat_inequality_check(traj),
+           "ratio": lambda: ratio_evolution_check(spectrum, times[1:8])}
+    with pytest.raises(CertificateFailure) as exc:
+        run[check]()
+    assert exc.value.witness is not None
+    assert rep["heat"][check] == {
+        "ok": False, "error": str(exc.value),
+        "witness": json.loads(json.dumps(exc.value.witness))}
+    assert rep["failures"] == [f"{label}: {exc.value}"]
 
 
 def test_eta_csv_17_digits(tmp_path):

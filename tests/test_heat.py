@@ -270,7 +270,7 @@ def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
     lattice = path_lattice_laplacian(d, "even" if d % 2 == 0 else "odd")
     coords, lp = lattice.coords, lattice.entries
     slot, pos = coords + d, coords > 0
-    phi0 = traj.states[0]
+    phi0, start = traj.states[0], traj.times[0]
     dt = ref_default_dt(spec)
     checked, worst = 0, math.inf
     for t in traj.times:
@@ -278,7 +278,7 @@ def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
             continue
         em2, em1, e0, ep1, ep2 = [
             eta_table(modulus_of_continuity(
-                ref_state(spec, phi0, t + k * dt), sub, tol))[slot]
+                ref_state(spec, phi0, t - start + k * dt), sub, tol))[slot]
             for k in (-2, -1, 0, 1, 2)]
         deta = (ep1 - em1) / (2 * dt)
         third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
@@ -300,17 +300,19 @@ def ref_eta2(traj, sub, tol=DEFAULT_TOL):
     """(checked, worst_margin) of the per-state loop; raises like the check."""
     spec = traj.spectrum
     s2 = min(2, sub.diameter_S)
+    phi0, start = traj.states[0], traj.times[0]
     dt = ref_default_dt(spec)
     checked, worst = 0, math.inf
     for t in traj.times:
         if t < 2 * dt:
             continue
-        vals = [modulus_of_continuity(ref_state(spec, traj.states[0], t + k * dt),
+        vals = [modulus_of_continuity(ref_state(spec, phi0, t - start + k * dt),
                                       sub, tol).at(s2)
                 for k in (-2, -1, 0, 1, 2)]
         deta = (vals[3] - vals[1]) / (2 * dt)
         third = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * dt ** 3)
-        margin = -2.0 * vals[2] + abs(third) * dt * dt / 6.0 * 4.0 + 1e-12 - deta
+        tol_dt = abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
+        margin = -2.0 * vals[2] + tol_dt - deta
         if margin < 0:
             raise CertificateFailure(
                 f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
@@ -416,8 +418,12 @@ def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
     assert got.value.witness == want.value.witness
 
 
+@pytest.mark.parametrize("check,ref", [(mocheat_inequality_check, ref_mocheat),
+                                       (eta2_contraction_check, ref_eta2)],
+                         ids=["mocheat", "eta2"])
 @pytest.mark.parametrize("start", ["u1", "delta"])
-def test_stencil_over_two_blocks_matches_per_state_reference(start):
+def test_stencil_over_two_blocks_matches_per_state_reference(start, check,
+                                                             ref):
     # Q8 has 256 vertices, so a block of _SCAN_CELLS state cells holds 51
     # sample times of the 5-offset stencil: the 63 kept times take two
     # blocks, each built and scanned on its own
@@ -428,6 +434,23 @@ def test_stencil_over_two_blocks_matches_per_state_reference(start):
     kept = [t for t in traj.times if t >= 2 * ref_default_dt(spec)]
     per_block = heat._SCAN_CELLS // (5 * sub.n_vertices)
     assert per_block < len(kept) <= 2 * per_block
+    cert = check(traj)
+    checked, worst = ref(traj, sub)
+    assert cert.checked == checked > 0
+    assert float_bits(cert.worst_margin) == float_bits(worst)
+
+
+def test_stencil_evolves_from_the_trajectory_start():
+    # times that start after 0: the stencil's states are the trajectory's
+    # first state evolved for t - times[0] + k dt, so its centre row is the
+    # trajectory's own eta at each kept time
+    sub = path_instance(9)
+    spec = eigendecompose(laplacian(sub))
+    times = default_times(spec.gap)[5:]
+    traj = evolve(spec, spec.vector(1) + spec.vector(7), times)
+    _, kept, etas = heat._offset_etas(traj, sub)
+    assert np.array_equal(kept, times)
+    assert np.allclose(etas[:, 2], traj.etas, rtol=0, atol=1e-14)
     cert = mocheat_inequality_check(traj)
     checked, worst = ref_mocheat(traj, sub)
     assert cert.checked == checked > 0
