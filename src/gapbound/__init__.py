@@ -9,7 +9,7 @@ from .graphs import (ConvexSubgraph, HomogeneousGraph, build_cayley,
                      convex_closure, induce_subgraph, is_strongly_convex)
 from .operators import (Spectrum, SymmetricOperator, boundary_potential,
                         dirichlet_hamiltonian, eigendecompose, laplacian,
-                        path_lattice_laplacian, rayleigh_gap_check)
+                        rayleigh_gap_check)
 from .moduli import (ModulusOfConcavity, ModulusOfContinuity, RatioFunction,
                      c_u0, extremal_pairs, grad_ops, log_concavity,
                      modulus_of_concavity, modulus_of_continuity)

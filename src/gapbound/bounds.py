@@ -20,8 +20,8 @@ from .moduli import (ModulusOfConcavity, _dcosh, _eigenspace_scans,
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads bounds.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
-from .operators import (Spectrum, _certificate, _source,
-                        dirichlet_hamiltonian, eigendecompose, laplacian)
+from .operators import (Spectrum, _certificate, dirichlet_hamiltonian,
+                        eigendecompose, laplacian)
 
 
 def mu_matched(d: int) -> float:
@@ -72,7 +72,7 @@ def bound_thm3(spec: Spectrum, which: int = 1):
 
 def bound_thm4(spec: Spectrum, which: int = 1):
     """2 C_{u0} with the distance-<=2 restriction (hypercube-local bound)."""
-    if not is_hypercube(_source(spec.operator)):
+    if not is_hypercube(spec.operator.source):
         raise NotHypercube("Theorem 4 requires a hypercube host")
     return _thm4(*_ratio_scan(spec, which), spec.tolerances)
 
@@ -199,7 +199,7 @@ def verify_all(spec: Spectrum) -> GapReport:
     pair) are recorded, not raised.
     """
     op, tol = spec.operator, spec.tolerances
-    sub = _source(op)
+    sub = op.source
     if op.dim < 2:
         raise ValueError("gap verification needs at least two vertices")
     cert = _certificate(spec)

@@ -8,7 +8,6 @@ from the spectrum, so the two routes share no code path.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .moduli import (_NOT_POSITIVE, _difference_sums, _eta_block,
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads heat.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
-from .operators import (Spectrum, SymmetricOperator, _source, eigendecompose,
+from .operators import (Spectrum, SymmetricOperator, eigendecompose,
                         path_lattice_laplacian)
 
 
@@ -28,7 +27,7 @@ class HeatTrajectory:
     spectrum: Spectrum
     times: np.ndarray
     states: np.ndarray            # (len(times), dim)
-    etas: Optional[np.ndarray]    # (len(times), D + 1) eta(s) rows, if graphed
+    etas: np.ndarray              # (len(times), D + 1) eta(s) rows
 
 
 def default_times(lambda1: float) -> np.ndarray:
@@ -112,8 +111,8 @@ def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
 
 def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
     """Solve d(phi)/dt = -Op phi with phi(0) = phi0 on the sample grid, Op
-    the spectrum's operator. On a graph, `etas` holds eta(s), s = 0..D, of
-    each state."""
+    the spectrum's operator; `etas` holds eta(s), s = 0..D, of each state
+    over the operator's subgraph."""
     op = spec.operator
     phi0 = np.asarray(phi0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
@@ -122,9 +121,8 @@ def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
     if phi0.shape != (op.dim,):
         raise ValueError("initial state has wrong length")
     states = _spectral_states(spec, spec.eigenvectors.T @ phi0, times)
-    etas = None if op.source is None else _ro(_eta_block(states, op.source))
     return HeatTrajectory(spectrum=spec, times=times, states=states,
-                          etas=etas)
+                          etas=_ro(_eta_block(states, op.source)))
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,6 @@ def decay_rate_check(traj: HeatTrajectory, mu: float) -> DecayCertificate:
     log-linear least squares on the l2 norm of the modulus table. The margin
     is that of the trajectory's spectrum.
     """
-    if traj.etas is None:
-        raise ValueError("trajectory has no modulus series (no graph source)")
     tol = traj.spectrum.tolerances
     norms = np.array([np.linalg.norm(row[1:]) for row in traj.etas])
     keep = norms > 0
@@ -194,14 +190,11 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     eta is the modulus over the trajectory operator's subgraph, whose
     diameter fixes the lattice; the margins are those of `_margins`.
     """
-    sub = _source(traj.spectrum.operator)
+    sub = traj.spectrum.operator.source
     d = sub.diameter_S
     if d < 1:
         return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
-    parity = "even" if d % 2 == 0 else "odd"
-    lattice = path_lattice_laplacian(d, parity)
-    coords = lattice.coords
-    lp = lattice.entries
+    coords, lp = path_lattice_laplacian(d)
     pos = coords > 0
 
     dt, kept, etas = _offset_etas(traj, sub)
@@ -228,7 +221,7 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
 def eta2_contraction_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
     eta over the trajectory operator's subgraph; see `_margins`."""
-    sub = _source(traj.spectrum.operator)
+    sub = traj.spectrum.operator.source
     s2 = min(2, sub.diameter_S)
 
     dt, kept, etas = _offset_etas(traj, sub)
@@ -260,7 +253,7 @@ def ratio_evolution_check(spec: Spectrum, times) -> RatioCertificate:
     spectrum's own, and the t = 0 ratio is the one kept on the spectrum.
     The evolved states are sampled at t and t +- dt, dt = `_default_dt`.
     """
-    sub = _source(spec.operator)
+    sub = spec.operator.source
     gamma = spec.gap
     ratio0 = _ground_ratio(spec)
     weighted0, _ = ratio0.vertex_sums()

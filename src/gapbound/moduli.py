@@ -50,7 +50,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import EmptyAfterSkips, NoAdmissibleTriple
 from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
-from .operators import Spectrum, _source
+from .operators import Spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +164,7 @@ class RatioFunction:
     def from_spectrum(cls, spec: Spectrum, which: int = 1) -> "RatioFunction":
         """u_which / u0 on the subgraph the spectrum's operator was built on."""
         return cls.from_vectors(spec.ground_state, spec.vector(which),
-                                _source(spec.operator))
+                                spec.operator.source)
 
     @classmethod
     def from_vectors(cls, u0, u1, sub: ConvexSubgraph) -> "RatioFunction":
@@ -543,7 +543,7 @@ def _ratio_scans(spec: Spectrum, which) -> tuple:
     one-vector route, and dilation agrees with the pair scan bit for bit, so
     every row equals that route's result. The rows share read-only arrays.
     """
-    sub = _source(spec.operator)
+    sub = spec.operator.source
     block = RatioFunction.from_vectors(
         spec.ground_state, spec.eigenvectors[:, which].T, sub)
     f, u0 = _ro(block.f), _ro(block.u0)

@@ -28,25 +28,31 @@ HAMILTONIAN = "hamiltonian"
 @dataclass(frozen=True, eq=False)
 class SymmetricOperator:
     entries: np.ndarray
-    kind: str
-    source: Optional[ConvexSubgraph] = None
+    source: ConvexSubgraph
     potential: Optional[np.ndarray] = None
-    coords: Optional[np.ndarray] = None   # path lattice coordinates
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def kind(self) -> str:
+        return LAPLACIAN if self.potential is None else HAMILTONIAN
+
     def __post_init__(self):
-        a = self.entries
+        a, w = self.entries, self.potential
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("operator must be square")
+        if w is not None:
+            if (w < 0).any():
+                raise NegativePotential("potential has a negative entry")
+            bad = np.flatnonzero(~np.isfinite(w))
+            if bad.size:
+                raise ValueError(f"potential entry {bad[0]} is {w[bad[0]]}; "
+                                 "a potential must be finite")
         problem = _entry_problem(a, self.kind == LAPLACIAN)
         if problem:
             raise ValueError(problem)
-        if self.kind == HAMILTONIAN and self.potential is not None:
-            if (self.potential < 0).any():
-                raise NegativePotential("potential has a negative entry")
 
     def __repr__(self):
         return f"SymmetricOperator({self.kind}, dim={self.dim})"
@@ -205,7 +211,7 @@ def laplacian(obj: Union[ConvexSubgraph, HomogeneousGraph]) -> SymmetricOperator
         keep = cols >= 0
         a[ar[keep], cols[keep]] = -1.0
     a[ar, ar] = sub.degrees.astype(np.float64)
-    return SymmetricOperator(entries=_ro(a), kind=LAPLACIAN, source=sub)
+    return SymmetricOperator(entries=_ro(a), source=sub)
 
 
 def boundary_potential(sub: ConvexSubgraph) -> np.ndarray:
@@ -230,37 +236,24 @@ def dirichlet_hamiltonian(sub: ConvexSubgraph, w="boundary") -> SymmetricOperato
     h = laplacian(sub).entries.copy()
     i = np.arange(sub.n_vertices)
     h[i, i] += pot
-    return SymmetricOperator(entries=_ro(h), kind=HAMILTONIAN, source=sub,
+    return SymmetricOperator(entries=_ro(h), source=sub,
                              potential=_ro(pot.copy()))
 
 
-def path_lattice_laplacian(d: int, parity: str) -> SymmetricOperator:
-    """Laplacian of the auxiliary path lattice over [-D, D].
+def path_lattice_laplacian(d: int):
+    """(coords, L_P): the lattice points -D, -D + 2, ..., D, which have the
+    parity of D, and the Laplacian of the path through them, both read-only.
 
-    parity "even"/"odd" keeps lattice points of that parity (step 2); "unit"
-    keeps every integer (step 1). With parity matching D the smallest
-    non-trivial eigenvalue is 2(1 - cos(pi/(D+1))); for "unit" it is
-    2(1 - cos(pi/(2D+1))).
+    L_P is the one-dimensional comparison operator of the modulus
+    inequality; its smallest non-trivial eigenvalue is 2(1 - cos(pi/(D+1))).
     """
     if d < 1:
         raise ValueError("diameter must be >= 1")
-    if parity == "unit":
-        coords = np.arange(-d, d + 1)
-    elif parity == "even":
-        coords = np.arange(-d + (d % 2), d + 1, 2)
-    elif parity == "odd":
-        coords = np.arange(-d + 1 - (d % 2), d + 1, 2)
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
+    coords = np.arange(-d, d + 1, 2)
     m = coords.size
-    a = np.zeros((m, m))
-    i = np.arange(m - 1)
-    a[i, i + 1] = a[i + 1, i] = -1.0
-    # degrees from the edge list; -a.sum(axis=1) gives -0.0 for one point
-    a[np.arange(m), np.arange(m)] = np.bincount(np.concatenate([i, i + 1]),
-                                                minlength=m)
-    return SymmetricOperator(entries=_ro(a), kind=LAPLACIAN,
-                             coords=_ro(coords.astype(np.int32)))
+    a = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    a[0, 0] = a[-1, -1] = 1.0
+    return _ro(coords), _ro(a)
 
 
 def eigendecompose(op: SymmetricOperator,
@@ -283,51 +276,39 @@ def _validate_spectrum(spec: Spectrum):
     gram = v.T @ v - np.eye(spec.dim)
     if np.abs(gram).max(initial=0.0) > tol.orthonormality:
         raise SpectrumInvariantError("eigenvectors are not orthonormal")
-    kind = spec.operator.kind
-    if kind == LAPLACIAN:
+    if spec.operator.kind == LAPLACIAN:
         if abs(w[0]) > tol.spectrum_residual * scale:
             raise SpectrumInvariantError(
                 f"connected Laplacian must have lambda0 = 0, got {w[0]:.3e}")
         u0 = v[:, 0]
         if u0.min() < -1e-8 and u0.max() > 1e-8:
             raise SpectrumInvariantError("Laplacian ground state changes sign")
-    if kind == HAMILTONIAN and spec.ground_state.min() <= 0:
+    elif spec.ground_state.min() <= 0:
         raise SpectrumInvariantError(
             "Hamiltonian ground state must be strictly positive "
             "(Perron-Frobenius) but has a non-positive component")
 
 
-def _source(op: SymmetricOperator) -> ConvexSubgraph:
-    """The subgraph `op` was built on; ValueError for a graphless one."""
-    if op.source is None:
-        raise ValueError("operator must come from a graph")
-    return op.source
-
-
 def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
     """Apply the operator through neighbor sums, bypassing its dense matrix.
 
-    Routes the spectrum residuals through graph structure instead of the
-    assembled entries; a graphless operator (a path lattice) has only its
-    entries. ``u`` is a vector or a block of column vectors; each column
-    gets the same arithmetic as it would alone.
+    Routes the spectrum residuals through the structure of the operator's
+    subgraph instead of the assembled entries, so entries that disagree with
+    the graph or the potential fail the residual check. ``u`` is a vector or
+    a block of column vectors; each column gets the same arithmetic as it
+    would alone.
     """
     col = (slice(None),) + (None,) * (u.ndim - 1)   # broadcast vertex data
     sub = op.source
-    if sub is not None:
-        nbr_sum = np.zeros_like(u)
-        for ai in range(sub.nbr_local.shape[0]):
-            cols = sub.nbr_local[ai]
-            keep = cols >= 0
-            nbr_sum[keep] += u[cols[keep]]
-        out = sub.degrees[col] * u - nbr_sum
-        if op.potential is not None:
-            out = out + op.potential[col] * u
-        return out
-    if u.ndim == 2:     # one matvec per column keeps each column's bits
-        return np.stack([op.entries @ u[:, j] for j in range(u.shape[1])],
-                        axis=1)
-    return op.entries @ u
+    nbr_sum = np.zeros_like(u)
+    for ai in range(sub.nbr_local.shape[0]):
+        cols = sub.nbr_local[ai]
+        keep = cols >= 0
+        nbr_sum[keep] += u[cols[keep]]
+    out = sub.degrees[col] * u - nbr_sum
+    if op.potential is not None:
+        out = out + op.potential[col] * u
+    return out
 
 
 def _residuals(spec: Spectrum) -> np.ndarray:

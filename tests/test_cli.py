@@ -337,6 +337,20 @@ def test_quadratic_potential_without_its_fields(tmp_path, capsys, potential,
     assert message in capsys.readouterr().err
 
 
+def test_potential_that_overflows_is_named(tmp_path, capsys):
+    # c (x - center)^2 overflows to inf at x = 2; the operator names the
+    # entry instead of failing the Perron-Frobenius invariant later
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 5}},
+                      potential={"formula": "quadratic", "c": 1e308,
+                                 "center": 0})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: potential entry 2 is inf; a potential must be finite\n"
+
+
 def test_tolerance_values_must_be_numbers(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json",
                       instance={"family": {"name": "path", "n": 4}},

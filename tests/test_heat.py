@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gapbound.bounds import bound_thm1, bound_thm3, bound_thm4, verify_all
+from gapbound.bounds import bound_thm1, mu_matched, mu_unit
 from gapbound.config import DEFAULT_TOL
 import gapbound.errors
 from gapbound import heat
@@ -263,12 +263,41 @@ def eta_table(eta):
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
+def path_laplacian(coords, step):
+    """degree - adjacency of the points `coords`, joined at distance `step`."""
+    adj = (np.abs(np.subtract.outer(coords, coords)) == step).astype(float)
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+def ref_lattice(d):
+    """(coords, L_P) from the definition: the points s in [-D, D] with the
+    parity of D, joined at distance 2."""
+    coords = np.array([s for s in range(-d, d + 1) if (s - d) % 2 == 0])
+    return coords, path_laplacian(coords, 2)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_path_lattice_is_the_matched_lattice(d):
+    coords, lp = path_lattice_laplacian(d)
+    want_coords, want = ref_lattice(d)
+    assert np.array_equal(coords, want_coords)
+    assert np.array_equal(lp, want)
+    assert not coords.flags.writeable and not lp.flags.writeable
+    assert abs(np.linalg.eigvalsh(lp)[1] - mu_matched(d)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_mu_unit_is_the_unit_step_path_gap(d):
+    # Theorems 5-6 compare against the (2D + 1)-point unit-step path
+    lp = path_laplacian(np.arange(-d, d + 1), 1)
+    assert abs(np.linalg.eigvalsh(lp)[1] - mu_unit(d)) <= 1e-12
+
+
 def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
     """(checked, worst_margin) of the per-state loop; raises like the check."""
     spec = traj.spectrum
     d = sub.diameter_S
-    lattice = path_lattice_laplacian(d, "even" if d % 2 == 0 else "odd")
-    coords, lp = lattice.coords, lattice.entries
+    coords, lp = ref_lattice(d)
     slot, pos = coords + d, coords > 0
     phi0, start = traj.states[0], traj.times[0]
     dt = ref_default_dt(spec)
@@ -511,20 +540,6 @@ def test_ratio_check_matches_per_state_reference(case):
         cert = ratio_evolution_check(spec, times)
         assert float_bits(cert.evolution_residual) == float_bits(want)
         assert case == "exact"
-
-
-def test_graphless_operator_is_a_named_error():
-    lattice = path_lattice_laplacian(3, "odd")
-    spec = eigendecompose(lattice)
-    times = default_times(spec.gap)
-    traj = evolve(spec, spec.vector(1), times)
-    for check in (mocheat_inequality_check, eta2_contraction_check):
-        with pytest.raises(ValueError, match="operator must come from a graph"):
-            check(traj)
-    for analysis in (verify_all, bound_thm3, bound_thm4,
-                     lambda spec: ratio_evolution_check(spec, times[1:8])):
-        with pytest.raises(ValueError, match="operator must come from a graph"):
-            analysis(spec)
 
 
 def test_spectral_trajectory_reads_its_spectrum_tolerances():

@@ -86,25 +86,44 @@ def test_negative_potential_rejected():
         dirichlet_hamiltonian(sub, np.array([0.0, -0.1, 0.0]))
 
 
+def test_non_finite_potential_is_named():
+    sub = path_instance(3)
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match=f"^potential entry 1 is {bad}; "
+                           "a potential must be finite$"):
+            dirichlet_hamiltonian(sub, [0.0, float(bad), 0.0])
+    # -inf is negative before it is non-finite
+    with pytest.raises(NegativePotential):
+        dirichlet_hamiltonian(sub, [0.0, -math.inf, 0.0])
+
+
+def test_entries_that_disagree_with_the_source_fail_the_residual():
+    # the residuals apply the operator through its subgraph and potential,
+    # not its entries, so entries of another operator fail validation
+    sub = path_instance(6)
+    a = laplacian(sub).entries.copy()
+    a[2, 3] = a[3, 2] = 0.0     # path(6) without the edge 2-3: still valid
+    a[2, 2] = a[3, 3] = 1.0     # Laplacian entries, of another graph
+    op = SymmetricOperator(entries=a, source=sub)
+    with pytest.raises(SpectrumInvariantError, match="^residual 7.071e-01 "):
+        eigendecompose(op)
+
+    ham = dirichlet_hamiltonian(sub)
+    h = ham.entries + 1e-6 * np.eye(sub.n_vertices)
+    op = SymmetricOperator(entries=h, source=sub, potential=ham.potential)
+    with pytest.raises(SpectrumInvariantError, match="^residual 5.2"):
+        eigendecompose(op)
+
+
 def test_path_lattice_shapes_and_mu():
-    op = path_lattice_laplacian(1, "odd")
-    assert op.coords.tolist() == [-1, 1]
-    assert abs(eigendecompose(op).eigenvalues[1] - 2.0) <= 1e-12
+    coords, lp = path_lattice_laplacian(1)
+    assert coords.tolist() == [-1, 1]
+    assert abs(np.linalg.eigvalsh(lp)[1] - 2.0) <= 1e-12
 
-    op = path_lattice_laplacian(4, "even")
-    assert op.coords.tolist() == [-4, -2, 0, 2, 4]
-    mu = eigendecompose(op).eigenvalues[1]
+    coords, lp = path_lattice_laplacian(4)
+    assert coords.tolist() == [-4, -2, 0, 2, 4]
+    mu = np.linalg.eigvalsh(lp)[1]
     assert abs(mu - 2 * (1 - math.cos(math.pi / 5))) <= 1e-12
-
-    op = path_lattice_laplacian(3, "unit")
-    assert op.coords.tolist() == [-3, -2, -1, 0, 1, 2, 3]
-    mu = eigendecompose(op).eigenvalues[1]
-    assert abs(mu - 2 * (1 - math.cos(math.pi / 7))) <= 1e-12
-
-    # a plain Laplacian; a single point has a +0.0 diagonal, not -0.0
-    op = path_lattice_laplacian(1, "even")
-    assert op.kind == "laplacian"
-    assert op.entries.tobytes() == np.zeros((1, 1)).tobytes()
 
 
 def test_eigendecompose_trivial():
@@ -141,15 +160,18 @@ def test_gap_eigenspace_basis_is_canonical(rng):
 
 @pytest.mark.parametrize("delta", [5e-10, 2e-10, 1e-10, 5e-11, 1e-12, 0.0])
 def test_near_degenerate_gap_passes_validation(delta):
-    # lambda1 and lambda2 delta apart: whether or not the lambda1 cluster
-    # merges them, every column must stay within the residual bound
-    r = 1 / math.sqrt(2)
-    q = np.array([[1, 0, 0], [0, r, r], [0, r, -r]])
-    a = q @ np.diag([0.0, 0.5, 0.5 + delta]) @ q.T
-    spec = eigendecompose(SymmetricOperator(entries=(a + a.T) / 2,
-                                            kind="custom"))
+    # C3 with W = (0, 0, 1.5 delta): spectrum {~delta/2, 3, 3 + delta}, so
+    # lambda1 and lambda2 are delta apart (to 1e-5 relative); whether or not
+    # the lambda1 cluster merges them, every column must stay within the
+    # residual bound
+    spec = eigendecompose(dirichlet_hamiltonian(cycle_instance(3),
+                                                [0.0, 0.0, 1.5 * delta]))
+    gap12 = spec.eigenvalues[2] - spec.eigenvalues[1]
+    assert abs(gap12 - delta) <= 1e-4 * delta + 1e-14
     assert spec.residuals.max() <= spec.tolerances.spectrum_residual
-    assert len(spec.gap_indices) == (2 if delta < 1e-11 else 1)
+    # the cluster width is half the residual bar at scale |lambda|max ~ 3
+    width = 0.5 * spec.tolerances.spectrum_residual * 3.0
+    assert len(spec.gap_indices) == (2 if delta < width else 1)
 
 
 def test_rayleigh_certificates():
@@ -187,11 +209,7 @@ def test_certificate_failure_surfaces_witness():
     lambda: dirichlet_hamiltonian(
         induce_subgraph(cycle_graph(12), range(5)), "boundary"),
     lambda: laplacian(hypercube_instance(3)),
-    lambda: path_lattice_laplacian(5, "odd"),
-    lambda: path_lattice_laplacian(1, "even"),
-    lambda: SymmetricOperator(
-        entries=laplacian(path_instance(6)).entries.copy(), kind="laplacian"),
-], ids=["arc-hamiltonian", "Q3", "lattice", "lattice-point", "no-source"])
+], ids=["arc-hamiltonian", "Q3"])
 def test_apply_by_adjacency_block_equals_columns(make, rng):
     op = make()
     block = rng.normal(size=(op.dim, 5))
@@ -354,7 +372,8 @@ BAD_ENTRIES = {
 @pytest.mark.parametrize("kind", ["laplacian", "hamiltonian"])
 @pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
 def test_operator_checks_over_row_blocks_match_the_dense_checks(bad, kind):
-    a = laplacian(cycle_instance(640)).entries.copy()
+    sub = cycle_instance(640)
+    a = laplacian(sub).entries.copy()
     m = a.shape[0]
     rows = operators._SCAN_CELLS // m
     last = (m - 1) // rows * rows
@@ -365,11 +384,12 @@ def test_operator_checks_over_row_blocks_match_the_dense_checks(bad, kind):
     want = dense_entry_problem(a, kind == "laplacian")
     if kind == "laplacian":
         assert (want is None) == (bad == "negative-zero-pair")
+    w = None if kind == "laplacian" else np.zeros(m)
     if want is None:
-        SymmetricOperator(entries=a, kind=kind)
+        SymmetricOperator(entries=a, source=sub, potential=w)
         return
     with pytest.raises(ValueError) as exc:
-        SymmetricOperator(entries=a, kind=kind)
+        SymmetricOperator(entries=a, source=sub, potential=w)
     assert str(exc.value) == want
 
 
