@@ -4,6 +4,11 @@ Exit status: 0 when every requested verification holds, 1 on a verification
 failure, 2 on a spec/validation error. Every failed check is named in the
 report's `failures`; a failed certificate's block carries its `error` and
 `witness`.
+
+Every output file is encoded straight into a sibling temporary file, which
+then replaces the file: the JSON chunk by chunk, the CSVs a line, or one
+sample time's lines, at a time. Only the report dict or sweep aggregate is
+held whole, and a failed write leaves the previous file, or none.
 """
 
 import argparse
@@ -215,7 +220,7 @@ def load_spec(path):
 # -- report helpers -----------------------------------------------------------
 
 def _numpy_json(obj):
-    """json.dumps hook for the numpy values in reports."""
+    """json.dump hook for the numpy values in reports."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.integer):
@@ -227,9 +232,28 @@ def _numpy_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _write_file(path: Path, write):
+    """write(fh) into a sibling temporary file, then move it onto `path`.
+
+    A raise while writing removes the temporary file and leaves `path` as
+    it was: the previous file, or none, never a truncated one.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, default=_numpy_json, sort_keys=True,
-                               indent=2) + "\n")
+    """`obj` as sorted, indented JSON, encoded chunk by chunk into the file:
+    the bytes of json.dumps with the same arguments, plus a newline."""
+    def write(fh):
+        json.dump(obj, fh, default=_numpy_json, sort_keys=True, indent=2)
+        fh.write("\n")
+    _write_file(path, write)
 
 
 # every float in a CSV: 17 significant digits, enough to round-trip
@@ -245,24 +269,28 @@ def write_eta_csv(path: Path, times, etas):
     eta(0..D) row per time.
 
     A sample's D lines are one template, with the time's digits in place
-    of ``@``, formatted by one ``%`` over eta(1..D); ``%`` and `_fmt` give
-    the same digits.
+    of ``@``, formatted by one ``%`` over eta(1..D) and written before the
+    next sample's; ``%`` and `_fmt` give the same digits.
     """
-    rows = ["s,t,eta\n"]
-    template = None
-    for t, row in zip(times, etas):
-        values = row.tolist()[1:]
-        if template is None:
-            template = "".join(f"{s},@,%{_G17}\n"
-                               for s in range(1, len(values) + 1))
-        rows.append(template.replace("@", _fmt(t)) % tuple(values))
-    path.write_text("".join(rows))
+    def write(fh):
+        fh.write("s,t,eta\n")
+        template = None
+        for t, row in zip(times, etas):
+            values = row.tolist()[1:]
+            if template is None:
+                template = "".join(f"{s},@,%{_G17}\n"
+                                   for s in range(1, len(values) + 1))
+            fh.write(template.replace("@", _fmt(t)) % tuple(values))
+    _write_file(path, write)
 
 
 def write_spectrum_csv(path: Path, spec):
-    values = spec.eigenvalues.tolist()
-    template = "".join(f"{i},%{_G17}\n" for i in range(len(values)))
-    path.write_text("index,eigenvalue\n" + template % tuple(values))
+    """One ``index,eigenvalue`` line per eigenvalue, written as formatted."""
+    def write(fh):
+        fh.write("index,eigenvalue\n")
+        for i, w in enumerate(spec.eigenvalues):
+            fh.write(f"{i},{_fmt(w)}\n")
+    _write_file(path, write)
 
 
 # -- analyses -----------------------------------------------------------------
@@ -433,12 +461,13 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
         reports[str(n)] = rep.as_dict()
 
     cols = sorted({k for row in table for k in row})
-    lines = [",".join(cols)]
-    for row in table:
-        lines.append(",".join(
-            _fmt(row[c]) if isinstance(row.get(c), float) else str(row.get(c, ""))
-            for c in cols))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+
+    def write(fh):
+        fh.write(",".join(cols) + "\n")
+        for row in table:
+            fh.write(",".join(_fmt(row[c]) if isinstance(row.get(c), float)
+                              else str(row.get(c, "")) for c in cols) + "\n")
+    _write_file(out_dir / "sweep.csv", write)
 
     aggregate = {"schema": SCHEMA, "family": family, "sizes": sizes,
                  "table": table, "reports": reports,

@@ -273,8 +273,9 @@ def _validate_spectrum(spec: Spectrum):
     if spec.residuals.max(initial=0.0) > tol.spectrum_residual * scale:
         raise SpectrumInvariantError(
             f"residual {spec.residuals.max():.3e} exceeds bound")
-    gram = v.T @ v - np.eye(spec.dim)
-    if np.abs(gram).max(initial=0.0) > tol.orthonormality:
+    gram = v.T @ v
+    gram.flat[::spec.dim + 1] -= 1.0
+    if np.abs(gram, out=gram).max(initial=0.0) > tol.orthonormality:
         raise SpectrumInvariantError("eigenvectors are not orthonormal")
     if spec.operator.kind == LAPLACIAN:
         if abs(w[0]) > tol.spectrum_residual * scale:
@@ -289,41 +290,51 @@ def _validate_spectrum(spec: Spectrum):
             "(Perron-Frobenius) but has a non-positive component")
 
 
-def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray) -> np.ndarray:
+def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray,
+                        out: Optional[np.ndarray] = None,
+                        work: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the operator through neighbor sums, bypassing its dense matrix.
 
     Routes the spectrum residuals through the structure of the operator's
     subgraph instead of the assembled entries, so entries that disagree with
     the graph or the potential fail the residual check. ``u`` is a vector or
     a block of column vectors; each column gets the same arithmetic as it
-    would alone.
+    would alone. The result goes into ``out`` and the neighbour sums into
+    ``work``, buffers shaped like ``u`` that are allocated when not given;
+    ``work`` ends holding the potential term, when there is one.
     """
     col = (slice(None),) + (None,) * (u.ndim - 1)   # broadcast vertex data
     sub = op.source
-    nbr_sum = np.zeros_like(u)
-    for ai in range(sub.nbr_local.shape[0]):
-        cols = sub.nbr_local[ai]
-        keep = cols >= 0
-        nbr_sum[keep] += u[cols[keep]]
-    out = sub.degrees[col] * u - nbr_sum
+    out = np.empty_like(u) if out is None else out
+    nbr_sum = np.empty_like(u) if work is None else work
+    nbr_sum.fill(0.0)
+    for cols in sub.nbr_local:
+        np.add(nbr_sum, u[cols], out=nbr_sum, where=(cols >= 0)[col])
+    np.multiply(sub.degrees[col], u, out=out)
+    out -= nbr_sum
     if op.potential is not None:
-        out = out + op.potential[col] * u
+        out += np.multiply(op.potential[col], u, out=nbr_sum)
     return out
 
 
 def _residuals(spec: Spectrum) -> np.ndarray:
     """Spectrum.residuals, over blocks of columns of at most _SCAN_CELLS
     cells, each copied contiguous so that the neighbour gathers read whole
-    rows."""
-    w, v = spec.eigenvalues, spec.eigenvectors
-    out = np.empty(spec.dim)
-    step = max(1, _SCAN_CELLS // max(1, spec.dim))
-    for lo in range(0, spec.dim, step):
-        cols = slice(lo, lo + step)
-        u = np.ascontiguousarray(v[:, cols])
-        out[cols] = np.abs(_apply_by_adjacency(spec.operator, u)
-                           - u * w[cols]).max(axis=0)
-    return out
+    rows. The block, its image and the neighbour sums are three buffers
+    allocated once."""
+    w, v, m = spec.eigenvalues, spec.eigenvectors, spec.dim
+    resid = np.empty(m)
+    step = max(1, _SCAN_CELLS // max(1, m))
+    bufs = np.empty((3, m * min(m, step)))
+    for lo in range(0, m, step):
+        k = min(step, m - lo)
+        cols = slice(lo, lo + k)
+        u, image, work = (b[:m * k].reshape(m, k) for b in bufs)
+        u[...] = v[:, cols]
+        _apply_by_adjacency(spec.operator, u, image, work)
+        image -= np.multiply(u, w[cols], out=work)
+        resid[cols] = np.abs(image, out=image).max(axis=0)
+    return resid
 
 
 @dataclass(frozen=True)

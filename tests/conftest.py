@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -40,6 +41,17 @@ def mpmath_eigh(a, dps=30):
 @pytest.fixture
 def mp_eigh():
     return mpmath_eigh
+
+
+def traced_peak(make):
+    """make() and the tracemalloc peak while it runs, in bytes above what
+    was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return make(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def euler_states(op, phi0, times, dt):

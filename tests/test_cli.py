@@ -19,6 +19,8 @@ from gapbound.heat import (decay_rate_check, default_times, evolve,
                            mocheat_inequality_check, ratio_evolution_check)
 from gapbound.operators import dirichlet_hamiltonian, eigendecompose
 
+from conftest import traced_peak
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 ALL_ANALYSES = ["spectrum", "bounds", "moduli", "heat"]
 
@@ -561,6 +563,29 @@ def test_bounds_certificate_failure_ends_in_a_report(tmp_path, capsys,
         assert rep["spectrum"]["certificate"] == block
 
 
+@pytest.mark.parametrize("instance,potential", [
+    ({"family": {"name": "path", "n": 8}}, "none"),
+    ({"family": {"name": "cycle", "n": 9}}, "none"),
+    ({"family": {"name": "subcube", "mask": [None, None, None, 1]}},
+     "boundary")], ids=["path8", "C9", "Q4-subcube-boundary"])
+def test_negative_verify_factor_ends_in_a_report(tmp_path, capsys, instance,
+                                                 potential):
+    # a negative factor fails every applicable theorem; Theorem 3 still
+    # reports the eigenvector that attains its least bound
+    spec = write_spec(tmp_path / "s.json", instance=instance,
+                      potential=potential, analyses=ALL_ANALYSES,
+                      tolerances={"verify_factor": -1.0})
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = load_report(out)
+    thm3, = (r for r in rep["bounds"]["theorems"] if r["theorem"] == "thm3")
+    assert thm3["holds"] is False
+    assert thm3["bound"] == min(thm3["detail"]["bounds_per_eigenvector"])
+    assert thm3["detail"]["pairs"] > 0
+    assert any(f.startswith("thm3: bound ") for f in rep["failures"])
+
+
 @pytest.mark.parametrize("check", ["decay", "mocheat", "ratio"])
 def test_heat_certificate_failure_ends_in_a_report(tmp_path, check):
     # a failed heat certificate's block is its error and the witness the
@@ -644,6 +669,8 @@ def test_writers_match_per_value_format_on_edge_values(tmp_path, d, samples):
     write_eta_csv(tmp_path / "eta.csv", times, etas)
     assert (tmp_path / "eta.csv").read_text() == \
         reference_eta_csv(times, etas)
+    if samples == 0:
+        assert (tmp_path / "eta.csv").read_text() == "s,t,eta\n"
 
     eigenvalues = pool[::-1]
     write_spectrum_csv(tmp_path / "spectrum.csv",
@@ -651,6 +678,76 @@ def test_writers_match_per_value_format_on_edge_values(tmp_path, d, samples):
     want = ["index,eigenvalue"] + [f"{i},{format(float(w), '.17g')}"
                                    for i, w in enumerate(eigenvalues)]
     assert (tmp_path / "spectrum.csv").read_text() == "\n".join(want) + "\n"
+
+
+def returned(monkeypatch, name):
+    """The values cli.<name> returns, in call order."""
+    real, values = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+    monkeypatch.setattr(cli, name, spy)
+    return values
+
+
+def dumped(obj) -> bytes:
+    """The bytes a whole-string writer gives for `obj`."""
+    return (json.dumps(obj, default=cli._numpy_json, sort_keys=True,
+                       indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", ["path12-boundary", "S3"])
+def test_streamed_report_is_the_dumped_report(tmp_path, monkeypatch,
+                                              transpositions, name):
+    if name == "S3":
+        table, gens = transpositions(3)
+        instance, potential = {"group": {"kind": "table", "table": table,
+                                         "name": "S3"},
+                               "generators": gens}, "none"
+    else:
+        instance, potential = {"family": {"name": "path", "n": 12}}, \
+            "boundary"
+    spec = write_spec(tmp_path / "s.json", instance=instance,
+                      potential=potential, analyses=ALL_ANALYSES)
+    reports = returned(monkeypatch, "run_instance")
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    assert (out / "report.json").read_bytes() == dumped(reports[0])
+
+
+def test_streamed_sweep_is_the_dumped_aggregate(tmp_path, monkeypatch):
+    aggregates = returned(monkeypatch, "run_sweep")
+    out = tmp_path / "out"
+    assert main(["sweep", "--family", "path", "--min", "2", "--max", "30",
+                 "--out", str(out)]) == 0
+    assert (out / "sweep.json").read_bytes() == dumped(aggregates[0])
+
+
+def test_write_json_holds_a_fraction_of_the_file(tmp_path):
+    # the path 2..80 aggregate: encoding the whole string first peaked at
+    # 5.7 times the file; streamed, 0.19 times
+    aggregate = cli.run_sweep("path", 2, 80, DEFAULT_TOL, tmp_path)
+    path = tmp_path / "sweep.json"
+    _, peak = traced_peak(lambda: cli.write_json(path, aggregate))
+    assert peak <= 0.25 * path.stat().st_size
+
+
+@pytest.mark.parametrize("previous", [b'{"ok": true}\n', None],
+                         ids=["previous-file", "no-file"])
+def test_failed_write_leaves_the_previous_file(tmp_path, previous):
+    # the list before the bad value is larger than the file buffer, so
+    # part of the report reaches the disk before the raise
+    path = tmp_path / "report.json"
+    if previous is not None:
+        path.write_bytes(previous)
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli.write_json(path, {"a": list(range(5000)), "b": object()})
+    if previous is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == previous
 
 
 def call_main(argv, capsys):

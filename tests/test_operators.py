@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from gapbound.operators import (Spectrum, SymmetricOperator,
                                 dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian,
                                 rayleigh_gap_check)
+
+from conftest import traced_peak
 
 
 def test_laplacian_single_edge():
@@ -412,17 +413,6 @@ def test_residuals_over_column_blocks_match_each_pair():
         rayleigh_gap_check(dataclasses.replace(spec, eigenvectors=broken))
 
 
-def traced_peak(make):
-    """make() and the tracemalloc peak while it runs, in bytes above what
-    was traced when it started."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        return make(), tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_stage_scratch_is_bounded_by_the_scan_budget():
     # Q9: a 2 MiB operator and blocks of _SCAN_CELLS float64 cells (512
     # KiB). Measured peaks, whole-array passes -> blocks: operator build
@@ -438,3 +428,13 @@ def test_stage_scratch_is_bounded_by_the_scan_budget():
     traj = evolve(spec, spec.vector(1), default_times(spec.gap))
     _, peak = traced_peak(lambda: mocheat_inequality_check(traj))
     assert peak <= 3 * block
+
+
+def test_validation_keeps_one_matrix_of_scratch():
+    # Q9: the Gram check works in place on vᵀv, and the residual pass of a
+    # fresh spectrum stays inside it. Measured: 2.00 -> 1.01 matrices
+    spec = eigendecompose(laplacian(hypercube_instance(9)))
+    fresh = dataclasses.replace(spec)
+    _, peak = traced_peak(lambda: _validate_spectrum(fresh))
+    assert peak <= 1.5 * spec.operator.entries.nbytes
+    assert np.array_equal(fresh.residuals, spec.residuals)
