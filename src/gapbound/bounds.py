@@ -268,7 +268,7 @@ def verify_all(spec: Spectrum) -> GapReport:
             # the first eigenvector attaining the minimum up to tolerance, so
             # rounding cannot pick a different one among equal bounds; the
             # margin is never negative, so the minimum itself qualifies
-            low = min(values) + max(tol_verify, 0.0)
+            low = min(values) + tol_verify
             best = consts[next(i for i, v in enumerate(values) if v <= low)]
             detail = {"c_u0": [c.value for c in consts],
                       "bounds_per_eigenvector": values,

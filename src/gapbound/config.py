@@ -25,6 +25,12 @@ class ToleranceConfig:
     decay_margin: float = 1e-6           # fitted rate >= mu - margin
     ratio_identity: float = 1e-8         # stationary ratio-evolution identity
 
+    def __post_init__(self):
+        # a margin below 0 would fail a bound that equals the gap
+        if self.verify_factor < 0:
+            raise ValueError("tolerance verify_factor must be >= 0, "
+                             f"got {self.verify_factor!r}")
+
     def with_overrides(self, **kwargs) -> "ToleranceConfig":
         unknown = set(kwargs) - set(asdict(self))
         if unknown:

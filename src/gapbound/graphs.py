@@ -78,13 +78,15 @@ class ConvexSubgraph:
     """Induced subgraph with boundary data and intra-subgraph distances.
 
     `vset` holds sorted host vertex ids; vertex functions downstream are
-    arrays over local indices 0..|S|-1.
+    arrays over local indices 0..|S|-1. Built by induce_subgraph; every
+    array is read-only.
     """
 
     host: HomogeneousGraph
     vset: np.ndarray            # (m,) host ids, sorted
     boundary: np.ndarray        # host ids adjacent to but outside vset
     nbr_local: np.ndarray       # (k, m): local index of a*v, or -1 if outside
+    host_dist: np.ndarray       # (m, m) host distances among S, local indices
     dist_S: np.ndarray          # (m, m) shortest paths within S
     diameter_S: int
     _pos: np.ndarray = field(repr=False)  # host id -> local index or -1
@@ -157,17 +159,6 @@ class ConvexSubgraph:
             cache[step] = tuple(runs)
         return cache[step]
 
-    def host_dist(self) -> np.ndarray:
-        """Host distances restricted to S (local indexing), read-only.
-
-        induce_subgraph computes them for its distance certificate and
-        caches them here; otherwise they are built on first use.
-        """
-        if "_host_dist" not in self.__dict__:
-            self.__dict__["_host_dist"] = _ro(
-                self.host.dist[np.ix_(self.vset, self.vset)])
-        return self.__dict__["_host_dist"]
-
     def __repr__(self):
         return (f"ConvexSubgraph(|S|={self.n_vertices}, D={self.diameter_S}, "
                 f"host={self.host!r})")
@@ -175,6 +166,10 @@ class ConvexSubgraph:
 
 def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
     """Induced subgraph with boundary, K_x and distances.
+
+    host_dist is the host distance matrix restricted to S, taken once here
+    (a full graph shares the host's array); the distance certificate, the
+    convexity scans and omega read it.
 
     dist_S is taken from the host distances d when a one-pass certificate
     shows they are realised inside S: every pair x != y of S has an
@@ -210,12 +205,11 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
             raise DisconnectedSubgraph(
                 f"{int((dist_s[0] < 0).sum())} vertices unreachable within S")
 
-    sub = ConvexSubgraph(host=host, vset=_ro(vset), boundary=_ro(boundary),
-                         nbr_local=_ro(nbr_local.astype(np.int32)),
-                         dist_S=_ro(dist_s.astype(np.int32, copy=False)),
-                         diameter_S=int(dist_s.max()), _pos=_ro(pos))
-    sub.__dict__["_host_dist"] = hd
-    return sub
+    return ConvexSubgraph(host=host, vset=_ro(vset), boundary=_ro(boundary),
+                          nbr_local=_ro(nbr_local.astype(np.int32)),
+                          host_dist=hd,
+                          dist_S=_ro(dist_s.astype(np.int32, copy=False)),
+                          diameter_S=int(dist_s.max()), _pos=_ro(pos))
 
 
 def _host_distances_realised(hd: np.ndarray, nbr_local: np.ndarray) -> bool:
@@ -288,7 +282,7 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     """
     if "_convexity" in sub.__dict__:
         return sub.__dict__["_convexity"]
-    vset, dist, hd = sub.vset, sub.host.dist, sub.host_dist()
+    vset, dist, hd = sub.vset, sub.host.dist, sub.host_dist
 
     witness = None
     if any(hit.any() for _, hit in _geodesic_blocks(dist, vset, hd,
@@ -368,7 +362,7 @@ def _sp2_closure(sub: ConvexSubgraph):
     """
     host = sub.host
     vset = sub.vset
-    hd = sub.host_dist()
+    hd = sub.host_dist
     for ai, a in enumerate(host.gens):
         ax_local = sub.nbr_local[ai]          # local index of a*x or -1
         ay_out = ax_local < 0                 # a*y outside S, per local y

@@ -96,24 +96,11 @@ class ModulusOfContinuity:
 
 @dataclass(frozen=True, eq=False)
 class ModulusOfConcavity:
-    """omega of `g` over the admissible triples of `sub`.
-
-    `g` is a read-only copy of the function scanned. The achievers are built
-    on first read from a fresh scan of the admitted triples, so the values
-    alone cost no sort and keep no per-triple arrays.
-    """
+    """omega over the admissible triples of `sub`, one value per distance
+    class; modulus_of_concavity computes it."""
 
     sub: ConvexSubgraph
-    g: np.ndarray
     values: np.ndarray            # omega(s) for s = 1..D; NaN if undefined
-
-    @property
-    def achievers(self) -> dict:
-        """s -> (r, 3) int64 triples (y, x, generator) within 1e-12
-        max(1, |omega(s)|) of omega(s), sorted; cached read-only."""
-        if "_achievers" not in self.__dict__:
-            self.__dict__["_achievers"] = _omega_achievers(self)
-        return self.__dict__["_achievers"]
 
     @property
     def diameter(self) -> int:
@@ -366,26 +353,15 @@ def modulus_of_concavity(g, sub: ConvexSubgraph) -> ModulusOfConcavity:
     A triple is admissible when a moves x one step along a shortest path
     toward y, i.e. d(ax, y) = d(x, y) - 1. That implies the literal
     a^2-contraction condition d(a^2 x, y) <= d(x, y); on path graphs the
-    two conditions give the same modulus.
+    two conditions give the same modulus. One pass over the host distances
+    among S per generator.
     """
-    g = _ro(np.array(g, dtype=np.float64))
-    best = np.full(sub.diameter_S, np.inf)
-    seen = np.zeros(sub.diameter_S, dtype=bool)
-    for _, _, key, val in _admitted(sub, g):
-        np.minimum.at(best, key, val)
-        seen[key] = True
-    best[~seen] = np.nan
-    return ModulusOfConcavity(sub=sub, g=g, values=best)
-
-
-def _admitted(sub: ConvexSubgraph, g: np.ndarray):
-    """Per generator index ai, the admitted (y, x) pairs: y, x, class s - 1
-    and the triple value, in row-major (y, x) order."""
-    host = sub.host
+    g = np.asarray(g, dtype=np.float64)
+    host, hd, m = sub.host, sub.host_dist, sub.n_vertices
     gens = list(host.gens)
     gen_index = {a: i for i, a in enumerate(gens)}
-    hd = sub.host_dist()
-    m = sub.n_vertices
+    best = np.full(sub.diameter_S, np.inf)
+    seen = np.zeros(sub.diameter_S, dtype=bool)
     for ai, a in enumerate(gens):
         ax = sub.nbr_local[ai]          # local of a*x per local x, -1 outside
         ainv_y = sub.nbr_local[gen_index[host.group.inv(a)]]  # local of a^-1*y
@@ -397,24 +373,11 @@ def _admitted(sub: ConvexSubgraph, g: np.ndarray):
         admit &= (ainv_y >= 0)[:, None] & (hd >= 1)
         yy, xx = np.nonzero(admit)
         val = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
-        yield yy, xx, hd[yy, xx] - 1, val
-
-
-def _omega_achievers(omega: ModulusOfConcavity) -> dict:
-    """One mask per generator against the per-class bar, then one sort into
-    class and (y, x, a) order."""
-    sub, best = omega.sub, omega.values
-    bar = best + 1e-12 * np.maximum(1.0, np.abs(best))
-    rows = []
-    for (yy, xx, key, val), a in zip(_admitted(sub, omega.g), sub.gens):
-        sel = val <= bar[key]
-        rows.append(np.stack([key[sel], yy[sel], xx[sel],
-                              np.full(int(sel.sum()), a)], axis=1))
-    rows = np.concatenate(rows, dtype=np.int64)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    ends = np.cumsum(np.bincount(rows[:, 0], minlength=sub.diameter_S))
-    return dict(zip(range(1, sub.diameter_S + 1),
-                    np.split(_ro(rows[:, 1:]), ends[:-1])))
+        key = hd[yy, xx] - 1
+        np.minimum.at(best, key, val)
+        seen[key] = True
+    best[~seen] = np.nan
+    return ModulusOfConcavity(sub=sub, values=best)
 
 
 def extremal_pairs(eta: ModulusOfContinuity) -> np.ndarray:

@@ -1,24 +1,26 @@
 """Combinatorial Laplacians, stoquastic Hamiltonians H = L + W, and spectra.
 
-The eigensolver is LAPACK (see jacobi.py). The lambda1 eigenspace gets a
-canonical basis, so a degenerate gap reports the same eigenvectors whatever
-basis the solver returned. Every Spectrum is validated against residual,
-orthonormality and ground-state sign invariants at construction time. The
-residual |H v - lambda v| of each pair is computed once, through neighbour
-sums, and kept on the Spectrum; that check and the eigen-recurrence
-certificate both read it.
+An operator is its subgraph and, for H, its potential W: nothing else is
+stored. The dense matrix is built for LAPACK (see jacobi.py) and dropped
+after the solve; the analyses apply the operator through neighbour sums.
+The lambda1 eigenspace gets a canonical basis, so a degenerate gap reports
+the same eigenvectors whatever basis the solver returned. Every Spectrum is
+validated against residual, orthonormality and ground-state sign
+invariants at construction time. The residual |H v - lambda v| of each
+pair is computed once, through neighbour sums, and kept on the Spectrum;
+that check and the eigen-recurrence certificate both read it.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (CertificateFailure, NegativePotential,
                      SpectrumInvariantError)
-from .graphs import _SCAN_CELLS, ConvexSubgraph, HomogeneousGraph, _ro
+from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
 from .jacobi import _fix_signs, jacobi_eigh
 
 LAPLACIAN = "laplacian"
@@ -27,66 +29,52 @@ HAMILTONIAN = "hamiltonian"
 
 @dataclass(frozen=True, eq=False)
 class SymmetricOperator:
-    entries: np.ndarray
+    """L of `source`, or H = L + diag(W) with the potential W.
+
+    The subgraph and the potential are the whole definition; the dense
+    matrix is built from them on each read of `entries`, for LAPACK.
+    """
+
     source: ConvexSubgraph
     potential: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.source.n_vertices
 
     @property
     def kind(self) -> str:
         return LAPLACIAN if self.potential is None else HAMILTONIAN
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, new on each read: -1 per edge, the degrees on
+        the diagonal, then + W."""
+        sub, m = self.source, self.dim
+        a = np.zeros((m, m), dtype=np.float64)
+        ar = np.arange(m)
+        for cols in sub.nbr_local:
+            keep = cols >= 0
+            a[ar[keep], cols[keep]] = -1.0
+        a[ar, ar] = sub.degrees.astype(np.float64)
+        if self.potential is not None:
+            a[ar, ar] += self.potential
+        return a
+
     def __post_init__(self):
-        a, w = self.entries, self.potential
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("operator must be square")
+        w = self.potential
         if w is not None:
+            if w.shape != (self.dim,):
+                raise ValueError("potential length must match the vertex count")
             if (w < 0).any():
                 raise NegativePotential("potential has a negative entry")
             bad = np.flatnonzero(~np.isfinite(w))
             if bad.size:
                 raise ValueError(f"potential entry {bad[0]} is {w[bad[0]]}; "
                                  "a potential must be finite")
-        problem = _entry_problem(a, self.kind == LAPLACIAN)
-        if problem:
-            raise ValueError(problem)
 
     def __repr__(self):
         return f"SymmetricOperator({self.kind}, dim={self.dim})"
-
-
-def _entry_problem(a: np.ndarray, laplacian: bool) -> Optional[str]:
-    """The first check the square matrix `a` fails, or None.
-
-    The checks, in order: exact symmetry; then, for a Laplacian, rows that
-    sum to exactly zero and off-diagonals of 0 or -1 (a - diag(diag(a)) in
-    {0, -1}, so a non-finite diagonal fails too). One pass over blocks of
-    rows of at most _SCAN_CELLS cells, each block against the matching
-    column strip, with the arithmetic of the whole-matrix checks.
-    """
-    m = a.shape[0]
-    step = max(1, _SCAN_CELLS // max(1, m))
-    sums = offdiag = True
-    for lo in range(0, m, step):
-        rows = a[lo:lo + step]
-        if not np.array_equal(rows, a[:, lo:lo + step].T):
-            return "operator must be exactly symmetric"
-        if laplacian and sums:
-            sums = np.allclose(rows.sum(axis=1), 0.0, atol=0.0)
-        if laplacian and offdiag:
-            ok = np.isin(rows, (0.0, -1.0))
-            i = np.arange(ok.shape[0])
-            # the diagonal of a - diag(diag(a)) is a_ii - a_ii: 0, or NaN
-            ok[i, lo + i] = np.isfinite(rows[i, lo + i])
-            offdiag = ok.all()
-    if not sums:
-        return "Laplacian rows must sum to zero"
-    if not offdiag:
-        return "Laplacian off-diagonals must be 0 or -1"
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,18 +188,9 @@ def _canonical_basis(v: np.ndarray, idx: range):
     v[:, idx] = basis
 
 
-def laplacian(obj: Union[ConvexSubgraph, HomogeneousGraph]) -> SymmetricOperator:
+def laplacian(sub: ConvexSubgraph) -> SymmetricOperator:
     """Combinatorial Laplacian: degrees on the diagonal, -1 on edges."""
-    sub = obj.full_subgraph() if isinstance(obj, HomogeneousGraph) else obj
-    m = sub.n_vertices
-    a = np.zeros((m, m), dtype=np.float64)
-    ar = np.arange(m)
-    for ai in range(sub.nbr_local.shape[0]):
-        cols = sub.nbr_local[ai]
-        keep = cols >= 0
-        a[ar[keep], cols[keep]] = -1.0
-    a[ar, ar] = sub.degrees.astype(np.float64)
-    return SymmetricOperator(entries=_ro(a), source=sub)
+    return SymmetricOperator(source=sub)
 
 
 def boundary_potential(sub: ConvexSubgraph) -> np.ndarray:
@@ -230,14 +209,8 @@ def dirichlet_hamiltonian(sub: ConvexSubgraph, w="boundary") -> SymmetricOperato
             raise ValueError(f"unknown potential spec {w!r}")
         pot = boundary_potential(sub)
     else:
-        pot = np.asarray(w, dtype=np.float64)
-        if pot.shape != (sub.n_vertices,):
-            raise ValueError("potential length must match the vertex count")
-    h = laplacian(sub).entries.copy()
-    i = np.arange(sub.n_vertices)
-    h[i, i] += pot
-    return SymmetricOperator(entries=_ro(h), source=sub,
-                             potential=_ro(pot.copy()))
+        pot = np.array(w, dtype=np.float64)
+    return SymmetricOperator(source=sub, potential=_ro(pot))
 
 
 def path_lattice_laplacian(d: int):
@@ -293,15 +266,16 @@ def _validate_spectrum(spec: Spectrum):
 def _apply_by_adjacency(op: SymmetricOperator, u: np.ndarray,
                         out: Optional[np.ndarray] = None,
                         work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Apply the operator through neighbor sums, bypassing its dense matrix.
+    """Apply the operator through neighbor sums, without a dense matrix.
 
-    Routes the spectrum residuals through the structure of the operator's
-    subgraph instead of the assembled entries, so entries that disagree with
-    the graph or the potential fail the residual check. ``u`` is a vector or
-    a block of column vectors; each column gets the same arithmetic as it
-    would alone. The result goes into ``out`` and the neighbour sums into
-    ``work``, buffers shaped like ``u`` that are allocated when not given;
-    ``work`` ends holding the potential term, when there is one.
+    O(k m) work and no m x m array per vector. LAPACK reads only one
+    triangle of the dense matrix, while these sums read every row of the
+    subgraph, so a subgraph whose adjacency is not symmetric fails the
+    residual check. ``u`` is a vector or a block of column vectors; each
+    column gets the same arithmetic as it would alone. The result goes into
+    ``out`` and the neighbour sums into ``work``, buffers shaped like ``u``
+    that are allocated when not given; ``work`` ends holding the potential
+    term, when there is one.
     """
     col = (slice(None),) + (None,) * (u.ndim - 1)   # broadcast vertex data
     sub = op.source

@@ -66,7 +66,7 @@ def euler_states(op, phi0, times, dt):
     """
     lam_max = gershgorin_max(op)
     assert lam_max <= 0 or dt < 1.0 / lam_max, "Euler step past stability"
-    eye = np.eye(op.dim)
+    a, eye = op.entries, np.eye(op.dim)
     cur = np.asarray(phi0, dtype=np.float64)
     states, t_prev = [], 0.0
     for t in times:
@@ -74,7 +74,7 @@ def euler_states(op, phi0, times, dt):
         if span > 0:
             steps = max(1, math.ceil(span / dt))
             h = span / steps
-            cur = np.linalg.matrix_power(eye - h * op.entries, steps) @ cur
+            cur = np.linalg.matrix_power(eye - h * a, steps) @ cur
         t_prev = t
         states.append(cur)
     return np.stack(states)

@@ -114,7 +114,7 @@ def test_thm4_soundness_random_q3(rng):
 
 def test_thm5_weak_member_and_single_edge():
     sub = path_instance(2)
-    omega = ModulusOfConcavity(sub=sub, g=np.zeros(2), values=np.zeros(1))
+    omega = ModulusOfConcavity(sub=sub, values=np.zeros(1))
     value, weak = bound_thm5(omega, 1)
     assert value == weak == 4 * (1 - math.cos(math.pi / 3))
     assert abs(value - 2.0) <= 1e-15  # exact single-edge gap with W = 0
@@ -124,15 +124,14 @@ def test_thm5_weak_member_and_single_edge():
 
 def test_thm5_rejects_negative_modulus():
     sub = path_instance(4)
-    omega = ModulusOfConcavity(sub=sub, g=np.zeros(4),
-                               values=np.array([0.0, -0.2, 0.1]))
+    omega = ModulusOfConcavity(sub=sub, values=np.array([0.0, -0.2, 0.1]))
     with pytest.raises(HypothesisFailed):
         bound_thm5(omega, 3)
 
 
 def test_thm6_zero_modulus_matches_thm5():
     sub = path_instance(5)
-    omega = ModulusOfConcavity(sub=sub, g=np.zeros(5), values=np.zeros(4))
+    omega = ModulusOfConcavity(sub=sub, values=np.zeros(4))
     v5, _ = bound_thm5(omega, 4)
     v6, eq1 = bound_thm6(omega, 4)
     assert v6 == v5
@@ -143,14 +142,13 @@ def test_thm6_constant_modulus_arithmetic():
     # D = 1: single class, backward difference reaches the boundary value
     sub = path_instance(2)
     c = 0.8
-    omega = ModulusOfConcavity(sub=sub, g=np.zeros(2), values=np.array([c]))
+    omega = ModulusOfConcavity(sub=sub, values=np.array([c]))
     v6, eq1 = bound_thm6(omega, 1)
     weak = 4 * (1 - math.cos(math.pi / 3))
     assert abs(v6 - (weak + 2 * (math.cosh(c) - 1.0))) <= 1e-15
     # D = 4: interior differences vanish, infimum is 0 at s < D
     sub = path_instance(5)
-    omega = ModulusOfConcavity(sub=sub, g=np.zeros(5),
-                               values=np.full(4, c))
+    omega = ModulusOfConcavity(sub=sub, values=np.full(4, c))
     v6, eq1 = bound_thm6(omega, 4)
     assert abs(v6 - 4 * (1 - math.cos(math.pi / 9))) <= 1e-15
     assert eq1 is None  # constant-then-drop is not convex

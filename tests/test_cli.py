@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapbound import bounds, cli, moduli, operators
+from gapbound import bounds, cli, jacobi, moduli, operators
 from gapbound.cli import main, write_eta_csv, write_spectrum_csv
 from gapbound.config import DEFAULT_TOL
 from gapbound.families import path_instance
@@ -570,20 +570,16 @@ def test_bounds_certificate_failure_ends_in_a_report(tmp_path, capsys,
      "boundary")], ids=["path8", "C9", "Q4-subcube-boundary"])
 def test_negative_verify_factor_ends_in_a_report(tmp_path, capsys, instance,
                                                  potential):
-    # a negative factor fails every applicable theorem; Theorem 3 still
-    # reports the eigenvector that attains its least bound
+    # a negative margin would fail bounds equal to the gap, so it is a spec
+    # error: exit 2, the message, and no report
     spec = write_spec(tmp_path / "s.json", instance=instance,
                       potential=potential, analyses=ALL_ANALYSES,
                       tolerances={"verify_factor": -1.0})
     out = tmp_path / "out"
-    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ""
-    rep = load_report(out)
-    thm3, = (r for r in rep["bounds"]["theorems"] if r["theorem"] == "thm3")
-    assert thm3["holds"] is False
-    assert thm3["bound"] == min(thm3["detail"]["bounds_per_eigenvector"])
-    assert thm3["detail"]["pairs"] > 0
-    assert any(f.startswith("thm3: bound ") for f in rep["failures"])
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: tolerance verify_factor must be >= 0, got -1.0\n"
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("check", ["decay", "mocheat", "ratio"])
@@ -828,17 +824,20 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch, name):
                       potential=potential, analyses=ALL_ANALYSES)
     calls = {fn: spy_everywhere(monkeypatch, mod, fn) for mod, fn in (
         (operators, "eigendecompose"), (bounds, "build_operator"),
-        (operators, "laplacian"), (operators, "rayleigh_gap_check"),
+        (jacobi, "jacobi_eigh"), (operators, "laplacian"),
+        (operators, "rayleigh_gap_check"),
         (moduli, "_ratio_scans"), (moduli, "modulus_of_continuity"),
         (moduli, "_extremal"), (moduli, "log_concavity"),
         (moduli, "modulus_of_concavity"))}
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
     count = {fn: len(c) for fn, c in calls.items()}
     (_, spectrum), = calls["eigendecompose"]
-    # one block for the whole lambda1 eigenspace, no per-vector eta; the
-    # extremal scan stays one per basis vector
+    # one dense solve and no Laplacian beside the Hamiltonian; one block for
+    # the whole lambda1 eigenspace, no per-vector eta; the extremal scan
+    # stays one per basis vector
     basis = len(spectrum.gap_indices)
-    want = {"build_operator": 1, "laplacian": 1, "rayleigh_gap_check": 1,
+    want = {"build_operator": 1, "jacobi_eigh": 1, "laplacian": 0,
+            "rayleigh_gap_check": 1,
             "_ratio_scans": 1, "modulus_of_continuity": 0, "_extremal": basis}
     assert {fn: count[fn] for fn in want} == want
     (args, block), = calls["_ratio_scans"]

@@ -139,7 +139,7 @@ def test_distance_certificate_decides_bfs(name, realised, monkeypatch):
     # the certificate holds exactly where dist_S equals the host distances;
     # the BFS inside S runs only where it fails
     sub = SUBGRAPHS[name]()
-    hd = sub.host_dist()
+    hd = sub.host_dist
     assert graphs._host_distances_realised(hd, sub.nbr_local) == realised
     assert np.array_equal(sub.dist_S, hd) == realised
     calls = []
@@ -215,7 +215,7 @@ def test_full_graph_keeps_one_distance_array(make):
     # a full graph's distances within S are the host's, not an n x n copy
     sub = make()
     assert np.shares_memory(sub.dist_S, sub.host.dist)
-    assert np.shares_memory(sub.host_dist(), sub.host.dist)
+    assert np.shares_memory(sub.host_dist, sub.host.dist)
     assert not sub.dist_S.flags.writeable
 
 
@@ -258,7 +258,7 @@ def test_short_arcs_convex(n, arc):
     res = is_strongly_convex(sub)
     assert res.convex
     # brute-force all-pairs check: internal distances equal host distances
-    assert np.array_equal(sub.dist_S, sub.host_dist())
+    assert np.array_equal(sub.dist_S, sub.host_dist)
 
 
 def test_half_arc_not_convex_but_criterion2_vacuous():
@@ -315,7 +315,7 @@ def test_grown_convex_sets_pass_all_criteria(n, data):
     res = is_strongly_convex(sub)  # would raise CriterionMismatch on a bug
     assert res.convex
     assert res.criterion2 and res.sp2_closure
-    assert np.array_equal(sub.dist_S, sub.host_dist())
+    assert np.array_equal(sub.dist_S, sub.host_dist)
 
 
 def loop_convexity_witness(sub):
@@ -426,7 +426,7 @@ def test_convexity_cached_but_mismatch_raises_again(monkeypatch):
     sub = induce_subgraph(cycle_graph(12), range(5))
     res = is_strongly_convex(sub)
     assert is_strongly_convex(sub) is res
-    assert not sub.host_dist().flags.writeable
+    assert not sub.host_dist.flags.writeable
 
     fresh = induce_subgraph(cycle_graph(12), range(5))
     monkeypatch.setattr(graphs, "_sp2_closure", lambda sub: (False, (0, 4, 1)))
@@ -478,7 +478,7 @@ def test_witness_search_scans_every_outside_vertex(monkeypatch):
 def loop_sp2_closure(sub):
     """(holds, witness) by looping over every (x, y, a): the first
     violation in generator order, then local x, then local y."""
-    hd = sub.host_dist()
+    hd = sub.host_dist
     m = sub.n_vertices
     for ai, a in enumerate(sub.gens):
         step = sub.nbr_local[ai]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import transposition_cayley
 from gapbound import moduli
-from gapbound.bounds import _ratio_scan, _thm3, _thm4, bound_thm3, verify_all
+from gapbound.bounds import _ratio_scan, _thm3, _thm4, bound_thm3
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import BoundUnavailable, EmptyAfterSkips
 from gapbound.families import (cycle_graph, hypercube_graph,
@@ -40,7 +40,7 @@ def brute_eta(f, sub):
 def brute_omega(g, sub):
     """Exhaustive infimum over shortest-path-step triples, python loops."""
     d = sub.diameter_S
-    hd = sub.host_dist()
+    hd = sub.host_dist
     m = sub.n_vertices
     gens = list(sub.gens)
     group = sub.group
@@ -122,18 +122,6 @@ def test_omega_quadratic_closed_form():
     assert omega.at(1) == 0.0
     assert omega.at(6) == 0.0   # boundary convention omega(D+1) = 0
     assert omega.omega_bar == 0.0
-
-
-def test_omega_achievers_are_shortest_path_steps():
-    sub = path_instance(5)
-    g = -0.2 * np.arange(5.0) ** 2
-    omega = modulus_of_concavity(g, sub)
-    hd = sub.host_dist()
-    for s, triples in omega.achievers.items():
-        for y, x, a in triples:
-            ai = list(sub.gens).index(a)
-            ax = sub.nbr_local[ai, x]
-            assert ax >= 0 and hd[ax, y] == s - 1
 
 
 def test_extremal_pairs_five_path_oracle():
@@ -276,7 +264,7 @@ def test_grad_ops_decreasing_omega_arithmetic():
     d = sub.diameter_S
     c = 0.4
     vals = np.array([c * (d + 1 - s) for s in range(1, d + 1)])
-    omega = ModulusOfConcavity(sub=sub, g=np.zeros(5), values=vals)
+    omega = ModulusOfConcavity(sub=sub, values=vals)
     eta = modulus_of_continuity(np.arange(5.0), sub)
     tables = grad_ops(eta, omega)
     expected = [math.cosh(c * (d + 1 - s)) - math.cosh(c * (d - s))
@@ -290,10 +278,9 @@ def test_grad_ops_decreasing_omega_arithmetic():
 
 def test_omega_convexity_flag():
     sub = path_instance(5)
-    zero = ModulusOfConcavity(sub=sub, g=np.zeros(5),
-                              values=np.zeros(4))
+    zero = ModulusOfConcavity(sub=sub, values=np.zeros(4))
     assert zero.is_convex()
-    rising = ModulusOfConcavity(sub=sub, g=np.zeros(5),
+    rising = ModulusOfConcavity(sub=sub,
                                 values=np.array([0.0, 0.3, 0.6, 0.9]))
     # increasing then forced back to 0 at D+1: not convex
     assert not rising.is_convex()
@@ -402,11 +389,11 @@ def loop_eta_achievers(f, sub, values, tie):
 
 
 def loop_omega(g, sub):
-    """(values, achievers): per generator, one mask pass per class."""
+    """omega(1..D): per generator, one mask pass per class."""
     sub_d = sub.diameter_S
     host = sub.host
     gens = list(host.gens)
-    hd = sub.host_dist()
+    hd = sub.host_dist
     m = sub.n_vertices
     per_gen = []
     for ai, a in enumerate(gens):
@@ -429,16 +416,7 @@ def loop_omega(g, sub):
                 vmin = val[sel].min()
                 if np.isnan(best[s - 1]) or vmin < best[s - 1]:
                     best[s - 1] = vmin
-    triples = {s: [] for s in range(1, sub_d + 1)}
-    for (admit, val), a in zip(per_gen, gens):
-        for s in range(1, sub_d + 1):
-            if np.isnan(best[s - 1]):
-                continue
-            tie = 1e-12 * max(1.0, abs(best[s - 1]))
-            sel = admit & (hd == s) & (val <= best[s - 1] + tie)
-            triples[s] += [(int(y), int(x), int(a)) for y, x in np.argwhere(sel)]
-    return best, {s: np.array(sorted(t), dtype=np.int64).reshape(-1, 3)
-                  for s, t in triples.items()}
+    return best
 
 
 ORACLE_INSTANCES = {
@@ -498,13 +476,8 @@ def test_omega_matches_class_loop_bit_for_bit(name, rng):
     sub = ORACLE_INSTANCES[name]()
     for g in oracle_functions(sub, rng):
         omega = modulus_of_concavity(g, sub)
-        values, achievers = loop_omega(g, sub)
-        assert np.array_equal(omega.values, values, equal_nan=True)
-        assert omega.achievers.keys() == achievers.keys()
-        for s in achievers:
-            assert omega.achievers[s].dtype == np.int64
-            assert omega.achievers[s].shape == achievers[s].shape
-            assert np.array_equal(omega.achievers[s], achievers[s])
+        assert np.array_equal(omega.values, loop_omega(g, sub),
+                              equal_nan=True)
 
 
 # -- block eta: both algorithms against the class loop -------------------------
@@ -618,39 +591,6 @@ def test_block_eta_with_nan_keeps_pair_scan(eta_spy, rng):
     assert same_bits(values, loop_eta_rows(block, q8))
     for f, row in zip(block, values):
         assert same_bits(modulus_of_continuity(f, q8).values, row)
-
-
-def test_omega_achievers_are_built_on_first_read(monkeypatch):
-    sub = path_instance(12)
-    spec = eigendecompose(dirichlet_hamiltonian(sub, "boundary"))
-    real = moduli._omega_achievers
-    monkeypatch.setattr(moduli, "_omega_achievers",
-                        lambda omega: pytest.fail("achievers built"))
-    g = np.log(spec.ground_state)
-    omega = modulus_of_concavity(g, sub)
-    verify_all(spec)
-    kept = moduli._ground_omega(spec)
-    monkeypatch.setattr(moduli, "_omega_achievers", real)
-    for om in (omega, kept):
-        values, achievers = loop_omega(g, sub)
-        assert np.array_equal(om.values, values, equal_nan=True)
-        assert om.achievers.keys() == achievers.keys()
-        for s in achievers:
-            assert np.array_equal(om.achievers[s], achievers[s])
-            assert not om.achievers[s].flags.writeable
-        assert om.achievers is om.achievers
-
-
-def test_omega_keeps_its_own_copy_of_g():
-    sub = path_instance(6)
-    g = -0.3 * np.arange(6.0) ** 2
-    omega = modulus_of_concavity(g, sub)
-    expected = {s: t.copy() for s, t in
-                modulus_of_concavity(g.copy(), sub).achievers.items()}
-    g[:] = 0.0
-    assert g.flags.writeable and not omega.g.flags.writeable
-    for s, triples in expected.items():
-        assert np.array_equal(omega.achievers[s], triples)
 
 
 # -- the lambda1 eigenspace block against the one-vector route ----------------
