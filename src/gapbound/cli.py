@@ -1,9 +1,16 @@
 """Batch front end: validate instance specs, run analyses, write reports.
 
+`load_spec` checks the whole spec before any group, graph or operator is
+built; only the id ranges (against the group's order) and the potential's
+length (against |S|) wait for the built objects. Every tolerance must be
+finite and >= 0, except `decay_margin`, which may be any finite number: a
+negative margin only demands a decay rate above mu.
+
 Exit status: 0 when every requested verification holds, 1 on a verification
-failure, 2 on a spec/validation error. Every failed check is named in the
-report's `failures`; a failed certificate's block carries its `error` and
-`witness`.
+failure, 2 on a spec error or on any other typed error the run raises,
+`ConvergenceFailure`, `SpectrumInvariantError` and `CriterionMismatch`
+included. Every failed check is named in the report's `failures`; a failed
+certificate's block carries its `error` and `witness`.
 
 Every output file is encoded straight into a sibling temporary file, which
 then replaces the file: the JSON chunk by chunk, the CSVs a line, or one
@@ -17,14 +24,14 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (GapReport, bound_thm1, build_operator, is_path_graph,
                      verify_all)
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CertificateFailure, GapboundError, SpecValidationError
 from .families import (cycle_instance, hypercube_instance, path_instance,
                        quadratic_potential, subcube_instance)
@@ -46,12 +53,6 @@ def _require_keys(obj, allowed, where):
     unknown = set(obj) - set(allowed)
     if unknown:
         raise SpecValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _field(obj, key, where):
-    if key not in obj:
-        raise SpecValidationError(f"{where} needs the field {key!r}")
-    return obj[key]
 
 
 _JSON_TYPES = {"object": dict, "list": list, "string": str, "integer": int,
@@ -78,6 +79,13 @@ def _typed(value, kind, where):
     return value
 
 
+def _field(obj, key, kind, where):
+    """``obj[key]`` if ``obj`` has it and it is a JSON ``kind``."""
+    if key not in obj:
+        raise SpecValidationError(f"{where} needs the field {key!r}")
+    return _typed(obj[key], kind, f"{where} field {key!r}")
+
+
 def _typed_list(values, kind, where):
     """``values`` if it is a JSON list whose every entry is a JSON ``kind``."""
     for i, v in enumerate(_typed(values, "list", where)):
@@ -86,15 +94,22 @@ def _typed_list(values, kind, where):
     return values
 
 
-def _typed_ids(values, order, where):
-    """``values`` if it is a JSON list of integers in [0, order): element
+def _ids(values, order, where):
+    """``values``, a list of integers, if each lies in [0, order): element
     or vertex ids, range-checked before numpy converts them."""
-    for i, v in enumerate(_typed(values, "list", where)):
-        if _problem(v, "integer") or not 0 <= v < order:
-            _typed(v, "integer", f"{where}[{i}]")
+    for i, v in enumerate(values):
+        if not 0 <= v < order:
             raise SpecValidationError(
                 f"{where}[{i}] must be in [0, {order}), got {v!r}")
     return values
+
+
+def _families():
+    """name -> (builder, smallest size a sweep runs, vertex count at size n);
+    built per call, so each builder is read from this module's binding."""
+    return {"path": (path_instance, 2, lambda n: n),
+            "cycle": (cycle_instance, 3, lambda n: n),
+            "hypercube": (hypercube_instance, 1, lambda n: 1 << n)}
 
 
 # the keys `groups.build_group` reads, per group kind
@@ -104,34 +119,30 @@ _GROUP_KEYS = {"cyclic": {"kind", "n"}, "elementary_abelian_2": {"kind", "n"},
 
 
 def _group_spec(group, where):
-    """``group`` if it has only its kind's keys, its sizes and factors are
-    JSON integers, its table entries element ids and its name a JSON
-    string; `groups.build_group` checks the rest."""
+    """``group`` if its kind is known, it has only that kind's keys, its
+    sizes and factors are JSON integers, its table entries element ids and
+    its name a JSON string; `groups.build_group` checks the rest."""
     kind = _typed(group, "object", where).get("kind")
-    if kind in _GROUP_KEYS:
-        _require_keys(group, _GROUP_KEYS[kind], where)
+    if not isinstance(kind, str) or kind not in _GROUP_KEYS:
+        raise SpecValidationError(f"unknown group spec: {group!r}")
+    _require_keys(group, _GROUP_KEYS[kind], where)
     if kind in ("cyclic", "elementary_abelian_2"):
-        _typed(_field(group, "n", where), "integer", f"{where} field 'n'")
+        _field(group, "n", "integer", where)
     elif kind == "direct_product":
-        factors = _typed(_field(group, "factors", where), "list",
-                         f"{where} field 'factors'")
-        for i, factor in enumerate(factors):
+        for i, factor in enumerate(_field(group, "factors", "list", where)):
             _group_spec(factor, f"{where} factors[{i}]")
-    elif kind == "table":
-        rows = _typed(_field(group, "table", where), "list",
-                      f"{where} field 'table'")
+    else:
+        rows = _field(group, "table", "list", where)
         for i, row in enumerate(rows):
-            _typed_ids(row, len(rows), f"{where} table[{i}]")
+            _ids(_typed_list(row, "integer", f"{where} table[{i}]"),
+                 len(rows), f"{where} table[{i}]")
         if "name" in group:
             _typed(group["name"], "string", f"{where} field 'name'")
     return group
 
 
-def _with_overrides(base, overrides, where):
-    return base.with_overrides(**_typed(overrides, "object", where))
-
-
-def _build_subgraph(inst):
+def _instance(inst):
+    """The checked instance as the `_Spec` fields (family, group)."""
     _require_keys(_typed(inst, "object", "instance"),
                   {"family", "group", "generators", "subgraph"}, "instance")
     fam = inst.get("family")
@@ -142,39 +153,36 @@ def _build_subgraph(inst):
                       {"name", "n", "mask"}, "instance.family")
         name = fam.get("name")
         where = f"instance.family {name!r}"
-        if name in ("path", "cycle", "hypercube"):
-            n = _typed(_field(fam, "n", where), "integer",
-                       f"{where} field 'n'")
-            return {"path": path_instance, "cycle": cycle_instance,
-                    "hypercube": hypercube_instance}[name](n)
+        if isinstance(name, str) and name in _families():
+            return (name, _field(fam, "n", "integer", where)), ()
         if name == "subcube":
-            mask = _typed(_field(fam, "mask", where), "list",
-                          f"{where} field 'mask'")
+            mask = _field(fam, "mask", "list", where)
             for i, bit in enumerate(mask):
                 if bit is not None and (_problem(bit, "integer")
                                         or bit not in (0, 1)):
                     raise SpecValidationError(
                         f"{where} mask[{i}] must be 0, 1 or null, "
                         f"got {bit!r}")
-            return subcube_instance(mask)
+            return (name, mask), ()
         raise SpecValidationError(f"unknown family {name!r}")
     if "group" not in inst or "generators" not in inst:
         raise SpecValidationError("instance needs either a family or "
                                   "group + generators")
-    group = build_group(_group_spec(inst["group"], "instance group"))
-    gens = generator_set(group, _typed_ids(
-        inst["generators"], group.order, "instance generators"))
-    graph = build_cayley(group, gens)
+    group = _group_spec(inst["group"], "instance group")
+    gens = _typed_list(inst["generators"], "integer", "instance generators")
     sel = inst.get("subgraph", "full")
     if sel == "full":
-        return graph.full_subgraph()
+        return (), (group, gens, None)
     if isinstance(sel, list):
-        return induce_subgraph(graph, _typed_ids(sel, group.order,
-                                                 "instance subgraph"))
+        return (), (group, gens, _typed_list(sel, "integer",
+                                             "instance subgraph"))
     raise SpecValidationError(f"bad subgraph selector {sel!r}")
 
 
-def _build_potential(sub, pot):
+def _potential(pot):
+    """The checked potential: None, "boundary", the list of values, or the
+    quadratic formula's (c, center). The operator checks that values
+    number |S|."""
     if pot is None or pot == "none":
         return None
     if pot == "boundary":
@@ -182,23 +190,28 @@ def _build_potential(sub, pot):
     if isinstance(pot, dict):
         if "values" in pot:
             _require_keys(pot, {"values"}, "potential")
-            vals = np.asarray(_typed_list(pot["values"], "number",
-                                          "potential values"),
-                              dtype=np.float64)
-            if vals.shape != (sub.n_vertices,):
-                raise SpecValidationError(
-                    f"potential length {vals.size} != |S| = {sub.n_vertices}")
-            return vals
+            return _typed_list(pot["values"], "number", "potential values")
         if pot.get("formula") == "quadratic":
             _require_keys(pot, {"formula", "c", "center"}, "potential")
-            c, center = (_typed(_field(pot, key, "potential"), "number",
-                                f"potential field {key!r}")
+            return tuple(float(_field(pot, key, "number", "potential"))
                          for key in ("c", "center"))
-            return quadratic_potential(sub, float(c), float(center))
     raise SpecValidationError(f"bad potential spec {pot!r}")
 
 
-def load_spec(path):
+@dataclass(frozen=True)
+class _Spec:
+    """A spec that passed every check its JSON alone allows."""
+
+    instance: dict            # as given: report.json echoes it
+    family: tuple             # (name, n or subcube mask), or () for a group
+    group: tuple              # (group, generators, vertex list or None), or ()
+    potential: object         # see `_potential`
+    analyses: list
+    tol: ToleranceConfig
+
+
+def load_spec(path) -> _Spec:
+    """The spec file at `path`, checked whole before anything is built."""
     with open(path) as fh:
         spec = _typed(json.load(fh), "object", "spec")
     _require_keys(spec, {"schema", "instance", "potential", "analyses",
@@ -212,9 +225,28 @@ def load_spec(path):
     bad = [a for a in analyses if a not in ANALYSES]
     if bad:
         raise SpecValidationError(f"unknown analyses {bad}; known: {ANALYSES}")
-    tol = _with_overrides(DEFAULT_TOL, spec.get("tolerances", {}),
-                          "spec tolerances")
-    return spec, analyses, tol
+    tol = DEFAULT_TOL.with_overrides(**_typed(
+        spec.get("tolerances", {}), "object", "spec tolerances"))
+    return _Spec(spec["instance"], *_instance(spec["instance"]),
+                 _potential(spec.get("potential", "none")), analyses, tol)
+
+
+def _build_subgraph(spec: _Spec):
+    """The subgraph of a checked spec; ids are checked against the order
+    of the group once it is built."""
+    if spec.family:
+        name, size = spec.family
+        if name == "subcube":
+            return subcube_instance(size)
+        return _families()[name][0](size)
+    group_spec, gens, vertices = spec.group
+    group = build_group(group_spec)
+    graph = build_cayley(group, generator_set(
+        group, _ids(gens, group.order, "instance generators")))
+    if vertices is None:
+        return graph.full_subgraph()
+    return induce_subgraph(graph, _ids(vertices, group.order,
+                                       "instance subgraph"))
 
 
 # -- report helpers -----------------------------------------------------------
@@ -307,11 +339,14 @@ def _checked(label, failures, check, as_dict=asdict):
     return as_dict(result)
 
 
-def run_instance(spec, analyses, tol, out_dir: Path):
-    sub = _build_subgraph(spec["instance"])
-    potential = _build_potential(sub, spec.get("potential", "none"))
+def run_instance(spec: _Spec, out_dir: Path):
+    sub = _build_subgraph(spec)
+    potential = spec.potential
+    if isinstance(potential, tuple):
+        potential = quadratic_potential(sub, *potential)
+    analyses, tol = spec.analyses, spec.tol
 
-    report = {"schema": SCHEMA, "instance": spec["instance"],
+    report = {"schema": SCHEMA, "instance": spec.instance,
               "tolerances": tol.as_dict()}
     failures = []
 
@@ -391,20 +426,6 @@ def run_instance(spec, analyses, tol, out_dir: Path):
 _SERIAL_BELOW = 128
 
 
-def _sweep_sizes(family, lo, hi):
-    if family == "path":
-        lo = max(lo, 2)
-    elif family == "cycle":
-        lo = max(lo, 3)
-    elif family == "hypercube":
-        lo = max(lo, 1)
-    else:
-        raise SpecValidationError(f"unknown sweep family {family!r}")
-    if lo > hi:
-        raise SpecValidationError(f"empty size range {lo}..{hi} for {family}")
-    return list(range(lo, hi + 1))
-
-
 def _thread_count():
     env = os.environ.get("GAPBOUND_THREADS")
     if env:
@@ -429,14 +450,15 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
     one task that runs them in order; each larger size is a task of its
     own. Rows come out in size order.
     """
-    sizes = _sweep_sizes(family, lo, hi)
-    build = {"path": path_instance, "cycle": cycle_instance,
-             "hypercube": hypercube_instance}[family]
+    build, smallest, vertices = _families()[family]   # --family's choices
+    lo = max(lo, smallest)
+    if lo > hi:
+        raise SpecValidationError(f"empty size range {lo}..{hi} for {family}")
+    sizes = list(range(lo, hi + 1))
     threads = _thread_count()
     # vertex counts grow with the size, so the small sizes are a prefix and
     # the tasks, taken in order, give the rows in size order
-    k = sum((1 << n if family == "hypercube" else n) < _SERIAL_BELOW
-            for n in sizes)
+    k = sum(vertices(n) < _SERIAL_BELOW for n in sizes)
     tasks = ([sizes[:k]] if k else []) + [[n] for n in sizes[k:]]
 
     def run(task):
@@ -481,7 +503,7 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
 def _tol_from_arg(arg, base=DEFAULT_TOL):
     if not arg:
         return base
-    return _with_overrides(base, json.loads(arg), "--tol")
+    return base.with_overrides(**_typed(json.loads(arg), "object", "--tol"))
 
 
 @functools.cache
@@ -502,7 +524,7 @@ def _parser():
 
     sweep_p = sub.add_parser("sweep", help="run a family of sizes")
     sweep_p.add_argument("--family", required=True,
-                         choices=("path", "cycle", "hypercube"))
+                         choices=tuple(_families()))
     sweep_p.add_argument("--min", type=int, required=True)
     sweep_p.add_argument("--max", type=int, required=True)
     sweep_p.add_argument("--out", required=True)
@@ -517,9 +539,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command in ("run", "verify"):
-            spec, analyses, tol = load_spec(args.spec)
-            tol = _tol_from_arg(args.tol, tol)
-            report = run_instance(spec, analyses, tol, out_dir)
+            spec = load_spec(args.spec)
+            spec = replace(spec, tol=_tol_from_arg(args.tol, spec.tol))
+            report = run_instance(spec, out_dir)
             write_json(out_dir / "report.json", report)
             if not report["ok"]:
                 return 1

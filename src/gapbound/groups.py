@@ -132,8 +132,10 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def elementary_abelian_2(n: int) -> FiniteGroup:
     """Z_2^n with XOR composition; element ids are n-bit masks."""
+    # the cap is checked on n: a huge n would first build a huge 2^n
+    if n >= ORDER_CAP.bit_length():
+        raise GroupTooLarge(f"order 2^{n} exceeds cap {ORDER_CAP}")
     order = 1 << n
-    _check_cap(order)
     ids = np.arange(order, dtype=np.int32)
     table = ids[:, None] ^ ids[None, :]
     return FiniteGroup(table=_ro(table), identity=0, inverse=_ro(ids),

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import EmptyAfterSkips, NoAdmissibleTriple
+from .errors import BoundUnavailable, EmptyAfterSkips, NoAdmissibleTriple
 from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
 from .operators import Spectrum
 
@@ -431,8 +431,10 @@ def c_u0(ratio: RatioFunction, pairs: np.ndarray,
     eta(2) (the hypercube-local variant). Pairs whose plain-difference
     denominator is within `tol.denominator_zero` of zero are skipped and
     reported; when every pair is skipped it raises EmptyAfterSkips, a
-    BoundUnavailable.
+    BoundUnavailable, and with no pairs at all a plain BoundUnavailable.
     """
+    if not pairs.shape[0]:
+        raise BoundUnavailable("no extremal pairs were given")
     weighted, plain = ratio.vertex_sums()
     y, x = pairs[:, 0], pairs[:, 1]
     den = plain[y] - plain[x]

@@ -65,7 +65,8 @@ class SymmetricOperator:
         w = self.potential
         if w is not None:
             if w.shape != (self.dim,):
-                raise ValueError("potential length must match the vertex count")
+                raise ValueError("potential length must match the vertex "
+                                 f"count: shape {w.shape}, |S| = {self.dim}")
             if (w < 0).any():
                 raise NegativePotential("potential has a negative entry")
             bad = np.flatnonzero(~np.isfinite(w))

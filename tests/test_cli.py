@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -9,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gapbound import bounds, cli, jacobi, moduli, operators
 from gapbound.cli import main, write_eta_csv, write_spectrum_csv
-from gapbound.config import DEFAULT_TOL
+from gapbound.config import DEFAULT_TOL, ToleranceConfig
 from gapbound.families import path_instance
 from gapbound.errors import CertificateFailure
 from gapbound.heat import (decay_rate_check, default_times, evolve,
@@ -446,6 +451,10 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
                              "name": 5},
                    "generators": [1]}},
      "instance group field 'name' must be a JSON string, got 5"),
+    # a group kind that is not a string was a TypeError traceback
+    ({"instance": {"group": {"kind": ["cyclic"], "n": 4},
+                   "generators": [1, 3]}},
+     "unknown group spec: {'kind': ['cyclic'], 'n': 4}"),
     # a spec file whose top level is not an object
     ([], "spec must be a JSON object, got []"),
     (3, "spec must be a JSON object, got 3"),
@@ -458,7 +467,7 @@ def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
         "potential-value-string", "quadratic-c-string",
         "quadratic-center-string", "potential-value-nan",
         "potential-value-inf", "quadratic-c-nan", "quadratic-center-inf",
-        "quadratic-c-huge-int", "table-name-integer",
+        "quadratic-c-huge-int", "table-name-integer", "group-kind-list",
         "spec-list", "spec-number", "spec-string"])
 def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
                                             message):
@@ -470,6 +479,34 @@ def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
         spec.write_text(json.dumps(fields))
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"instance": {"group": {"kind": "cyclic", "n": 8},
+                   "generators": [1, 7.0]}},
+     "instance generators[1] must be a JSON integer, got 7.0"),
+    ({"instance": {"group": {"kind": "cyclic", "n": 8}, "generators": [1, 7],
+                   "subgraph": [0, 1, 2.0]}},
+     "instance subgraph[2] must be a JSON integer, got 2.0"),
+    ({"instance": {"group": {"kind": "cyclic", "n": 8}, "generators": [1, 7]},
+      "potential": {"values": [0] * 7 + ["1"]}},
+     "potential values[7] must be a JSON number, got '1'"),
+    ({"potential": {"values": [0, 0, 0, None]}},
+     "potential values[3] must be a JSON number, got None")],
+    ids=["generator-float", "subgraph-vertex-float", "group-potential-string",
+         "family-potential-null"])
+def test_json_type_errors_raise_before_any_build(tmp_path, monkeypatch,
+                                                 capsys, fields, message):
+    # the whole spec is checked before any group, graph or family is built
+    builders = [build.__name__ for build, _, _ in cli._families().values()]
+    for name in ("build_group", "build_cayley", "subcube_instance",
+                 *builders):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k:
+                            pytest.fail(f"{_name} ran"))
+    spec = write_spec(tmp_path / "s.json", **{
+        "instance": {"family": {"name": "path", "n": 4}}, **fields})
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_negative_quadratic_potential_is_rejected(tmp_path, capsys):
@@ -563,23 +600,54 @@ def test_bounds_certificate_failure_ends_in_a_report(tmp_path, capsys,
         assert rep["spectrum"]["certificate"] == block
 
 
-@pytest.mark.parametrize("instance,potential", [
-    ({"family": {"name": "path", "n": 8}}, "none"),
-    ({"family": {"name": "cycle", "n": 9}}, "none"),
+# every bar but the decay margin: a negative one fails exact input or
+# switches its check off
+NONNEGATIVE_BARS = [f for f in DEFAULT_TOL.as_dict() if f != "decay_margin"]
+
+
+@pytest.mark.parametrize("instance,potential,field,value", [
+    ({"family": {"name": "path", "n": 8}}, "none", "verify_factor", -1.0),
+    ({"family": {"name": "cycle", "n": 9}}, "none", "verify_factor", -1.0),
     ({"family": {"name": "subcube", "mask": [None, None, None, 1]}},
-     "boundary")], ids=["path8", "C9", "Q4-subcube-boundary"])
+     "boundary", "verify_factor", -1.0),
+    *(({"family": {"name": "path", "n": 8}}, "boundary", field, -0.001)
+      for field in NONNEGATIVE_BARS)],
+    ids=["path8", "C9", "Q4-subcube-boundary", *NONNEGATIVE_BARS])
 def test_negative_verify_factor_ends_in_a_report(tmp_path, capsys, instance,
-                                                 potential):
+                                                 potential, field, value):
     # a negative margin would fail bounds equal to the gap, so it is a spec
-    # error: exit 2, the message, and no report
+    # error: exit 2, the message, and no report, whether the spec, run
+    # --tol or sweep --tol sets it
+    message = f"error: tolerance {field} must be >= 0, got {value!r}\n"
+    tols = {field: value}
+    out = tmp_path / "out"
     spec = write_spec(tmp_path / "s.json", instance=instance,
                       potential=potential, analyses=ALL_ANALYSES,
-                      tolerances={"verify_factor": -1.0})
-    out = tmp_path / "out"
+                      tolerances=tols)
     assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        "error: tolerance verify_factor must be >= 0, got -1.0\n"
-    assert not (out / "report.json").exists()
+    assert capsys.readouterr().err == message
+    spec = write_spec(tmp_path / "s.json", instance=instance,
+                      potential=potential, analyses=ALL_ANALYSES)
+    for argv in (["run", "--spec", str(spec), "--out", str(out)],
+                 sweep_args("path", 2, 3, out)):
+        assert main(argv + ["--tol", json.dumps(tols)]) == 2
+        assert capsys.readouterr().err == message
+    assert not any(out.iterdir())
+
+
+def test_every_route_to_a_tolerance_checks_its_range():
+    # the one rule in ToleranceConfig holds for direct construction and
+    # with_overrides alike; the decay margin may be any finite number
+    for field in NONNEGATIVE_BARS:
+        for make in (lambda: ToleranceConfig(**{field: -1e-300}),
+                     lambda: DEFAULT_TOL.with_overrides(**{field: -1})):
+            with pytest.raises(ValueError, match=f"^tolerance {field} must "
+                               "be >= 0, got -1"):
+                make()
+        assert getattr(DEFAULT_TOL.with_overrides(**{field: 0}), field) == 0
+    assert ToleranceConfig(decay_margin=-1e300).decay_margin == -1e300
+    with pytest.raises(ValueError, match="decay_margin must be finite"):
+        ToleranceConfig(decay_margin=-math.inf)
 
 
 @pytest.mark.parametrize("check", ["decay", "mocheat", "ratio"])
@@ -601,7 +669,7 @@ def test_heat_certificate_failure_ends_in_a_report(tmp_path, check):
     rep = load_report(out)
 
     sub = path_instance(n)
-    op = bounds.build_operator(sub, cli._build_potential(sub, potential))
+    op = bounds.build_operator(sub, cli._potential(potential))
     spectrum = eigendecompose(op, DEFAULT_TOL.with_overrides(**tolerances))
     times = default_times(spectrum.gap)
     traj = evolve(spectrum, spectrum.vector(1), times)
@@ -915,3 +983,125 @@ def test_transposition_graph_gap_and_theorem_3(tmp_path, transpositions, n):
     thm3 = next(r for r in bounds_block["theorems"] if r["theorem"] == "thm3")
     assert thm3["applicable"] and thm3["holds"]
     assert len(thm3["detail"]["c_u0"]) == (n - 1) ** 2
+
+
+# -- spec fuzz: valid specs drawn from cli's tables, and specs with one
+# field given a wrong JSON type, a wrong key or an out-of-range value.
+# Sizes stay small (n <= 6, group orders <= 6): an order under the cap can
+# still allocate a huge table.
+
+def _cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+@st.composite
+def _instances(draw):
+    families = cli._families()
+    kind = draw(st.sampled_from([*families, "subcube", "group"]))
+    if kind in families:
+        n = draw(st.integers(families[kind][1], 6))
+        return {"family": {"name": kind, "n": n}}
+    if kind == "subcube":
+        mask = draw(st.lists(st.sampled_from([0, 1, None]), min_size=1,
+                             max_size=6))
+        return {"family": {"name": "subcube", "mask": mask}}
+    group, order = draw(st.sampled_from(
+        [({"kind": "cyclic", "n": n}, n) for n in range(1, 7)]
+        + [({"kind": "elementary_abelian_2", "n": n}, 1 << n)
+           for n in (1, 2)]
+        + [({"kind": "direct_product", "factors": [
+            {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]}, 6)]
+        + [({"kind": "table", "table": _cyclic_table(n), "name": f"C{n}"}, n)
+           for n in range(1, 7)]))
+    ids = st.integers(0, order - 1)
+    inst = {"group": group, "generators": draw(st.one_of(
+        st.just(list(range(1, order))), st.lists(ids, max_size=order)))}
+    if draw(st.booleans()):
+        inst["subgraph"] = draw(st.one_of(st.just("full"), st.lists(
+            ids, min_size=1, max_size=order, unique=True)))
+    return inst
+
+
+_NUMBERS = st.floats(-1e3, 1e3, allow_nan=False)
+_POTENTIALS = st.one_of(
+    st.sampled_from(["none", "boundary"]),
+    st.builds(lambda v: {"values": v},
+              st.lists(st.floats(0, 1e3), min_size=1, max_size=8)),
+    st.builds(lambda c, x: {"formula": "quadratic", "c": c, "center": x},
+              _NUMBERS, _NUMBERS))
+_TOLERANCES = st.fixed_dictionaries({}, optional={
+    f.name: st.floats(max(f.metadata["lower"], -1.0), 1.0)
+    for f in dataclasses.fields(ToleranceConfig)})
+
+
+@st.composite
+def _specs(draw):
+    spec = {"schema": "gapbound/1", "instance": draw(_instances())}
+    for key, values in (("potential", _POTENTIALS),
+                        ("analyses", st.lists(st.sampled_from(cli.ANALYSES),
+                                              max_size=4, unique=True)),
+                        ("tolerances", _TOLERANCES)):
+        if draw(st.booleans()):
+            spec[key] = draw(values)
+    return spec
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON tree, the root's included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+_JSON = st.one_of(st.none(), st.booleans(), st.integers(-2, 6),
+                  st.floats(-10, 10), st.sampled_from([math.nan, math.inf]),
+                  st.text(max_size=3), st.just([1.5]), st.just({"n": 1}))
+
+
+@st.composite
+def _mutated_specs(draw):
+    """A valid spec, or one with a value replaced by a JSON value of any
+    type or by an out-of-range number (-1, or 10**30 for an integer), or
+    with a key dropped from an object or an unknown key added to it."""
+    spec = draw(_specs())
+    how = draw(st.sampled_from(["valid", "type", "range", "key"]))
+    if how == "valid":
+        return spec
+    paths = [p for p in _paths(spec) if how != "key"
+             or isinstance(_at(spec, p), dict)]
+    path = draw(st.sampled_from(paths))
+    value = _at(spec, path)
+    if how == "key":
+        if value and draw(st.booleans()):
+            del value[draw(st.sampled_from(sorted(value)))]
+        else:
+            value["bogus"] = 1
+        return spec
+    if how == "type":
+        new = draw(_JSON)
+    else:
+        big = isinstance(value, int) and draw(st.booleans())
+        new = 10 ** 30 if big else -1
+    if not path:
+        return new
+    _at(spec, path[:-1])[path[-1]] = new
+    return spec
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_mutated_specs())
+def test_any_spec_ends_in_an_exit_code(tmp_path, spec):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", "--spec", str(path), "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2)

@@ -107,6 +107,13 @@ def test_order_cap():
         cyclic_group((1 << 16) + 1)
 
 
+def test_order_cap_of_z2n_is_checked_on_n():
+    # 2^n is never formed past the cap: n = 10**30 was an OverflowError
+    for n in (17, 10 ** 12, 10 ** 30):
+        with pytest.raises(GroupTooLarge, match=f"order 2\\^{n} exceeds"):
+            elementary_abelian_2(n)
+
+
 def test_generator_set_validation():
     g = cyclic_group(6)
     with pytest.raises(InvalidGeneratorSet):

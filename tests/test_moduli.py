@@ -235,6 +235,17 @@ def test_c_u0_empty_after_skips():
         c_u0(ratio, extremal_pairs(eta))
 
 
+def test_c_u0_given_no_pairs_says_so():
+    # no pair was skipped, so the skip message would name a false cause
+    sub = path_instance(3)
+    u0 = np.ones(3) / math.sqrt(3)
+    ratio = RatioFunction.from_vectors(u0, np.array([1.0, 0.0, -1.0]), sub)
+    with pytest.raises(BoundUnavailable) as exc:
+        c_u0(ratio, np.empty((0, 2), dtype=np.int64))
+    assert not isinstance(exc.value, EmptyAfterSkips)
+    assert str(exc.value) == "no extremal pairs were given"
+
+
 def test_c_u0_distance_le_2_restriction():
     sub = hypercube_graph(3).full_subgraph()
     rng = np.random.default_rng(3)
