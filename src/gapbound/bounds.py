@@ -15,8 +15,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import BoundUnavailable, HypothesisFailed, NotHypercube
 from .graphs import ConvexSubgraph, is_strongly_convex
 from .moduli import (ModulusOfConcavity, _dcosh, _eigenspace_scans,
-                     _ground_concavity, _ground_omega, _ratio_scans, c_u0,
-                     extremal_pairs)
+                     _ground_concavity, _ground_omega, c_u0, extremal_pairs)
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads bounds.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
@@ -79,13 +78,14 @@ def bound_thm4(spec: Spectrum, which: int = 1):
 
 def _ratio_scan(spec, which):
     """f = u_which / u0 and its modulus, shared by Theorems 3 and 4: row
-    which - 1 of the lambda1 eigenspace block kept on the spectrum, or a
-    one-row block of the same helper for a `which` outside gap_indices
-    (the modulus caches its extremal scan; the ratio carries its vertex
-    sums)."""
-    if which in spec.gap_indices:
-        return _eigenspace_scans(spec)[which - 1]
-    return _ratio_scans(spec, [which])[0]
+    which - 1 of the lambda1 eigenspace block kept on the spectrum (the
+    modulus caches its extremal scan; the ratio carries its vertex sums).
+    The theorems cover the lambda1 eigenvectors only, so a `which` outside
+    gap_indices raises ValueError."""
+    if which not in spec.gap_indices:
+        raise ValueError(f"eigenvector {which} is outside the lambda1 "
+                         f"eigenspace {list(spec.gap_indices)}")
+    return _eigenspace_scans(spec)[which - 1]
 
 
 def _thm3(ratio, eta, tol):
@@ -245,20 +245,20 @@ def verify_all(spec: Spectrum) -> GapReport:
     hyps = {"hypercube": hypercube, "zero_potential": zero_w}
     values, detail = [], {}
     if all(hyps.values()):
-        values, detail = [2.0], {"normalized_laplacian_bound": 2.0 / k}
+        values = [bound_thm2(sub)]
+        detail = {"normalized_laplacian_bound": values[0] / k}
     records.append(record("thm2", hyps, values, detail))
 
-    # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace,
-    # one row each of the eigenspace block kept on the spectrum; the
-    # reported bound is the minimum (every member is a valid bound).
-    for name, hyps, evaluate in (
+    # Theorems 3 and 4 scan every basis vector of a degenerate eigenspace;
+    # the reported bound is the minimum (every member is a valid bound).
+    for name, hyps, bound in (
             ("thm3", {"strongly_convex": convexity.convex,
-                      "diameter_ge_1": d >= 1}, _thm3),
-            ("thm4", {"hypercube": hypercube}, _thm4)):
+                      "diameter_ge_1": d >= 1}, bound_thm3),
+            ("thm4", {"hypercube": hypercube}, bound_thm4)):
         values, consts, unavailable, detail = [], [], None, {}
-        for scan in _eigenspace_scans(spec) if all(hyps.values()) else ():
+        for which in spec.gap_indices if all(hyps.values()) else ():
             try:
-                value, const = evaluate(*scan, tol)
+                value, const = bound(spec, which)
             except BoundUnavailable as exc:
                 unavailable = str(exc)
             else:

@@ -31,12 +31,13 @@ import numpy as np
 
 from .bounds import (GapReport, bound_thm1, build_operator, is_path_graph,
                      verify_all)
-from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import CertificateFailure, GapboundError, SpecValidationError
+from .config import DEFAULT_TOL, ToleranceConfig, _problem
+from .errors import (CertificateFailure, GapboundError, GroupTooLarge,
+                     SpecValidationError)
 from .families import (cycle_instance, hypercube_instance, path_instance,
                        quadratic_potential, subcube_instance)
 from .graphs import induce_subgraph, build_cayley, is_strongly_convex
-from .groups import build_group, generator_set
+from .groups import ORDER_CAP, build_group, generator_set
 from .heat import (decay_rate_check, default_times, evolve,
                    mocheat_inequality_check, ratio_evolution_check)
 from .moduli import (_ground_concavity, _ground_eta, _ground_omega,
@@ -53,21 +54,6 @@ def _require_keys(obj, allowed, where):
     unknown = set(obj) - set(allowed)
     if unknown:
         raise SpecValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-_JSON_TYPES = {"object": dict, "list": list, "string": str, "integer": int,
-               "number": (int, float)}
-
-
-def _problem(value, kind):
-    """None if ``value`` is a JSON ``kind``, else what it must be. `json`
-    also reads NaN, Infinity and integers beyond the float range as
-    numbers; a number must be finite."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        return f"a JSON {kind}"
-    if kind == "number" and not abs(value) <= sys.float_info.max:
-        return "finite"
-    return None
 
 
 def _typed(value, kind, where):
@@ -105,11 +91,14 @@ def _ids(values, order, where):
 
 
 def _families():
-    """name -> (builder, smallest size a sweep runs, vertex count at size n);
-    built per call, so each builder is read from this module's binding."""
-    return {"path": (path_instance, 2, lambda n: n),
-            "cycle": (cycle_instance, 3, lambda n: n),
-            "hypercube": (hypercube_instance, 1, lambda n: 1 << n)}
+    """name -> (builder, smallest size a sweep runs, largest size whose
+    group order is within groups.ORDER_CAP, vertex count at size n); built
+    per call, so each builder is read from this module's binding. path(n)
+    is built on C_2n and hypercube(n) on Z_2^n."""
+    return {"path": (path_instance, 2, ORDER_CAP // 2, lambda n: n),
+            "cycle": (cycle_instance, 3, ORDER_CAP, lambda n: n),
+            "hypercube": (hypercube_instance, 1, ORDER_CAP.bit_length() - 1,
+                          lambda n: 1 << n)}
 
 
 # the keys `groups.build_group` reads, per group kind
@@ -450,10 +439,13 @@ def run_sweep(family, lo, hi, tol, out_dir: Path):
     one task that runs them in order; each larger size is a task of its
     own. Rows come out in size order.
     """
-    build, smallest, vertices = _families()[family]   # --family's choices
+    build, smallest, largest, vertices = _families()[family]
     lo = max(lo, smallest)
     if lo > hi:
         raise SpecValidationError(f"empty size range {lo}..{hi} for {family}")
+    if hi > largest:
+        raise GroupTooLarge(f"{family}({hi}) exceeds the group order cap "
+                            f"{ORDER_CAP}; the largest is {family}({largest})")
     sizes = list(range(lo, hi + 1))
     threads = _thread_count()
     # vertex counts grow with the size, so the small sizes are a prefix and

@@ -9,6 +9,22 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 
+_JSON_TYPES = {"object": dict, "list": list, "string": str, "integer": int,
+               "number": (int, float)}
+
+
+def _problem(value, kind):
+    """None if ``value`` is a JSON ``kind``, else what it must be: the one
+    rule for spec fields and tolerances. `json` also reads NaN, Infinity
+    and integers beyond the float range as numbers, which would switch a
+    check off; a number must be finite."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        return f"a JSON {kind}"
+    if kind == "number" and not abs(value) <= sys.float_info.max:
+        return "finite"
+    return None
+
+
 def _bar(default, lower=0.0):
     """A tolerance field: its default and the least value it may take."""
     return field(default=default, metadata={"lower": lower})
@@ -37,13 +53,9 @@ class ToleranceConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"tolerance {f.name} must be a number, "
-                                 f"got {value!r}")
-            # json reads NaN, Infinity and integers beyond the float range,
-            # which would switch a check off
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"tolerance {f.name} must be finite, "
+            problem = _problem(value, "number")
+            if problem:
+                raise ValueError(f"tolerance {f.name} must be {problem}, "
                                  f"got {value!r}")
             if value < f.metadata["lower"]:
                 raise ValueError(f"tolerance {f.name} must be >= "

@@ -315,9 +315,9 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
 # The one scratch budget of every blocked pass, in array cells (512 KiB of
 # float64): the d(x, v) + d(v, y) cells of a geodesic-scan block, the
 # pair-scan gather buffers, ball dilation's live arrays together, the heat
-# stencil's states per block of sample times, and each row or column block
-# of the extremal scans, the operator checks and the residuals. Larger
-# blocks save little time and raise peak memory.
+# stencil's states per block of sample times, each row block of the
+# extremal scans and each column block of the residuals. Larger blocks save
+# little time and raise peak memory.
 _SCAN_CELLS = 1 << 16
 
 

@@ -135,6 +135,8 @@ def elementary_abelian_2(n: int) -> FiniteGroup:
     # the cap is checked on n: a huge n would first build a huge 2^n
     if n >= ORDER_CAP.bit_length():
         raise GroupTooLarge(f"order 2^{n} exceeds cap {ORDER_CAP}")
+    if n < 0:
+        raise NonGroupTable("order", f"2^{n}", "order must be positive")
     order = 1 << n
     ids = np.arange(order, dtype=np.int32)
     table = ids[:, None] ^ ids[None, :]

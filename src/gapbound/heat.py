@@ -43,26 +43,22 @@ def gershgorin_max(op: SymmetricOperator) -> float:
     return float((np.diag(a) + np.abs(a).sum(axis=1) - np.abs(np.diag(a))).max())
 
 
-def spectral_state(spec: Spectrum, phi0: np.ndarray, t: float) -> np.ndarray:
-    """phi(t) = sum_i <u_i, phi0> e^{-lambda_i t} u_i."""
-    return _spectral_states(spec, spec.eigenvectors.T @ phi0, [t])[0]
+def spectral_state(spec: Spectrum, phi0: np.ndarray, times) -> np.ndarray:
+    """phi(t) = sum_i <u_i, phi0> e^{-lambda_i t} u_i for each t in `times`,
+    one row each.
 
-
-def _spectral_states(spec: Spectrum, coeff: np.ndarray, times) -> np.ndarray:
-    """phi(t) for each t, one row each, from the coefficients U^T phi0.
-
-    coeff * e^{-lambda t} for every sample time is one (T, n) grid, built
-    in place; exp and the products are elementwise, so each row has the
-    bits of its own time. Each row is then U times its grid row, one
-    matrix-vector product per time: matmul of U with a stack of vectors
-    runs them in turn, while one U @ grid^T for all times rounds
+    The coefficients U^T phi0 times e^{-lambda t} for every sample time are
+    one (T, n) grid, built in place; exp and the products are elementwise,
+    so each row has the bits of its own time. Each row is then U times its
+    grid row, one matrix-vector product per time: matmul of U with a stack
+    of vectors runs them in turn, while one U @ grid^T for all times rounds
     differently.
     """
     u = spec.eigenvectors
     grid = np.multiply.outer(times, spec.eigenvalues)
     np.negative(grid, out=grid)
     np.exp(grid, out=grid)
-    grid *= coeff
+    grid *= u.T @ phi0
     return np.matmul(u, grid[:, :, None])[:, :, 0]
 
 
@@ -74,12 +70,12 @@ def _default_dt(spec: Spectrum) -> float:
     return 1e-3 / lam_max if lam_max > 0 else 1e-3
 
 
-def _offset_states(spec: Spectrum, coeff: np.ndarray, times, dt: float,
+def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
                    offsets=_OFFSETS):
-    """The states at t + k dt for each t in `times` and k in offsets, from
-    the coefficients U^T phi0, (len(times), len(offsets), dim)."""
-    states = _spectral_states(spec, coeff,
-                              [t + k * dt for t in times for k in offsets])
+    """The states from phi0 at t + k dt for each t in `times` and k in
+    offsets, (len(times), len(offsets), dim)."""
+    states = spectral_state(spec, phi0,
+                            [t + k * dt for t in times for k in offsets])
     return states.reshape(len(times), len(offsets), spec.dim)
 
 
@@ -97,12 +93,12 @@ def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
     dt = _default_dt(spec)
     kept = [t for t in traj.times if t >= 2 * dt]
     since = [t - traj.times[0] for t in kept]
-    coeff = spec.eigenvectors.T @ traj.states[0]
     m, k = sub.n_vertices, len(_OFFSETS)
     step = max(1, _SCAN_CELLS // (k * m))
     etas = np.empty((len(kept), k, sub.diameter_S + 1))
     for lo in range(0, len(kept), step):
-        states = _offset_states(spec, coeff, since[lo:lo + step], dt)
+        states = _offset_states(spec, traj.states[0], since[lo:lo + step],
+                                dt)
         etas[lo:lo + step] = _eta_block(states.reshape(-1, m), sub).reshape(
             -1, k, sub.diameter_S + 1)
         del states      # freed before the next block's
@@ -120,7 +116,7 @@ def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
         raise ValueError("times must be non-negative and strictly increasing")
     if phi0.shape != (op.dim,):
         raise ValueError("initial state has wrong length")
-    states = _spectral_states(spec, spec.eigenvectors.T @ phi0, times)
+    states = spectral_state(spec, phi0, times)
     return HeatTrajectory(spectrum=spec, times=times, states=states,
                           etas=_ro(_eta_block(states, op.source)))
 
@@ -265,10 +261,8 @@ def ratio_evolution_check(spec: Spectrum, times) -> RatioCertificate:
 
     dt = _default_dt(spec)
     kept = [t for t in np.asarray(times, dtype=np.float64) if t >= dt]
-    u = spec.eigenvectors
-    ground = _offset_states(spec, u.T @ spec.ground_state, kept, dt,
-                            (-1, 0, 1))
-    first = _offset_states(spec, u.T @ spec.vector(1), kept, dt, (-1, 0, 1))
+    ground = _offset_states(spec, spec.ground_state, kept, dt, (-1, 0, 1))
+    first = _offset_states(spec, spec.vector(1), kept, dt, (-1, 0, 1))
     ground = _lead_positive(ground)
     # the samples before the first with a non-positive ground state are
     # checked, so a failure among them is still the first in time order

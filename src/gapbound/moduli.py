@@ -497,11 +497,11 @@ def log_concavity(g, sub: ConvexSubgraph,
     return ConcavityReport(holds=holds, worst=worst, witness=witness)
 
 
-def _ratio_scans(spec: Spectrum, which) -> tuple:
-    """(RatioFunction, ModulusOfContinuity) of u_w / u0 for each w in
-    `which`, scanned as one block.
+def _ratio_scans(spec: Spectrum) -> tuple:
+    """(RatioFunction, ModulusOfContinuity) of u_w / u0 for each w in the
+    lambda1 eigenspace basis `spec.gap_indices`, scanned as one block.
 
-    f = U[:, which]^T / u0 is one division, every row's eta one
+    f = U[:, gap_indices]^T / u0 is one division, every row's eta one
     `_eta_block` call (ball dilation on hypercube-like subgraphs, so their
     distance-class pair index is never built) and each vertex-sum table one
     `_difference_sums` call. Per row these are the operations of the
@@ -510,7 +510,7 @@ def _ratio_scans(spec: Spectrum, which) -> tuple:
     """
     sub = spec.operator.source
     block = RatioFunction.from_vectors(
-        spec.ground_state, spec.eigenvectors[:, which].T, sub)
+        spec.ground_state, spec.eigenvectors[:, spec.gap_indices].T, sub)
     f, u0 = _ro(block.f), _ro(block.u0)
     scans = []
     for eta, row_sums in zip(_continuity_moduli(f, sub, spec.tolerances),
@@ -522,10 +522,9 @@ def _ratio_scans(spec: Spectrum, which) -> tuple:
 
 
 def _eigenspace_scans(spec: Spectrum) -> tuple:
-    """`_ratio_scans` of the lambda1 eigenspace basis (row w - 1 for
-    w in gap_indices), kept on the spectrum."""
-    return spec._derived("eigenspace_scans",
-                         lambda: _ratio_scans(spec, spec.gap_indices))
+    """`_ratio_scans` of the spectrum (row w - 1 for w in gap_indices),
+    kept on it."""
+    return spec._derived("eigenspace_scans", lambda: _ratio_scans(spec))
 
 
 def _ground_ratio(spec: Spectrum) -> RatioFunction:

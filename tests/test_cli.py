@@ -363,7 +363,8 @@ def test_tolerance_values_must_be_numbers(tmp_path, capsys):
                       instance={"family": {"name": "path", "n": 4}},
                       tolerances={"rayleigh": "x"})
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-    assert "tolerance rayleigh must be a number" in capsys.readouterr().err
+    assert "tolerance rayleigh must be a JSON number, got 'x'" in \
+        capsys.readouterr().err
 
 
 def test_solver_tolerances_are_unknown_fields(tmp_path, capsys):
@@ -498,7 +499,7 @@ def test_spec_fields_of_the_wrong_json_type(tmp_path, capsys, fields,
 def test_json_type_errors_raise_before_any_build(tmp_path, monkeypatch,
                                                  capsys, fields, message):
     # the whole spec is checked before any group, graph or family is built
-    builders = [build.__name__ for build, _, _ in cli._families().values()]
+    builders = [family[0].__name__ for family in cli._families().values()]
     for name in ("build_group", "build_cayley", "subcube_instance",
                  *builders):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k:
@@ -551,6 +552,25 @@ def test_empty_sweep_range(tmp_path, capsys):
     assert "empty size range" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
     assert not (out / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("family,largest",
+                         [("path", 1 << 15), ("cycle", 1 << 16),
+                          ("hypercube", 16)])
+def test_sweep_past_the_group_order_cap(tmp_path, monkeypatch, capsys,
+                                        family, largest):
+    # checked before any size runs: --max 10**21 was an OverflowError, and
+    # a path sweep past the cap first ran every smaller size
+    def never(*args):
+        raise AssertionError("a size ran")
+    monkeypatch.setattr(cli, "build_operator", never)
+    out = tmp_path / "out"
+    for hi in (largest + 1, 10 ** 21):
+        assert main(sweep_args(family, 1, hi, out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {family}({hi}) exceeds the group order cap 65536; "
+            f"the largest is {family}({largest})\n")
+    assert not any(out.iterdir())
 
 
 def test_bad_schema_and_bad_potential(tmp_path):
@@ -909,7 +929,7 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch, name):
             "_ratio_scans": 1, "modulus_of_continuity": 0, "_extremal": basis}
     assert {fn: count[fn] for fn in want} == want
     (args, block), = calls["_ratio_scans"]
-    assert args[1] == spectrum.gap_indices and len(block) == basis
+    assert args == (spectrum,) and len(block) == basis
     assert count["log_concavity"] <= 1 and count["modulus_of_concavity"] <= 1
 
 

@@ -114,6 +114,15 @@ def test_order_cap_of_z2n_is_checked_on_n():
             elementary_abelian_2(n)
 
 
+def test_negative_z2n_exponent_is_a_non_positive_order():
+    # 1 << -1 was Python's "negative shift count"
+    for make in (cyclic_group, elementary_abelian_2):
+        with pytest.raises(NonGroupTable, match="^order must be positive$") \
+                as exc:
+            make(-1)
+        assert exc.value.axiom == "order"
+
+
 def test_generator_set_validation():
     g = cyclic_group(6)
     with pytest.raises(InvalidGeneratorSet):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import transposition_cayley
 from gapbound import moduli
-from gapbound.bounds import _ratio_scan, _thm3, _thm4, bound_thm3
+from gapbound.bounds import (_ratio_scan, _thm3, _thm4, bound_thm3, bound_thm4,
+                             is_hypercube)
 from gapbound.config import DEFAULT_TOL
 from gapbound.errors import BoundUnavailable, EmptyAfterSkips
 from gapbound.families import (cycle_graph, hypercube_graph,
@@ -697,17 +698,13 @@ def test_eigenspace_block_matches_per_vector_route(name):
 
 
 @pytest.mark.parametrize("name", ["Q4", "S4", "C8-long-arc"])
-def test_ratio_scan_outside_the_eigenspace_is_a_one_row_block(name):
+def test_ratio_bounds_outside_the_eigenspace_raise(name):
+    # Theorems 3 and 4 cover the lambda1 eigenvectors only; Theorem 4
+    # rejects a non-hypercube host before it reads the eigenvector
     spec = eigendecompose(EIGENSPACE_INSTANCES[name]())
     which = spec.gap_indices.stop
-    scan = _ratio_scan(spec, which)
+    hypercube = is_hypercube(spec.operator.source)
+    for bound in [bound_thm3] + [bound_thm4] * hypercube:
+        with pytest.raises(ValueError, match="outside the lambda1 eigenspace"):
+            bound(spec, which)
     assert "eigenspace_scans" not in spec.__dict__.get("_cache", {})
-    want = per_vector_scan(spec, which)
-    assert_same_scan(scan, want, spec.tolerances)
-    try:
-        got = bound_thm3(spec, which)
-    except BoundUnavailable as exc:
-        got = str(exc)
-    else:
-        got = got[0], got[1].value
-    assert got == outcome(_thm3, want, spec.tolerances)

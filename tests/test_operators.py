@@ -274,6 +274,52 @@ def test_residual_above_its_bar_fails_construction():
         eigendecompose(laplacian(hypercube_instance(3)), tol)
 
 
+def rotated(v, angle):
+    """v with u1 and u2 rotated by `angle` in their plane."""
+    v = v.copy()
+    c, s = math.cos(angle), math.sin(angle)
+    v[:, 1], v[:, 2] = c * v[:, 1] + s * v[:, 2], c * v[:, 2] - s * v[:, 1]
+    return v
+
+
+def u1_scaled(v):
+    v = v.copy()
+    v[:, 1] *= 1 + 1e-8
+    return v
+
+
+# bar -> (perturbation of path(8)'s eigenvectors, other overrides, check,
+# its error): the perturbation's measured quantity lies between the bar's
+# default and 1000 times it (residual 2.1e-9, Gram error 2e-8, residual
+# 2.1e-9, Rayleigh-quotient error 4.3e-9)
+SPECTRUM_BARS = {
+    "spectrum_residual": (lambda v: rotated(v, 1e-8), {}, _validate_spectrum,
+                          "residual .* exceeds bound"),
+    "orthonormality": (u1_scaled, {}, _validate_spectrum,
+                       "not orthonormal"),
+    "recurrence": (lambda v: rotated(v, 1e-8), {}, rayleigh_gap_check,
+                   "eigen-recurrence fails for pair 1"),
+    "rayleigh": (lambda v: rotated(v, 1e-4), {"recurrence": 1e-3},
+                 rayleigh_gap_check, "Rayleigh quotient"),
+}
+
+
+@pytest.mark.parametrize("bar", SPECTRUM_BARS)
+def test_spectrum_bar_fails_at_its_default_and_passes_at_1000x(bar):
+    perturb, others, check, error = SPECTRUM_BARS[bar]
+    spec = eigendecompose(laplacian(path_instance(8)))
+    vectors = perturb(spec.eigenvectors)
+
+    def perturbed(factor):
+        value = getattr(DEFAULT_TOL, bar) * factor
+        return dataclasses.replace(spec, eigenvectors=vectors, tolerances=(
+            DEFAULT_TOL.with_overrides(**others, **{bar: value})))
+    with pytest.raises((SpectrumInvariantError, CertificateFailure),
+                       match=error):
+        check(perturbed(1))
+    check(perturbed(1000))
+
+
 def test_certificate_reads_the_kept_residuals(monkeypatch):
     # the construction check computed every pair's residual; the
     # certificate applies the operator once more, for the Rayleigh quotient
