@@ -79,7 +79,7 @@ def bound_thm4(spec: Spectrum, which: int = 1):
 def _ratio_scan(spec, which):
     """f = u_which / u0 and its modulus, shared by Theorems 3 and 4: row
     which - 1 of the lambda1 eigenspace block kept on the spectrum (the
-    modulus caches its extremal scan; the ratio carries its vertex sums).
+    modulus keeps its extremal scan; the ratio carries its vertex sums).
     The theorems cover the lambda1 eigenvectors only, so a `which` outside
     gap_indices raises ValueError."""
     if which not in spec.gap_indices:

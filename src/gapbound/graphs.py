@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CriterionMismatch, DisconnectedSubgraph, NotInvariant
-from .groups import (FiniteGroup, GeneratorSet, _ro, check_invariance,
+from .groups import (FiniteGroup, GeneratorSet, _kept, _ro, check_invariance,
                      word_lengths)
 
 
@@ -123,18 +123,17 @@ class ConvexSubgraph:
         Returns (ys, xs, starts) as int32 arrays: the pairs sorted stably by
         dist_S, and starts[s - 1] the offset where class s = 1..D begins.
         No class is empty, since a geodesic of length D meets every smaller
-        distance. Built on first use and cached.
+        distance. Kept on the subgraph (`_kept`).
         """
-        if "_classes" not in self.__dict__:
+        def make():
             ys, xs = np.triu_indices(self.n_vertices, 1)
             d = self.dist_S[ys, xs]
             order = np.argsort(d, kind="stable")
             counts = np.bincount(d, minlength=self.diameter_S + 1)
             starts = np.cumsum(counts[:-1])
-            self.__dict__["_classes"] = (
-                _ro(ys[order].astype(np.int32)), _ro(xs[order].astype(np.int32)),
-                _ro(starts.astype(np.int32)))
-        return self.__dict__["_classes"]
+            return tuple(_ro(a.astype(np.int32))
+                         for a in (ys[order], xs[order], starts))
+        return _kept(self, "distance_classes", make)
 
     def _class_chunks(self, step: int):
         """The pair index of `_distance_classes` cut into runs of at most
@@ -143,10 +142,9 @@ class ConvexSubgraph:
         One (ys, xs, c, edges) per run: views of its pairs, and the classes
         c+1..c+edges.size it meets, which begin at the run offsets `edges`
         (edges[0] = 0: the first class may have begun in an earlier run).
-        Built on first use per step and cached.
+        Kept on the subgraph per step (`_kept`).
         """
-        cache = self.__dict__.setdefault("_chunks", {})
-        if step not in cache:
+        def make():
             ys, xs, starts = self._distance_classes()
             first = starts.tolist()
             runs = []
@@ -156,8 +154,8 @@ class ConvexSubgraph:
                 edges = starts[c:bisect.bisect_left(first, j)] - i
                 edges[0] = 0
                 runs.append((ys[i:j], xs[i:j], c, _ro(edges)))
-            cache[step] = tuple(runs)
-        return cache[step]
+            return tuple(runs)
+        return _kept(self, ("class_chunks", step), make)
 
     def __repr__(self):
         return (f"ConvexSubgraph(|S|={self.n_vertices}, D={self.diameter_S}, "
@@ -277,11 +275,13 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     scan costs O(|boundary| m^2) instead of O((n - m) m^2). Only when it
     finds a witness do all outside vertices get scanned, so the witness
     reported is the first (v, x, y) in order of outside vertex v, then
-    local x, then local y. The result is cached on `sub`; a
-    CriterionMismatch is not, and raises again on the next call.
+    local x, then local y. The result is kept on `sub` (`_kept`); a
+    CriterionMismatch keeps nothing, and raises again on the next call.
     """
-    if "_convexity" in sub.__dict__:
-        return sub.__dict__["_convexity"]
+    return _kept(sub, "convexity", lambda: _strong_convexity(sub))
+
+
+def _strong_convexity(sub: ConvexSubgraph) -> ConvexityResult:
     vset, dist, hd = sub.vset, sub.host.dist, sub.host_dist
 
     witness = None
@@ -305,11 +305,9 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
         raise CriterionMismatch(
             f"convex subgraph violates shortest-path closure at {sp2_wit}")
 
-    result = ConvexityResult(convex=convex, witness=witness, criterion2=crit2,
-                             criterion2_witness=crit2_wit, sp2_closure=sp2,
-                             sp2_witness=sp2_wit)
-    sub.__dict__["_convexity"] = result
-    return result
+    return ConvexityResult(convex=convex, witness=witness, criterion2=crit2,
+                           criterion2_witness=crit2_wit, sp2_closure=sp2,
+                           sp2_witness=sp2_wit)
 
 
 # The one scratch budget of every blocked pass, in array cells (512 KiB of

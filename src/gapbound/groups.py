@@ -59,6 +59,15 @@ def _ro(arr):
     return arr
 
 
+def _kept(obj, key, make):
+    """The value kept on `obj` under `key`: make() on the first read, the
+    same object on every later one; a raise keeps nothing."""
+    kept = obj.__dict__.setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
+
+
 def _validate_table(table: np.ndarray) -> FiniteGroup:
     n = table.shape[0]
     if table.ndim != 2 or table.shape[1] != n:
@@ -212,9 +221,9 @@ def generator_set(group: FiniteGroup, elements) -> GeneratorSet:
 def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
     """BFS word length |g| over the generating set; -1 if unreachable.
 
-    Cached on `group` per generator tuple (sorted, duplicates dropped), so
-    generator_set's validation and build_cayley share one BFS; the array is
-    read-only because every caller receives the same one.
+    Kept on `group` (`_kept`) per generator tuple (sorted, duplicates
+    dropped), so generator_set's validation and build_cayley share one BFS;
+    the array is read-only because every caller receives the same one.
 
     The BFS runs in plain Python over the k generator rows a * x taken as
     lists: O(k n) element steps in all, with no numpy call per level. A
@@ -222,26 +231,25 @@ def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
     the elements they touch.
     """
     key = tuple(sorted({int(a) for a in gens}))
-    cache = group.__dict__.setdefault("_word_lengths", {})
-    if key in cache:
-        return cache[key]
-    rows = [group.table[a].tolist() for a in key]
-    wl = [-1] * group.order
-    wl[group.identity] = 0
-    frontier = [group.identity]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for row in rows:
-            for x in frontier:
-                y = row[x]
-                if wl[y] < 0:
-                    wl[y] = level
-                    nxt.append(y)
-        frontier = nxt
-    cache[key] = _ro(np.array(wl, dtype=np.int32))
-    return cache[key]
+
+    def make():
+        rows = [group.table[a].tolist() for a in key]
+        wl = [-1] * group.order
+        wl[group.identity] = 0
+        frontier = [group.identity]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for row in rows:
+                for x in frontier:
+                    y = row[x]
+                    if wl[y] < 0:
+                        wl[y] = level
+                        nxt.append(y)
+            frontier = nxt
+        return _ro(np.array(wl, dtype=np.int32))
+    return _kept(group, ("word_lengths", key), make)
 
 
 def check_invariance(group: FiniteGroup, gens: GeneratorSet) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateFailure, InsufficientSpan
-from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
+from .graphs import _SCAN_CELLS, _ro
 from .moduli import (_NOT_POSITIVE, _difference_sums, _eta_block,
                      _ground_ratio, _lead_positive)
 # TODO(next benchmark change): perfbench's
@@ -79,18 +79,19 @@ def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
     return states.reshape(len(times), len(offsets), spec.dim)
 
 
-def _offset_etas(traj: HeatTrajectory, sub: ConvexSubgraph):
+def _offset_etas(traj: HeatTrajectory):
     """The sample times t >= 2 dt, and eta(s), s = 0..D, of the trajectory's
     state at t + k dt for k = -2..2, (len(kept), 5, D + 1); dt is
-    `_default_dt` of the trajectory's spectrum. The state at t + k dt is the
-    trajectory's first state evolved for t - times[0] + k dt.
+    `_default_dt` of the trajectory's spectrum and eta is over its
+    operator's subgraph. The state at t + k dt is the trajectory's first
+    state evolved for t - times[0] + k dt.
 
     The states are built and scanned in blocks of sample times, each block
     at most _SCAN_CELLS state cells; a state's eta does not depend on the
     block it is scanned in.
     """
     spec = traj.spectrum
-    dt = _default_dt(spec)
+    sub, dt = spec.operator.source, _default_dt(spec)
     kept = [t for t in traj.times if t >= 2 * dt]
     since = [t - traj.times[0] for t in kept]
     m, k = sub.n_vertices, len(_OFFSETS)
@@ -186,14 +187,13 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     eta is the modulus over the trajectory operator's subgraph, whose
     diameter fixes the lattice; the margins are those of `_margins`.
     """
-    sub = traj.spectrum.operator.source
-    d = sub.diameter_S
+    d = traj.spectrum.operator.source.diameter_S
     if d < 1:
         return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
     coords, lp = path_lattice_laplacian(d)
     pos = coords > 0
 
-    dt, kept, etas = _offset_etas(traj, sub)
+    dt, kept, etas = _offset_etas(traj)
     # eta at every lattice point s = -D..D of every state: eta(|s|) with
     # the sign of s
     lattice_etas = np.where(coords < 0, -etas[..., np.abs(coords)],
@@ -217,10 +217,9 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
 def eta2_contraction_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
     eta over the trajectory operator's subgraph; see `_margins`."""
-    sub = traj.spectrum.operator.source
-    s2 = min(2, sub.diameter_S)
+    s2 = min(2, traj.spectrum.operator.source.diameter_S)
 
-    dt, kept, etas = _offset_etas(traj, sub)
+    dt, kept, etas = _offset_etas(traj)
     eta2 = etas[:, :, s2]
     margin = _margins(eta2, -2.0 * eta2[:, 2], dt)
     bad = np.flatnonzero(margin < 0)

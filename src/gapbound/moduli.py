@@ -6,7 +6,7 @@ construction.
 
 eta has two exact algorithms for a (B, m) block of functions:
 
-- the pair scan reads the subgraph's cached distance-class pair index with
+- the pair scan reads the subgraph's kept distance-class pair index with
   the block laid out vertex-major (a gather of |f(y) - f(x)| for every row
   at once, a max per class and a running max from eta(0) = 0), O(m^2 B);
 - ball dilation sets M_0 = f and M_s(x) = max(M_{s-1}(x), max_a
@@ -49,7 +49,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import BoundUnavailable, EmptyAfterSkips, NoAdmissibleTriple
-from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
+from .graphs import _SCAN_CELLS, ConvexSubgraph, _kept, _ro
 from .operators import Spectrum
 
 
@@ -68,23 +68,23 @@ class ModulusOfContinuity:
     def achievers(self) -> dict:
         """s > 0 -> (r, 2) local (y, x) pairs attaining eta(s) up to tie_tol.
 
-        Built on first use: the heat certificates only read the values.
+        Kept on the modulus (`_kept`): the heat certificates only read the
+        values.
         """
-        if "_achievers" not in self.__dict__:
+        def make():
             # eta is non-decreasing, so every achiever of eta(s) is an
             # extremal pair at its own distance d(y, x) <= s
             pairs, dist, diff = self._extremal_scan()
-            self.__dict__["_achievers"] = {
-                s: pairs[(dist <= s) & (diff >= self.values[s] - self.tie_tol)]
-                for s in range(1, self.diameter + 1)}
-        return self.__dict__["_achievers"]
+            return {s: pairs[(dist <= s)
+                             & (diff >= self.values[s] - self.tie_tol)]
+                    for s in range(1, self.diameter + 1)}
+        return _kept(self, "achievers", make)
 
     def _extremal_scan(self):
-        """`_extremal` of this modulus: one m x m pass, built on first use
-        and shared by extremal_pairs and the achievers."""
-        if "_xi" not in self.__dict__:
-            self.__dict__["_xi"] = tuple(_ro(a) for a in _extremal(self))
-        return self.__dict__["_xi"]
+        """`_extremal` of this modulus: one m x m pass, kept on it and shared
+        by extremal_pairs and the achievers."""
+        return _kept(self, "extremal_scan",
+                     lambda: tuple(_ro(a) for a in _extremal(self)))
 
     def at(self, s: int) -> float:
         """eta(s) with antisymmetry and the eta(D+2)=eta(D+1)=eta(D) extension."""
@@ -162,12 +162,10 @@ class RatioFunction:
 
     def vertex_sums(self):
         """Per-vertex (weighted, plain) difference sums of f; see
-        `_difference_sums`. Built on first use and cached (read-only)."""
-        if "_sums" not in self.__dict__:
-            self.__dict__["_sums"] = (
-                _ro(_difference_sums(self.sub, self.f, self.u0)),
-                _ro(_difference_sums(self.sub, self.f)))
-        return self.__dict__["_sums"]
+        `_difference_sums`. Kept on the ratio (`_kept`; read-only)."""
+        return _kept(self, "vertex_sums", lambda: (
+            _ro(_difference_sums(self.sub, self.f, self.u0)),
+            _ro(_difference_sums(self.sub, self.f))))
 
 
 _NOT_POSITIVE = "ground state must be strictly positive on V(S)"
@@ -268,7 +266,7 @@ def _eta_pairs(states, sub: ConvexSubgraph) -> np.ndarray:
     """Distance-class pair scan of the whole block, vertex-major.
 
     F = states^T has one vertex per row, so each gathered pair is a row of
-    B contiguous doubles (a single row drops that axis). The pair index is
+    B contiguous doubles (B = 1 included). The pair index is
     walked in runs that hold several small classes or a piece of a large
     one; the two gather buffers, reused by every run, hold _SCAN_CELLS
     cells together. A run's class maxima merge into eta(s) by np.maximum:
@@ -278,10 +276,9 @@ def _eta_pairs(states, sub: ConvexSubgraph) -> np.ndarray:
     b, m, d = states.shape[0], sub.n_vertices, sub.diameter_S
     out = np.zeros((b, d + 1))
     if d and b:
-        tail = () if b == 1 else (b,)
-        f = np.ascontiguousarray(states.T).reshape((m,) + tail)
+        f = np.ascontiguousarray(states.T).reshape(m, b)
         runs = sub._class_chunks(max(1, _SCAN_CELLS // (2 * b)))
-        gy = np.empty((runs[0][0].size,) + tail)
+        gy = np.empty((runs[0][0].size, b))
         gx = np.empty_like(gy)
         for ys, xs, c, edges in runs:
             n = ys.size
@@ -383,7 +380,7 @@ def modulus_of_concavity(g, sub: ConvexSubgraph) -> ModulusOfConcavity:
 def extremal_pairs(eta: ModulusOfContinuity) -> np.ndarray:
     """All ordered pairs (y, x) with f(y) - f(x) = eta(d(y, x)), up to ties.
 
-    Cached on `eta` (read-only)."""
+    Kept on `eta` (`_kept`; read-only)."""
     return eta._extremal_scan()[0]
 
 
@@ -516,7 +513,7 @@ def _ratio_scans(spec: Spectrum) -> tuple:
     for eta, row_sums in zip(_continuity_moduli(f, sub, spec.tolerances),
                              zip(*block.vertex_sums())):
         ratio = RatioFunction(sub=sub, u0=u0, f=eta.f)
-        ratio.__dict__["_sums"] = row_sums
+        _kept(ratio, "vertex_sums", lambda: row_sums)
         scans.append((ratio, eta))
     return tuple(scans)
 
@@ -524,7 +521,7 @@ def _ratio_scans(spec: Spectrum) -> tuple:
 def _eigenspace_scans(spec: Spectrum) -> tuple:
     """`_ratio_scans` of the spectrum (row w - 1 for w in gap_indices),
     kept on it."""
-    return spec._derived("eigenspace_scans", lambda: _ratio_scans(spec))
+    return _kept(spec, "eigenspace_scans", lambda: _ratio_scans(spec))
 
 
 def _ground_ratio(spec: Spectrum) -> RatioFunction:
@@ -540,17 +537,17 @@ def _ground_eta(spec: Spectrum) -> ModulusOfContinuity:
 
 def _ground_log(spec: Spectrum) -> np.ndarray:
     """log u0, kept on the spectrum (read-only)."""
-    return spec._derived("log_ground_state",
-                         lambda: _ro(np.log(spec.ground_state)))
+    return _kept(spec, "log_ground_state",
+                 lambda: _ro(np.log(spec.ground_state)))
 
 
 def _ground_concavity(spec: Spectrum) -> ConcavityReport:
     """log_concavity of log u0, kept on the spectrum."""
-    return spec._derived("log_concavity", lambda: log_concavity(
+    return _kept(spec, "log_concavity", lambda: log_concavity(
         _ground_log(spec), spec.operator.source, spec.tolerances))
 
 
 def _ground_omega(spec: Spectrum) -> ModulusOfConcavity:
     """omega of log u0, kept on the spectrum."""
-    return spec._derived("omega", lambda: modulus_of_concavity(
+    return _kept(spec, "omega", lambda: modulus_of_concavity(
         _ground_log(spec), spec.operator.source))

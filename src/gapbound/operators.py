@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (CertificateFailure, NegativePotential,
                      SpectrumInvariantError)
-from .graphs import _SCAN_CELLS, ConvexSubgraph, _ro
+from .graphs import _SCAN_CELLS, ConvexSubgraph, _kept, _ro
 from .jacobi import _fix_signs, jacobi_eigh
 
 LAPLACIAN = "laplacian"
@@ -84,9 +84,10 @@ class Spectrum:
 
     Also the per-instance context: it carries the operator (and through it
     the subgraph) and the tolerances it was built under, which the analyses
-    read from it, and keeps on first use the positive ground state, the
-    residuals, the certificate, the ratio and eta of every lambda1
-    eigenvector as one block, and the log-concavity and omega of log u0.
+    read from it, and keeps (`_kept`) the lambda1 eigenspace indices, the
+    positive ground state, the residuals, the certificate, the ratio and
+    eta of every lambda1 eigenvector as one block, and the log-concavity
+    and omega of log u0.
     """
 
     eigenvalues: np.ndarray
@@ -116,26 +117,20 @@ class Spectrum:
     @property
     def gap_indices(self) -> range:
         """Indices of the eigenvectors spanning the lambda1 eigenspace."""
-        return _lambda1_indices(self.eigenvalues, self.tolerances)
+        return _kept(self, "gap_indices", lambda: _lambda1_indices(
+            self.eigenvalues, self.tolerances))
 
     @property
     def ground_state(self) -> np.ndarray:
         """u0 with its largest-magnitude entry positive; read-only."""
         u0 = self.eigenvectors[:, 0]
-        return self._derived("ground_state", lambda: _ro(-u0)
-                             if u0[np.argmax(np.abs(u0))] < 0 else u0)
+        return _kept(self, "ground_state", lambda: _ro(-u0)
+                     if u0[np.argmax(np.abs(u0))] < 0 else u0)
 
     @property
     def residuals(self) -> np.ndarray:
         """max_x |(Op u - lambda u)(x)| of each pair; read-only."""
-        return self._derived("residuals", lambda: _ro(_residuals(self)))
-
-    def _derived(self, key, make):
-        """make() on first use, then the kept value; a raise keeps nothing."""
-        cache = self.__dict__.setdefault("_cache", {})
-        if key not in cache:
-            cache[key] = make()
-        return cache[key]
+        return _kept(self, "residuals", lambda: _ro(_residuals(self)))
 
 
 def _lambda1_indices(w: np.ndarray, tol: ToleranceConfig) -> range:
@@ -234,9 +229,11 @@ def eigendecompose(op: SymmetricOperator,
                    tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     """Full validated spectrum of a symmetric operator."""
     w, v, _ = jacobi_eigh(op.entries)
-    _canonical_basis(v, _lambda1_indices(w, tol))
+    gap = _lambda1_indices(w, tol)
+    _canonical_basis(v, gap)
     spec = Spectrum(eigenvalues=_ro(w), eigenvectors=_ro(v), operator=op,
                     tolerances=tol)
+    _kept(spec, "gap_indices", lambda: gap)
     _validate_spectrum(spec)
     return spec
 
@@ -358,4 +355,4 @@ def rayleigh_gap_check(spec: Spectrum) -> RayleighCertificate:
 
 def _certificate(spec: Spectrum) -> RayleighCertificate:
     """rayleigh_gap_check of the spectrum, kept on it."""
-    return spec._derived("certificate", lambda: rayleigh_gap_check(spec))
+    return _kept(spec, "certificate", lambda: rayleigh_gap_check(spec))

@@ -655,6 +655,20 @@ def test_negative_verify_factor_ends_in_a_report(tmp_path, capsys, instance,
     assert not any(out.iterdir())
 
 
+def test_verify_fails_a_negative_slack_that_run_accepts(tmp_path,
+                                                        monkeypatch):
+    # an ok report whose one applicable bound exceeds the gap by 1e-9: the
+    # report is the stub's, so no rounding enters the verdict
+    record = {"name": "thm1", "applicable": True, "slack": -1e-9}
+    monkeypatch.setattr(cli, "run_instance", lambda spec, out: {
+        "ok": True, "bounds": {"theorems": [record]}})
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"family": {"name": "path", "n": 4}})
+    argv = ["--spec", str(spec), "--out", str(tmp_path / "out")]
+    assert main(["run", *argv]) == 0
+    assert main(["verify", *argv]) == 1
+
+
 def test_every_route_to_a_tolerance_checks_its_range():
     # the one rule in ToleranceConfig holds for direct construction and
     # with_overrides alike; the decay margin may be any finite number
@@ -913,19 +927,19 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch, name):
     calls = {fn: spy_everywhere(monkeypatch, mod, fn) for mod, fn in (
         (operators, "eigendecompose"), (bounds, "build_operator"),
         (jacobi, "jacobi_eigh"), (operators, "laplacian"),
-        (operators, "rayleigh_gap_check"),
+        (operators, "rayleigh_gap_check"), (operators, "_lambda1_indices"),
         (moduli, "_ratio_scans"), (moduli, "modulus_of_continuity"),
         (moduli, "_extremal"), (moduli, "log_concavity"),
         (moduli, "modulus_of_concavity"))}
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
     count = {fn: len(c) for fn, c in calls.items()}
     (_, spectrum), = calls["eigendecompose"]
-    # one dense solve and no Laplacian beside the Hamiltonian; one block for
-    # the whole lambda1 eigenspace, no per-vector eta; the extremal scan
-    # stays one per basis vector
+    # one dense solve and no Laplacian beside the Hamiltonian; one search
+    # for the lambda1 eigenspace and one block for it, no per-vector eta;
+    # the extremal scan stays one per basis vector
     basis = len(spectrum.gap_indices)
     want = {"build_operator": 1, "jacobi_eigh": 1, "laplacian": 0,
-            "rayleigh_gap_check": 1,
+            "rayleigh_gap_check": 1, "_lambda1_indices": 1,
             "_ratio_scans": 1, "modulus_of_continuity": 0, "_extremal": basis}
     assert {fn: count[fn] for fn in want} == want
     (args, block), = calls["_ratio_scans"]
@@ -962,7 +976,7 @@ def test_hypercube_run_builds_no_pair_index(tmp_path, monkeypatch):
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
     (_, spectrum), = calls
     assert len(spectrum.gap_indices) == 6
-    assert "_classes" not in spectrum.operator.source.__dict__
+    assert "distance_classes" not in spectrum.operator.source._kept
 
 
 @pytest.mark.parametrize("name", ["Q8", "Q8-subcube-boundary", "S4"])

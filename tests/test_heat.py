@@ -134,6 +134,22 @@ def test_insufficient_span():
         decay_rate_check(traj, mu=1.0)
 
 
+def test_decay_margin_fails_at_its_default_and_passes_at_1000x():
+    # path(5) from phi0 = u1 checked against mu = fitted rate + 1e-5: the
+    # rate falls short by 1e-5, between the default margin and 1000 times it
+    lap = laplacian(path_instance(5))
+
+    def check(margin):
+        spec = eigendecompose(lap, DEFAULT_TOL.with_overrides(
+            decay_margin=margin))
+        traj = evolve(spec, spec.vector(1), default_times(spec.gap))
+        rate = decay_rate_check(traj, mu=0.0).fitted_rate
+        return decay_rate_check(traj, mu=rate + 1e-5)
+    with pytest.raises(CertificateFailure, match="mu - margin"):
+        check(DEFAULT_TOL.decay_margin)
+    check(DEFAULT_TOL.decay_margin * 1000)
+
+
 def test_mocheat_constant_initial_state():
     sub = path_instance(5)
     lap = laplacian(sub)
@@ -477,7 +493,7 @@ def test_stencil_evolves_from_the_trajectory_start():
     spec = eigendecompose(laplacian(sub))
     times = default_times(spec.gap)[5:]
     traj = evolve(spec, spec.vector(1) + spec.vector(7), times)
-    _, kept, etas = heat._offset_etas(traj, sub)
+    _, kept, etas = heat._offset_etas(traj)
     assert np.array_equal(kept, times)
     assert np.allclose(etas[:, 2], traj.etas, rtol=0, atol=1e-14)
     cert = mocheat_inequality_check(traj)

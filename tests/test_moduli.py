@@ -314,6 +314,50 @@ def test_log_concavity_predicate():
     assert report.witness is not None
 
 
+def near_tie_pairs(tol):
+    # f = 0..7 on path(8) with f[7] lowered by 1e-7: the pairs ending at
+    # vertex 7 fall short of eta by 1e-7 and tie only under a wide bar
+    f = np.arange(8.0)
+    f[7] -= 1e-7
+    return len(extremal_pairs(modulus_of_continuity(f, path_instance(8), tol)))
+
+
+def tiny_denominator_kept(tol):
+    # u0 = 1, f = (0, 0, 0, 1e-10) on path(4): the pair (3, 0) has the
+    # plain-difference denominator -1e-10
+    ratio = RatioFunction.from_vectors(
+        np.ones(4), np.array([0.0, 0.0, 0.0, 1e-10]), path_instance(4))
+    try:
+        return c_u0(ratio, np.array([[3, 0]]), tol).pairs.shape[0] == 1
+    except EmptyAfterSkips:
+        return False
+
+
+def slightly_convex_log_holds(tol):
+    # g = 0 but g[2] = -1e-8 on path(5): the difference sum at vertex 2 is
+    # 2e-8
+    g = np.zeros(5)
+    g[2] = -1e-8
+    return log_concavity(g, path_instance(5), tol).holds
+
+
+# bar -> (what it decides on a constructed input whose measured quantity
+# lies between the default and 1000 times it, at the default, at 1000x)
+MODULI_BARS = {
+    "tie_factor": (near_tie_pairs, 22, 28),
+    "denominator_zero": (tiny_denominator_kept, True, False),
+    "concavity_slack": (slightly_convex_log_holds, False, True),
+}
+
+
+@pytest.mark.parametrize("bar", MODULI_BARS)
+def test_moduli_bar_decides_differently_at_1000x(bar):
+    decide, at_default, at_1000x = MODULI_BARS[bar]
+    assert decide(DEFAULT_TOL) == at_default
+    wide = DEFAULT_TOL.with_overrides(**{bar: getattr(DEFAULT_TOL, bar) * 1000})
+    assert decide(wide) == at_1000x
+
+
 def _achieving_pairs(u, sub, eta):
     pairs = []
     for s in range(1, sub.diameter_S + 1):
@@ -707,4 +751,4 @@ def test_ratio_bounds_outside_the_eigenspace_raise(name):
     for bound in [bound_thm3] + [bound_thm4] * hypercube:
         with pytest.raises(ValueError, match="outside the lambda1 eigenspace"):
             bound(spec, which)
-    assert "eigenspace_scans" not in spec.__dict__.get("_cache", {})
+    assert "eigenspace_scans" not in spec._kept

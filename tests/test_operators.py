@@ -12,7 +12,8 @@ from gapbound.errors import (CertificateFailure, NegativePotential,
 from gapbound.families import (cycle_graph, cycle_instance,
                                hypercube_instance, path_instance)
 from gapbound.graphs import induce_subgraph
-from gapbound.heat import default_times, evolve, mocheat_inequality_check
+from gapbound.heat import (default_times, evolve, mocheat_inequality_check,
+                           ratio_evolution_check)
 from gapbound.operators import (Spectrum, SymmetricOperator,
                                 _apply_by_adjacency, _canonical_basis,
                                 _certificate, _validate_spectrum,
@@ -291,7 +292,9 @@ def u1_scaled(v):
 # bar -> (perturbation of path(8)'s eigenvectors, other overrides, check,
 # its error): the perturbation's measured quantity lies between the bar's
 # default and 1000 times it (residual 2.1e-9, Gram error 2e-8, residual
-# 2.1e-9, Rayleigh-quotient error 4.3e-9)
+# 2.1e-9, Rayleigh-quotient error 4.3e-9, stationary ratio residual
+# 5.7e-8; no sample times, since the rotated vectors also fail the
+# evolution half at 1000x)
 SPECTRUM_BARS = {
     "spectrum_residual": (lambda v: rotated(v, 1e-8), {}, _validate_spectrum,
                           "residual .* exceeds bound"),
@@ -301,6 +304,9 @@ SPECTRUM_BARS = {
                    "eigen-recurrence fails for pair 1"),
     "rayleigh": (lambda v: rotated(v, 1e-4), {"recurrence": 1e-3},
                  rayleigh_gap_check, "Rayleigh quotient"),
+    "ratio_identity": (lambda v: rotated(v, 1e-7), {},
+                       lambda s: ratio_evolution_check(s, []),
+                       "stationary ratio identity"),
 }
 
 
