@@ -7,10 +7,11 @@ finite and >= 0, except `decay_margin`, which may be any finite number: a
 negative margin only demands a decay rate above mu.
 
 Exit status: 0 when every requested verification holds, 1 on a verification
-failure, 2 on a spec error or on any other typed error the run raises,
-`ConvergenceFailure`, `SpectrumInvariantError` and `CriterionMismatch`
-included. Every failed check is named in the report's `failures`; a failed
-certificate's block carries its `error` and `witness`.
+failure, 2 on a spec error, on a run out of memory, or on any other
+typed error the run raises, `ConvergenceFailure`, `SpectrumInvariantError`
+and `CriterionMismatch` included. Every failed check is named in the
+report's `failures`; a failed certificate's block carries its `error` and
+`witness`.
 
 Every output file is encoded straight into a sibling temporary file, which
 then replaces the file: the JSON chunk by chunk, the CSVs a line, or one
@@ -549,6 +550,12 @@ def main(argv=None) -> int:
         return 0 if aggregate["ok"] else 1
     except (GapboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an instance too large for this machine is a size limit, not a
+        # failed verification
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

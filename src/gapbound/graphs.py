@@ -2,8 +2,11 @@
 
 Distances come from the word metric: right translation x -> x*h is a graph
 automorphism of any Cayley graph under left-generator edges, so
-d(x, y) = |y * x^-1| and one BFS from the identity fixes the whole matrix.
-The per-source BFS equivalence is exercised in the test suite.
+d(x, y) = |y * x^-1|, and one BFS from the identity gives the word lengths
+from which any block of distances is read on demand. A graph keeps only
+its k x n generator rows and the n word lengths; the one distance array a
+build keeps is the subgraph's own m x m block. The per-source BFS
+equivalence is exercised in the test suite.
 
 Distances within an induced subgraph S are the host distances d whenever
 every pair x != y of S has an S-neighbour z of y with d(x, z) = d(x, y) - 1.
@@ -27,6 +30,16 @@ from .groups import (FiniteGroup, GeneratorSet, _kept, _ro, check_invariance,
                      word_lengths)
 
 
+# The one scratch budget of every blocked pass, in array cells (512 KiB of
+# float64): each row block of host distances and of the distance
+# certificate, the d(x, v) + d(v, y) cells of a geodesic-scan block, the
+# pair-scan gather buffers, ball dilation's live arrays together, the heat
+# stencil's states per block of sample times, each row block of the
+# extremal scans and each column block of the residuals. Larger blocks save
+# little time and raise peak memory.
+_SCAN_CELLS = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class HomogeneousGraph:
     """Cayley graph of `group` under the symmetric generating set `gens`."""
@@ -34,7 +47,7 @@ class HomogeneousGraph:
     group: FiniteGroup
     gens: GeneratorSet
     act: np.ndarray        # (k, n): act[ai, x] = gens[ai] * x
-    dist: np.ndarray       # (n, n) word-metric distances
+    wl: np.ndarray         # (n,): word length |g| over gens
     diameter: int
 
     @property
@@ -45,6 +58,25 @@ class HomogeneousGraph:
     def degree(self) -> int:
         return len(self.gens)
 
+    @property
+    def dist(self) -> np.ndarray:
+        """The whole n x n distance matrix, formed on each read; the
+        pipeline reads only `distances` blocks."""
+        ids = np.arange(self.n_vertices, dtype=np.int32)
+        return self.distances(ids, ids)
+
+    def distances(self, xs, ys) -> np.ndarray:
+        """d(x, y) = wl[y * x^-1] for the vertices x in `xs` (rows) and y in
+        `ys` (columns), a new int32 array filled in row blocks of
+        _SCAN_CELLS cells."""
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        out = np.empty((xs.size, ys.size), dtype=np.int32)
+        xinv = self.group.inverse[xs][:, None]
+        step = max(1, _SCAN_CELLS // max(1, ys.size))
+        for i in range(0, xs.size, step):
+            out[i:i + step] = self.wl[self.group.product(ys, xinv[i:i + step])]
+        return out
+
     def full_subgraph(self) -> "ConvexSubgraph":
         return induce_subgraph(self, range(self.n_vertices))
 
@@ -54,23 +86,22 @@ class HomogeneousGraph:
 
 
 def build_cayley(group: FiniteGroup, gens: GeneratorSet) -> HomogeneousGraph:
-    """Cayley graph with the full distance matrix.
+    """Cayley graph: its generator rows and word lengths.
 
     Requires conjugation invariance a K a^-1 = K so that left translations
-    are automorphisms and vertex-transitive distance holds.
+    are automorphisms and vertex-transitive distance holds; the diameter is
+    then the largest word length.
     """
     if not check_invariance(group, gens):
         raise NotInvariant(
             "generating set is not conjugation-invariant; "
             "this toolkit only handles invariant homogeneous graphs")
-    ks = np.asarray(list(gens), dtype=np.int64)
-    act = group.table[ks, :].astype(np.int32)
+    ks = np.asarray(list(gens), dtype=np.int32)
+    act = group.product(ks[:, None], np.arange(group.order, dtype=np.int32))
     wl = word_lengths(group, gens)
-    # d(x, y) = |y * x^-1|; entry [x, y] = wl[table[y, inv(x)]]
-    ginv = group.table[:, group.inverse]     # [y, x] -> y * x^-1
-    dist = wl[ginv].T.astype(np.int32)
-    return HomogeneousGraph(group=group, gens=gens, act=_ro(act),
-                            dist=_ro(dist), diameter=int(dist.max()))
+    return HomogeneousGraph(group=group, gens=gens,
+                            act=_ro(act.astype(np.int32, copy=False)), wl=wl,
+                            diameter=int(wl.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +196,10 @@ class ConvexSubgraph:
 def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
     """Induced subgraph with boundary, K_x and distances.
 
-    host_dist is the host distance matrix restricted to S, taken once here
-    (a full graph shares the host's array); the distance certificate, the
-    convexity scans and omega read it.
+    host_dist is the host distances among S, formed once here from the
+    host's word lengths (`HomogeneousGraph.distances`); the distance
+    certificate, the convexity scans and omega read it, and a full graph's
+    dist_S is the same array.
 
     dist_S is taken from the host distances d when a one-pass certificate
     shows they are realised inside S: every pair x != y of S has an
@@ -193,8 +225,7 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
     boundary = np.unique(outside)
 
     full = vset.size == host.n_vertices
-    # a full graph's vset is arange(n): it shares the host's n x n array
-    hd = host.dist if full else _ro(host.dist[np.ix_(vset, vset)])
+    hd = _ro(host.distances(vset, vset))
     if full or _host_distances_realised(hd, nbr_local):
         dist_s = hd
     else:
@@ -211,12 +242,19 @@ def induce_subgraph(host: HomogeneousGraph, vset) -> ConvexSubgraph:
 
 
 def _host_distances_realised(hd: np.ndarray, nbr_local: np.ndarray) -> bool:
-    """The distance certificate of induce_subgraph: k m x m comparisons."""
-    done = np.eye(hd.shape[0], dtype=bool)
-    for cols in nbr_local:
-        inside = cols >= 0
-        done[:, inside] |= hd[:, cols[inside]] == hd[:, inside] - 1
-    return bool(done.all())
+    """The distance certificate of induce_subgraph: k m x m comparisons,
+    in row blocks of _SCAN_CELLS cells."""
+    m = hd.shape[0]
+    moves = [(cols >= 0, cols[cols >= 0]) for cols in nbr_local]
+    step = max(1, _SCAN_CELLS // m)
+    for i in range(0, m, step):
+        rows = hd[i:i + step]
+        done = rows == 0                    # x = y needs no neighbour
+        for inside, z in moves:
+            done[:, inside] |= rows[:, z] == rows[:, inside] - 1
+        if not done.all():
+            return False
+    return True
 
 
 def _all_pairs_bfs(nbr_local: np.ndarray) -> np.ndarray:
@@ -282,13 +320,13 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
 
 
 def _strong_convexity(sub: ConvexSubgraph) -> ConvexityResult:
-    vset, dist, hd = sub.vset, sub.host.dist, sub.host_dist
+    host, vset, hd = sub.host, sub.vset, sub.host_dist
 
     witness = None
-    if any(hit.any() for _, hit in _geodesic_blocks(dist, vset, hd,
+    if any(hit.any() for _, hit in _geodesic_blocks(host, vset, hd,
                                                     sub.boundary)):
         outside = np.flatnonzero(sub._pos < 0)
-        for block, hit in _geodesic_blocks(dist, vset, hd, outside):
+        for block, hit in _geodesic_blocks(host, vset, hd, outside):
             if hit.any():
                 j, x, y = np.argwhere(hit)[0]
                 witness = (int(vset[x]), int(vset[y]), int(block[j]))
@@ -310,28 +348,19 @@ def _strong_convexity(sub: ConvexSubgraph) -> ConvexityResult:
                            sp2_witness=sp2_wit)
 
 
-# The one scratch budget of every blocked pass, in array cells (512 KiB of
-# float64): the d(x, v) + d(v, y) cells of a geodesic-scan block, the
-# pair-scan gather buffers, ball dilation's live arrays together, the heat
-# stencil's states per block of sample times, each row block of the
-# extremal scans and each column block of the residuals. Larger blocks save
-# little time and raise peak memory.
-_SCAN_CELLS = 1 << 16
-
-
-def _geodesic_blocks(dist, members, hd, outside):
+def _geodesic_blocks(host, members, hd, outside):
     """Yield (block, hit) over consecutive blocks of the `outside` vertices.
 
     hit[j, x, y] says that v = block[j] lies on a geodesic between members
-    x and y: d(x, v) + d(v, y) = d(x, y), with hd = dist among members.
-    Distances are symmetric (the generating set is), so one gather of
-    d(v, members) serves both legs.
+    x and y: d(x, v) + d(v, y) = d(x, y), with hd = host distances among
+    members. Distances are symmetric (the generating set is), so one block
+    of d(v, members) serves both legs.
     """
     m = members.size
     step = max(1, _SCAN_CELLS // max(1, m * m))
     for i in range(0, outside.size, step):
         block = outside[i:i + step]
-        d = dist[np.ix_(block, members)]
+        d = host.distances(block, members)
         yield block, d[:, :, None] + d[:, None, :] == hd
 
 
@@ -341,8 +370,9 @@ def _criterion2(sub: ConvexSubgraph):
     group = host.group
     gens = list(host.gens)
     kset = set(gens)
-    for x in sub.boundary:
-        ins = [a for a in gens if sub._pos[host.group.table[a, x]] >= 0]
+    into = sub._pos[host.act[:, sub.boundary]] >= 0   # (k, |boundary|)
+    for x, keep in zip(sub.boundary, into.T):
+        ins = [a for a, k in zip(gens, keep) if k]
         for a in ins:
             for b in ins:
                 if a == b:
@@ -384,8 +414,8 @@ def convex_closure(host: HomogeneousGraph, seed) -> np.ndarray:
     inside[[int(v) for v in seed]] = True
     while True:
         members = np.flatnonzero(inside)
-        hd = host.dist[np.ix_(members, members)]
-        for block, hit in _geodesic_blocks(host.dist, members, hd,
+        hd = host.distances(members, members)
+        for block, hit in _geodesic_blocks(host, members, hd,
                                            np.flatnonzero(~inside)):
             inside[block[hit.any(axis=(1, 2))]] = True
         if np.count_nonzero(inside) == members.size:

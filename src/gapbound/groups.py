@@ -1,10 +1,12 @@
-"""Finite groups as explicit multiplication tables over dense integer ids.
+"""Finite groups over dense integer ids, with one vectorised product.
 
-Everything downstream (word metric, Cayley graphs) reduces to table lookups,
-which keeps the algebra trivially correct at the sizes this toolkit targets.
+Cyclic groups, Z_2^n and direct products compute a product by arithmetic
+on the ids; only a group given by an explicit table stores n x n data, and
+that table is checked against every group axiom.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -19,19 +21,46 @@ ASSOC_SAMPLES = 1_000_000
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Multiplication-table group: table[a, b] = a*b as element ids."""
+    """A group on the element ids 0..order-1.
 
-    table: np.ndarray
+    `_law` says how `product` works: "add" is a + b mod order (Z_n), "xor"
+    is a XOR b (Z_2^n), "direct" is the direct product of `_factors` =
+    (g, h), where (a, b) has id a * |h| + b, and "table" reads the explicit
+    validated `_table`.
+    """
+
+    order: int
     identity: int
     inverse: np.ndarray
     name: str = ""
+    _law: str = "table"
+    _table: Optional[np.ndarray] = field(default=None, repr=False)
+    _factors: tuple = field(default=(), repr=False)
+
+    def product(self, a, b) -> np.ndarray:
+        """a * b elementwise, over broadcast arrays of element ids."""
+        a, b = np.asarray(a), np.asarray(b)
+        if self._law == "add":
+            return (a + b) % self.order
+        if self._law == "xor":
+            return a ^ b
+        if self._law == "direct":
+            g, h = self._factors
+            (ag, ah), (bg, bh) = np.divmod(a, h.order), np.divmod(b, h.order)
+            return g.product(ag, bg) * h.order + h.product(ah, bh)
+        return self._table[a, b]
 
     @property
-    def order(self) -> int:
-        return self.table.shape[0]
+    def table(self) -> np.ndarray:
+        """The n x n multiplication table: an explicit group's own; for any
+        other group, formed from `product` on each read."""
+        if self._table is not None:
+            return self._table
+        ids = np.arange(self.order, dtype=np.int32)
+        return self.product(ids[:, None], ids)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.product(a, b))
 
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
@@ -117,8 +146,8 @@ def _validate_table(table: np.ndarray) -> FiniteGroup:
             i = int(np.argmax(lhs != rhs))
             raise NonGroupTable("associativity", (int(a[i]), int(b[i]), int(c[i])))
 
-    return FiniteGroup(table=_ro(table.astype(np.int32)), identity=e,
-                       inverse=_ro(inverse))
+    return FiniteGroup(order=n, identity=e, inverse=_ro(inverse),
+                       _table=_ro(table.astype(np.int32)))
 
 
 def _check_cap(order: int):
@@ -131,12 +160,9 @@ def _check_cap(order: int):
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with addition mod n; element ids are the residues."""
     _check_cap(n)
-    ids = np.arange(n, dtype=np.int32)
-    table = (ids[:, None] + ids[None, :]) % n
-    inverse = (-ids) % n
-    return FiniteGroup(table=_ro(table), identity=0,
-                       inverse=_ro(inverse.astype(np.int32)),
-                       name=f"Z{n}")
+    inverse = -np.arange(n, dtype=np.int32) % n
+    return FiniteGroup(order=n, identity=0, inverse=_ro(inverse),
+                       name=f"Z{n}", _law="add")
 
 
 def elementary_abelian_2(n: int) -> FiniteGroup:
@@ -147,10 +173,9 @@ def elementary_abelian_2(n: int) -> FiniteGroup:
     if n < 0:
         raise NonGroupTable("order", f"2^{n}", "order must be positive")
     order = 1 << n
-    ids = np.arange(order, dtype=np.int32)
-    table = ids[:, None] ^ ids[None, :]
-    return FiniteGroup(table=_ro(table), identity=0, inverse=_ro(ids),
-                       name=f"Z2^{n}")
+    return FiniteGroup(order=order, identity=0,
+                       inverse=_ro(np.arange(order, dtype=np.int32)),
+                       name=f"Z2^{n}", _law="xor")
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
@@ -161,14 +186,11 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     for h in groups[1:]:
         order = g.order * h.order
         _check_cap(order)
-        ga, gb = np.divmod(np.arange(order, dtype=np.int64), h.order)
-        table = (g.table[np.ix_(ga, ga)].astype(np.int64) * h.order
-                 + h.table[np.ix_(gb, gb)])
-        inverse = g.inverse[ga].astype(np.int64) * h.order + h.inverse[gb]
-        e = g.identity * h.order + h.identity
-        g = FiniteGroup(table=_ro(table.astype(np.int32)), identity=int(e),
-                        inverse=_ro(inverse.astype(np.int32)),
-                        name=f"{g.name}x{h.name}")
+        ga, gb = np.divmod(np.arange(order, dtype=np.int32), h.order)
+        g = FiniteGroup(order=order, identity=g.identity * h.order + h.identity,
+                        inverse=_ro(g.inverse[ga] * h.order + h.inverse[gb]),
+                        name=f"{g.name}x{h.name}", _law="direct",
+                        _factors=(g, h))
     return g
 
 
@@ -176,9 +198,7 @@ def group_from_table(table, name: str = "") -> FiniteGroup:
     """Build from an explicit table, checking every group axiom."""
     table = np.asarray(table, dtype=np.int64)
     _check_cap(table.shape[0] if table.ndim == 2 else 0)
-    g = _validate_table(table)
-    return FiniteGroup(table=g.table, identity=g.identity, inverse=g.inverse,
-                       name=name)
+    return replace(_validate_table(table), name=name)
 
 
 def build_group(spec) -> FiniteGroup:
@@ -225,15 +245,20 @@ def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
     dropped), so generator_set's validation and build_cayley share one BFS;
     the array is read-only because every caller receives the same one.
 
-    The BFS runs in plain Python over the k generator rows a * x taken as
-    lists: O(k n) element steps in all, with no numpy call per level. A
+    The BFS runs in plain Python over the k generator rows a * x, read
+    through memoryviews of one int32 array: O(k n) element steps in all,
+    with no numpy call per level and no Python object per row entry. A
     cycle C_n has n / 2 levels, so per-level array calls cost far more than
-    the elements they touch.
+    the elements they touch, and at Z_2^14 the rows as Python lists would
+    take 9 MiB.
     """
     key = tuple(sorted({int(a) for a in gens}))
 
     def make():
-        rows = [group.table[a].tolist() for a in key]
+        act = group.product(np.array(key, dtype=np.int32)[:, None],
+                            np.arange(group.order, dtype=np.int32))
+        rows = [memoryview(np.ascontiguousarray(r, dtype=np.int32))
+                for r in act]
         wl = [-1] * group.order
         wl[group.identity] = 0
         frontier = [group.identity]
@@ -254,10 +279,10 @@ def word_lengths(group: FiniteGroup, gens) -> np.ndarray:
 
 def check_invariance(group: FiniteGroup, gens: GeneratorSet) -> bool:
     """True iff a K a^-1 = K for every a in K."""
-    ks = np.asarray(list(gens), dtype=np.int64)
+    ks = np.asarray(list(gens), dtype=np.int32)
     kset = set(gens)
     for a in gens:
-        conj = group.table[group.table[a, ks], group.inverse[a]]
-        if set(int(x) for x in conj) != kset:
+        conj = group.product(group.product(a, ks), group.inverse[a])
+        if set(conj.tolist()) != kset:
             return False
     return True

@@ -573,6 +573,29 @@ def test_sweep_past_the_group_order_cap(tmp_path, monkeypatch, capsys,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("message,err", [
+    ("Unable to allocate 1.00 GiB for an array",
+     "error: out of memory: Unable to allocate 1.00 GiB for an array\n"),
+    ("", "error: out of memory\n")])
+def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys, message, err):
+    # a build too large for memory is a size limit, not a failed
+    # verification (exit 1) with a traceback; the builders are patched to
+    # raise, so nothing large is allocated
+    def oom(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, "build_cayley", oom)
+    monkeypatch.setattr(cli, "path_instance", oom)
+    spec = write_spec(tmp_path / "s.json", instance={
+        "group": {"kind": "cyclic", "n": 8}, "generators": [1, 7]})
+    out = tmp_path / "out"
+    for argv in (["run", "--spec", str(spec), "--out", str(out)],
+                 ["verify", "--spec", str(spec), "--out", str(out)],
+                 sweep_args("path", 2, 4, out)):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+    assert not any(out.iterdir())
+
+
 def test_bad_schema_and_bad_potential(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"schema": "other/9",

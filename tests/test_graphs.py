@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,9 @@ from gapbound.graphs import (build_cayley, convex_closure, induce_subgraph,
 from gapbound.groups import (cyclic_group, direct_product, generator_set,
                              group_from_table)
 from gapbound.families import (cycle_graph, cycle_instance, hypercube_graph,
-                               hypercube_instance)
+                               hypercube_instance, path_instance)
 
-from test_groups import s3_table
+from test_groups import FAMILY_CASES, s3_table
 
 
 def k_x(sub, i):
@@ -76,11 +78,20 @@ def test_cycle_distance_oracle():
     assert graph.diameter == 3
 
 
+def family_graph(name):
+    """The Cayley graph of a family group of test_groups on its invariant
+    generating set."""
+    make, *_, gens = FAMILY_CASES[name]
+    g = make()
+    return build_cayley(g, generator_set(g, gens))
+
+
 @pytest.mark.parametrize("make", [
     lambda: cycle_graph(6),
     lambda: hypercube_graph(3),
     s3_transposition_graph,
-])
+] + [pytest.param(lambda name=name: family_graph(name), id=name)
+     for name, case in FAMILY_CASES.items() if case[-1] is not None])
 def test_dist_matches_per_source_bfs(make):
     graph = make()
     assert np.array_equal(graph.dist, bfs_dist_oracle(graph))
@@ -212,11 +223,47 @@ def test_full_subgraph_trivial_boundary():
                                   lambda: cycle_instance(9)],
                          ids=["Q6", "cycle9"])
 def test_full_graph_keeps_one_distance_array(make):
-    # a full graph's distances within S are the host's, not an n x n copy
+    # a full graph's distances within S are its host distances, one n x n
+    # array; neither the host graph nor its group keeps an n x n array
     sub = make()
-    assert np.shares_memory(sub.dist_S, sub.host.dist)
-    assert np.shares_memory(sub.host_dist, sub.host.dist)
+    assert np.shares_memory(sub.dist_S, sub.host_dist)
     assert not sub.dist_S.flags.writeable
+    n = sub.n_vertices
+    kept = [a for obj in (sub.host, sub.group) for a in vars(obj).values()
+            if isinstance(a, np.ndarray)]
+    assert kept and max(a.size for a in kept) <= sub.host.degree * n
+
+
+MiB = 1 << 20
+
+
+def traced_build(make):
+    """make(), with the tracemalloc memory it keeps and its peak, in bytes
+    above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        built = make()
+        kept, peak = tracemalloc.get_traced_memory()
+        return built, kept - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_path_build_keeps_only_its_own_distances():
+    # path(512) is an arc of C_1024: its own int32 distances take 1 MiB,
+    # the host's n x n table or distances would take 4 MiB each
+    sub, kept, peak = traced_build(lambda: path_instance(512))
+    assert sub.host_dist.shape == (512, 512)
+    assert kept <= 2 * MiB
+    assert peak <= 8 * MiB
+
+
+def test_hypercube_graph_builds_without_a_table():
+    # the int32 table of Z_2^14 alone would take 1 GiB
+    graph, _, peak = traced_build(lambda: hypercube_graph(14))
+    assert graph.diameter == 14
+    assert peak <= 8 * MiB
 
 
 def test_arc_in_cycle_boundary():

@@ -1,5 +1,7 @@
 import collections
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbound.errors import (GroupTooLarge, InvalidGeneratorSet, NonGroupTable)
-from gapbound.groups import (build_group, check_invariance, cyclic_group,
-                             direct_product, elementary_abelian_2,
-                             generator_set, group_from_table, word_lengths)
+from gapbound.groups import (_validate_table, build_group, check_invariance,
+                             cyclic_group, direct_product,
+                             elementary_abelian_2, generator_set,
+                             group_from_table, word_lengths)
 
 
 def s3_table():
@@ -23,6 +26,99 @@ def s3_table():
             composed = tuple(p[q[k]] for k in range(3))  # (p o q)(k)
             table[i, j] = index[composed]
     return table, perms, index
+
+
+def corpus_s3_table():
+    """The S3 table of the committed corpus spec group-table-S3."""
+    spec = Path(__file__).parent / "corpus" / "group-table-S3.json"
+    return json.loads(spec.read_text())["instance"]["group"]["table"]
+
+
+def _cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def _xor_table(n):
+    return [[a ^ b for b in range(1 << n)] for a in range(1 << n)]
+
+
+def _mixed_radix(tables):
+    """The direct product of explicit tables, folded left: the factor ids
+    (a1, .., ak) have the id ((a1 n2 + a2) n3 + ..) nk + ak. Returns the
+    table, the identity and the inverses."""
+    orders = [len(t) for t in tables]
+    digits = list(itertools.product(*(range(o) for o in orders)))
+
+    def join(ds):
+        x = 0
+        for o, d in zip(orders, ds):
+            x = x * o + d
+        return x
+    table = [[join([t[p][q] for t, p, q in zip(tables, da, db)])
+              for db in digits] for da in digits]
+    units = [next(e for e in range(len(t)) if t[e] == list(range(len(t))))
+             for t in tables]
+    inverse = [join([t[p].index(u) for t, p, u in zip(tables, da, units)])
+               for da in digits]
+    return table, join(units), inverse
+
+
+def _direct_case(factors, tables, name, gens):
+    table, e, inverse = _mixed_radix(tables)
+    return (lambda: direct_product(*(f() for f in factors)), table, e,
+            inverse, name, gens)
+
+
+def family_cases():
+    """id -> (make group, product table, identity, inverses, name,
+    generators): what each family group must equal, element by element,
+    with an invariant generating set (None for a trivial group)."""
+    cases = {}
+    for n in range(1, 17):
+        cases[f"Z{n}"] = (lambda n=n: cyclic_group(n), _cyclic_table(n), 0,
+                          [(-a) % n for a in range(n)], f"Z{n}",
+                          sorted({1, n - 1}) if n > 1 else None)
+    for n in range(0, 7):
+        cases[f"Z2^{n}"] = (lambda n=n: elementary_abelian_2(n),
+                            _xor_table(n), 0, list(range(1 << n)),
+                            f"Z2^{n}", [1 << i for i in range(n)] or None)
+    cases["Z4xZ2"] = _direct_case(
+        [lambda: cyclic_group(4), lambda: cyclic_group(2)],
+        [_cyclic_table(4), _cyclic_table(2)], "Z4xZ2", [1, 2, 6])
+    cases["Z2xZ3xZ2"] = _direct_case(
+        [lambda: cyclic_group(2), lambda: cyclic_group(3),
+         lambda: cyclic_group(2)],
+        [_cyclic_table(2), _cyclic_table(3), _cyclic_table(2)], "Z2xZ3xZ2",
+        [1, 2, 4, 6])
+    # the three transpositions of S3 (ids 1, 2, 5) paired with 0, and (e, 1)
+    cases["S3xZ2"] = _direct_case(
+        [lambda: group_from_table(corpus_s3_table(), name="S3"),
+         lambda: cyclic_group(2)],
+        [corpus_s3_table(), _cyclic_table(2)], "S3xZ2", [1, 2, 4, 10])
+    return cases
+
+
+FAMILY_CASES = family_cases()
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_family_product_is_its_arithmetic(name):
+    make, table, identity, inverse, label, _ = FAMILY_CASES[name]
+    g = make()
+    ids = np.arange(g.order)
+    assert g.order == len(table)
+    assert np.array_equal(g.product(ids[:, None], ids), table)
+    assert [g.mul(a, b) for a in range(g.order) for b in range(g.order)] \
+        == [x for row in table for x in row]
+    assert (g.identity, g.inverse.tolist(), g.name) == (identity, inverse,
+                                                        label)
+    assert g.inverse.dtype == np.int32 and not g.inverse.flags.writeable
+    # computed by arithmetic: no group in the family stores a table
+    assert g._table is None
+    full = g.table
+    assert full.dtype == np.int32 and np.array_equal(full, table)
+    checked = _validate_table(full)
+    assert (checked.identity, checked.inverse.tolist()) == (identity, inverse)
 
 
 def test_cyclic_trivial():
