@@ -14,9 +14,9 @@ That certificate is exact: d is a lower bound on distances within S, and
 induction on d(x, y) makes it an upper bound too. Sets that fail it (a long
 arc of a cycle) get a BFS inside S.
 
-Strong convexity and the convex closure share one geodesic scan over
-blocks of outside vertices; strong convexity runs it over the boundary
-first, which decides convexity alone.
+Strong convexity and the convex closure share one geodesic scan, and it
+reads only boundary vertices: a geodesic between members that leaves S
+leaves it first at a boundary vertex, which lies on the same geodesic.
 """
 
 import bisect
@@ -26,18 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CriterionMismatch, DisconnectedSubgraph, NotInvariant
-from .groups import (FiniteGroup, GeneratorSet, _kept, _ro, check_invariance,
-                     word_lengths)
-
-
-# The one scratch budget of every blocked pass, in array cells (512 KiB of
-# float64): each row block of host distances and of the distance
-# certificate, the d(x, v) + d(v, y) cells of a geodesic-scan block, the
-# pair-scan gather buffers, ball dilation's live arrays together, the heat
-# stencil's states per block of sample times, each row block of the
-# extremal scans and each column block of the residuals. Larger blocks save
-# little time and raise peak memory.
-_SCAN_CELLS = 1 << 16
+from .groups import (_SCAN_CELLS, FiniteGroup, GeneratorSet, _kept, _ro,
+                     check_invariance, word_lengths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,10 +300,9 @@ def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     Criterion 1 needs only the boundary. A geodesic between members that
     leaves S leaves it first at a vertex adjacent to S, which lies on the
     same geodesic; so S is convex iff no boundary vertex is a witness. That
-    scan costs O(|boundary| m^2) instead of O((n - m) m^2). Only when it
-    finds a witness do all outside vertices get scanned, so the witness
-    reported is the first (v, x, y) in order of outside vertex v, then
-    local x, then local y. The result is kept on `sub` (`_kept`); a
+    scan costs O(|boundary| m^2) instead of O((n - m) m^2), and it gives
+    the witness too: the first (v, x, y) in order of boundary vertex v,
+    then local x, then local y. The result is kept on `sub` (`_kept`); a
     CriterionMismatch keeps nothing, and raises again on the next call.
     """
     return _kept(sub, "convexity", lambda: _strong_convexity(sub))
@@ -323,14 +312,11 @@ def _strong_convexity(sub: ConvexSubgraph) -> ConvexityResult:
     host, vset, hd = sub.host, sub.vset, sub.host_dist
 
     witness = None
-    if any(hit.any() for _, hit in _geodesic_blocks(host, vset, hd,
-                                                    sub.boundary)):
-        outside = np.flatnonzero(sub._pos < 0)
-        for block, hit in _geodesic_blocks(host, vset, hd, outside):
-            if hit.any():
-                j, x, y = np.argwhere(hit)[0]
-                witness = (int(vset[x]), int(vset[y]), int(block[j]))
-                break
+    for block, x0, hit in _geodesic_blocks(host, vset, hd, sub.boundary):
+        if hit.any():
+            j, x, y = np.argwhere(hit)[0]
+            witness = (int(vset[x0 + x]), int(vset[y]), int(block[j]))
+            break
     convex = witness is None
 
     crit2, crit2_wit = _criterion2(sub)
@@ -349,19 +335,25 @@ def _strong_convexity(sub: ConvexSubgraph) -> ConvexityResult:
 
 
 def _geodesic_blocks(host, members, hd, outside):
-    """Yield (block, hit) over consecutive blocks of the `outside` vertices.
+    """Yield (block, x0, hit) over blocks of the `outside` vertices, then
+    of member rows from x0.
 
-    hit[j, x, y] says that v = block[j] lies on a geodesic between members
-    x and y: d(x, v) + d(v, y) = d(x, y), with hd = host distances among
-    members. Distances are symmetric (the generating set is), so one block
-    of d(v, members) serves both legs.
+    hit[j, i, y] says that v = block[j] lies on a geodesic between members
+    x0 + i and y: d(x, v) + d(v, y) = d(x, y), with hd = host distances
+    among members. Distances are symmetric (the generating set is), so one
+    block of d(v, members) serves both legs. A block holds at most
+    _SCAN_CELLS sums: several outside vertices while m^2 fits, else one
+    vertex and a run of member rows, so blocks come in order of v, then x.
     """
     m = members.size
     step = max(1, _SCAN_CELLS // max(1, m * m))
+    rows = min(m, _SCAN_CELLS // max(1, m))
     for i in range(0, outside.size, step):
         block = outside[i:i + step]
         d = host.distances(block, members)
-        yield block, d[:, :, None] + d[:, None, :] == hd
+        for x0 in range(0, m, rows):
+            yield block, x0, (d[:, x0:x0 + rows, None] + d[:, None, :]
+                              == hd[x0:x0 + rows])
 
 
 def _criterion2(sub: ConvexSubgraph):
@@ -408,15 +400,17 @@ def _sp2_closure(sub: ConvexSubgraph):
 def convex_closure(host: HomogeneousGraph, seed) -> np.ndarray:
     """Smallest strongly convex vertex set containing `seed` (host ids).
 
-    Each round adds every outside vertex on a geodesic between members.
+    Each round adds every boundary vertex on a geodesic between members;
+    the set is convex once a round adds none.
     """
     inside = np.zeros(host.n_vertices, dtype=bool)
     inside[[int(v) for v in seed]] = True
     while True:
         members = np.flatnonzero(inside)
+        near = host.act[:, members]
+        boundary = np.unique(near[~inside[near]])
         hd = host.distances(members, members)
-        for block, hit in _geodesic_blocks(host, members, hd,
-                                           np.flatnonzero(~inside)):
+        for block, _, hit in _geodesic_blocks(host, members, hd, boundary):
             inside[block[hit.any(axis=(1, 2))]] = True
         if np.count_nonzero(inside) == members.size:
             break

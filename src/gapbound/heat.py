@@ -13,13 +13,12 @@ import numpy as np
 
 from .errors import CertificateFailure, InsufficientSpan
 from .graphs import _SCAN_CELLS, _ro
-from .moduli import (_NOT_POSITIVE, _difference_sums, _eta_block,
-                     _ground_ratio, _lead_positive)
+from .moduli import _NOT_POSITIVE, _difference_sums, _eta_block, _ground_ratio
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads heat.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
-from .operators import (Spectrum, SymmetricOperator, eigendecompose,
-                        path_lattice_laplacian)
+from .operators import (Spectrum, SymmetricOperator, _lead_positive,
+                        eigendecompose, path_lattice_laplacian)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import BoundUnavailable, EmptyAfterSkips, NoAdmissibleTriple
 from .graphs import _SCAN_CELLS, ConvexSubgraph, _kept, _ro
-from .operators import Spectrum
+from .operators import Spectrum, _lead_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +155,7 @@ class RatioFunction:
 
     @classmethod
     def from_vectors(cls, u0, u1, sub: ConvexSubgraph) -> "RatioFunction":
-        u0 = _lead_positive(np.asarray(u0, dtype=np.float64))
+        u0 = _lead_positive(np.array(u0, dtype=np.float64))
         if u0.min() <= 0:
             raise ValueError(_NOT_POSITIVE)
         return cls(sub=sub, u0=u0, f=np.asarray(u1, dtype=np.float64) / u0)
@@ -169,13 +169,6 @@ class RatioFunction:
 
 
 _NOT_POSITIVE = "ground state must be strictly positive on V(S)"
-
-
-def _lead_positive(u0: np.ndarray) -> np.ndarray:
-    """u0, negated along the last axis where its largest-magnitude entry is
-    negative."""
-    lead = np.take_along_axis(u0, np.abs(u0).argmax(axis=-1)[..., None], -1)
-    return np.where(lead < 0, -u0, u0)
 
 
 def _difference_sums(sub: ConvexSubgraph, f, u0=None) -> np.ndarray:

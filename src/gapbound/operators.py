@@ -122,15 +122,30 @@ class Spectrum:
 
     @property
     def ground_state(self) -> np.ndarray:
-        """u0 with its largest-magnitude entry positive; read-only."""
-        u0 = self.eigenvectors[:, 0]
-        return _kept(self, "ground_state", lambda: _ro(-u0)
-                     if u0[np.argmax(np.abs(u0))] < 0 else u0)
+        """u0 with its largest-magnitude entry positive; read-only, and a
+        view of the eigenvectors when its sign stays."""
+        def make():
+            u0 = _lead_positive(self.eigenvectors[:, 0])
+            u0.setflags(write=False)
+            return u0
+        return _kept(self, "ground_state", make)
 
     @property
     def residuals(self) -> np.ndarray:
         """max_x |(Op u - lambda u)(x)| of each pair; read-only."""
         return _kept(self, "residuals", lambda: _ro(_residuals(self)))
+
+
+def _lead_positive(u0: np.ndarray) -> np.ndarray:
+    """u0, negated along the last axis where its largest-magnitude entry is
+    negative; u0 itself when no sign changes."""
+    lead = np.take_along_axis(u0, np.abs(u0).argmax(axis=-1)[..., None], -1)
+    return np.where(lead < 0, -u0, u0) if (lead < 0).any() else u0
+
+
+def _residual_scale(w: np.ndarray) -> float:
+    """max(1, |w|max): the scale of the spectrum's residual bound."""
+    return max(1.0, float(np.abs(w).max(initial=0.0)))
 
 
 def _lambda1_indices(w: np.ndarray, tol: ToleranceConfig) -> range:
@@ -144,8 +159,7 @@ def _lambda1_indices(w: np.ndarray, tol: ToleranceConfig) -> range:
     """
     if w.size < 2:
         return range(1, 1)
-    scale = max(1.0, float(np.abs(w).max()))
-    width = 0.5 * tol.spectrum_residual * scale
+    width = 0.5 * tol.spectrum_residual * _residual_scale(w)
     k = int(np.count_nonzero(w[1:] - w[1] <= width))
     return range(1, 1 + k)
 
@@ -240,7 +254,7 @@ def eigendecompose(op: SymmetricOperator,
 
 def _validate_spectrum(spec: Spectrum):
     w, v, tol = spec.eigenvalues, spec.eigenvectors, spec.tolerances
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    scale = _residual_scale(w)
     if spec.residuals.max(initial=0.0) > tol.spectrum_residual * scale:
         raise SpectrumInvariantError(
             f"residual {spec.residuals.max():.3e} exceeds bound")

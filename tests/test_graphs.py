@@ -12,7 +12,8 @@ from gapbound.graphs import (build_cayley, convex_closure, induce_subgraph,
 from gapbound.groups import (cyclic_group, direct_product, generator_set,
                              group_from_table)
 from gapbound.families import (cycle_graph, cycle_instance, hypercube_graph,
-                               hypercube_instance, path_instance)
+                               hypercube_instance, path_instance,
+                               subcube_instance)
 
 from test_groups import FAMILY_CASES, s3_table
 
@@ -266,6 +267,15 @@ def test_hypercube_graph_builds_without_a_table():
     assert peak <= 8 * MiB
 
 
+def test_convexity_scan_keeps_to_the_scratch_budget():
+    # Q10[x9=0] has 512 members: the sums for one outside vertex and all
+    # member pairs would take 1 MiB of int32 and their mask 0.25 MiB more
+    sub = subcube_instance([None] * 9 + [0])
+    res, _, peak = traced_build(lambda: is_strongly_convex(sub))
+    assert res.convex
+    assert peak <= 1 * MiB
+
+
 def test_arc_in_cycle_boundary():
     graph = cycle_graph(6)
     sub = induce_subgraph(graph, [0, 1, 2])
@@ -366,12 +376,11 @@ def test_grown_convex_sets_pass_all_criteria(n, data):
 
 
 def loop_convexity_witness(sub):
-    """The per-vertex geodesic loop: first (x, y, v) by v, then x, then y."""
+    """The per-vertex geodesic loop over the boundary: first (x, y, v) by
+    boundary vertex v, then x, then y."""
     host, vset = sub.host, sub.vset
-    if sub.is_full:
-        return None
     hd = host.dist[np.ix_(vset, vset)]
-    outside = np.setdiff1d(np.arange(host.n_vertices, dtype=np.int32), vset)
+    outside = sub.boundary
     dv = host.dist[np.ix_(vset, outside)]
     dw = host.dist[np.ix_(outside, vset)]
     for j, v in enumerate(outside):
@@ -425,9 +434,13 @@ def far_witness_set():
     (lambda: induce_subgraph(hypercube_graph(2), [0, 1, 3]), False),
     (lambda: induce_subgraph(cycle_graph(8), range(6)), False),
     (far_witness_set, False),
+    # the first witness in boundary order, (5, 10, 1), is not the first in
+    # the order of all outside vertices, (5, 10, 0)
+    (lambda: induce_subgraph(hypercube_graph(4), [5, 6, 10, 13, 14, 15]),
+     False),
 ], ids=["C12-arc", "C9-arc", "Q4-subcube", "Q6-subcube", "Q3-full",
         "Z4xZ3-square", "C6-half-arc", "Q2-bent-path", "C8-long-arc",
-        "Q8-far-witness"])
+        "Q8-far-witness", "Q4-boundary-order"])
 def test_convexity_witness_matches_loop(make, convex):
     sub = make()
     res = is_strongly_convex(sub)
@@ -437,11 +450,10 @@ def test_convexity_witness_matches_loop(make, convex):
 
 def test_far_witness_lies_beyond_first_block():
     sub = far_witness_set()
-    outside = np.flatnonzero(sub._pos < 0)
     step = graphs._SCAN_CELLS // sub.n_vertices ** 2
     x, y, via = is_strongly_convex(sub).witness
     assert via == 131
-    assert int(np.searchsorted(outside, via)) >= 2 * step
+    assert int(np.searchsorted(sub.boundary, via)) >= 2 * step
 
 
 @settings(max_examples=30, deadline=None)
@@ -485,41 +497,53 @@ def test_convexity_cached_but_mismatch_raises_again(monkeypatch):
 
 
 def spy_geodesic_scans(monkeypatch):
-    """The vertex sets that is_strongly_convex hands the geodesic scan."""
+    """The (members, outside) vertex sets handed to the geodesic scan."""
     real = graphs._geodesic_blocks
     scanned = []
 
-    def spy(dist, members, hd, outside):
-        scanned.append(np.array(outside))
-        return real(dist, members, hd, outside)
+    def spy(host, members, hd, outside):
+        scanned.append((np.array(members), np.array(outside)))
+        return real(host, members, hd, outside)
     monkeypatch.setattr(graphs, "_geodesic_blocks", spy)
     return scanned
 
 
-@pytest.mark.parametrize("make", [
-    lambda: induce_subgraph(cycle_graph(80), range(40)),
-    lambda: induce_subgraph(cycle_graph(12), range(5)),
-    lambda: induce_subgraph(hypercube_graph(6),
-                            [v for v in range(64) if v & 0b100100 == 0b100]),
-    lambda: hypercube_graph(3).full_subgraph(),
-], ids=["path40", "C12-arc", "Q6-subcube", "Q3-full"])
-def test_convex_sets_scan_only_their_boundary(make, monkeypatch):
+@pytest.mark.parametrize("make,convex", [
+    (lambda: induce_subgraph(cycle_graph(80), range(40)), True),
+    (lambda: induce_subgraph(cycle_graph(12), range(5)), True),
+    (lambda: induce_subgraph(hypercube_graph(6),
+                             [v for v in range(64) if v & 0b100100 == 0b100]),
+     True),
+    (lambda: hypercube_graph(3).full_subgraph(), True),
+    # a boundary vertex is a witness, and the same scan reports it
+    (lambda: induce_subgraph(cycle_graph(8), range(6)), False),
+], ids=["path40", "C12-arc", "Q6-subcube", "Q3-full", "C8-long-arc"])
+def test_convex_sets_scan_only_their_boundary(make, convex, monkeypatch):
     sub = make()
     scanned = spy_geodesic_scans(monkeypatch)
-    assert is_strongly_convex(sub).convex
-    assert len(scanned) == 1
-    assert np.array_equal(scanned[0], sub.boundary)
-
-
-def test_witness_search_scans_every_outside_vertex(monkeypatch):
-    # C8 long arc: a boundary vertex is a witness, and the reported one is
-    # the first in outside-vertex order
-    sub = induce_subgraph(cycle_graph(8), range(6))
-    scanned = spy_geodesic_scans(monkeypatch)
     res = is_strongly_convex(sub)
-    assert not res.convex
-    assert [s.tolist() for s in scanned] == [sub.boundary.tolist(), [6, 7]]
+    assert res.convex == convex
+    assert len(scanned) == 1
+    assert np.array_equal(scanned[0][1], sub.boundary)
     assert res.witness == loop_convexity_witness(sub)
+
+
+@pytest.mark.parametrize("make,seed", [
+    (lambda: cycle_graph(10), [0, 3]),
+    (lambda: hypercube_graph(5), [0b00011, 0b11100]),
+    (lambda: hypercube_graph(8), far_witness_set().vset.tolist()),
+], ids=["C10-near", "Q5-antipodal", "Q8-far-witness"])
+def test_convex_closure_rounds_scan_only_their_boundary(make, seed,
+                                                        monkeypatch):
+    host = make()
+    scanned = spy_geodesic_scans(monkeypatch)
+    closure = convex_closure(host, seed)
+    assert len(scanned) >= 2
+    for members, outside in scanned:
+        near = host.act[:, members].ravel()
+        assert np.array_equal(outside,
+                              np.setdiff1d(near, members).astype(np.int32))
+    assert np.array_equal(scanned[-1][0], closure)
 
 
 def loop_sp2_closure(sub):

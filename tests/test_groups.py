@@ -100,21 +100,33 @@ def family_cases():
 
 FAMILY_CASES = family_cases()
 
+# explicit tables above order 256, in the same form as FAMILY_CASES
+EXPLICIT_CASES = {
+    "table-Z300": (lambda: group_from_table(_cyclic_table(300), name="Z300"),
+                   _cyclic_table(300), 0, [(-a) % 300 for a in range(300)],
+                   "Z300", None),
+    "table-Z2^9": (lambda: group_from_table(_xor_table(9), name="Z2^9"),
+                   _xor_table(9), 0, list(range(512)), "Z2^9", None),
+}
 
-@pytest.mark.parametrize("name", FAMILY_CASES)
+
+@pytest.mark.parametrize("name", [*FAMILY_CASES, *EXPLICIT_CASES])
 def test_family_product_is_its_arithmetic(name):
-    make, table, identity, inverse, label, _ = FAMILY_CASES[name]
+    make, table, identity, inverse, label, _ = {**FAMILY_CASES,
+                                                **EXPLICIT_CASES}[name]
     g = make()
     ids = np.arange(g.order)
     assert g.order == len(table)
     assert np.array_equal(g.product(ids[:, None], ids), table)
-    assert [g.mul(a, b) for a in range(g.order) for b in range(g.order)] \
-        == [x for row in table for x in row]
+    # the scalar path on the first 64 rows: every row of the family groups
+    assert [g.mul(a, b) for a in range(min(g.order, 64))
+            for b in range(g.order)] == [x for row in table[:64] for x in row]
     assert (g.identity, g.inverse.tolist(), g.name) == (identity, inverse,
                                                         label)
     assert g.inverse.dtype == np.int32 and not g.inverse.flags.writeable
-    # computed by arithmetic: no group in the family stores a table
-    assert g._table is None
+    # computed by arithmetic: no group in the family stores a table, and an
+    # explicit group keeps its own
+    assert (g._table is None) == (name in FAMILY_CASES)
     full = g.table
     assert full.dtype == np.int32 and np.array_equal(full, table)
     checked = _validate_table(full)
@@ -196,6 +208,37 @@ def test_non_group_associativity_violation():
     with pytest.raises(NonGroupTable) as exc:
         group_from_table(t)
     assert exc.value.axiom in ("associativity", "inverse")
+
+
+def test_swapped_intercalate_in_z4096_is_not_associative():
+    # rows and columns 1 and 2049 of Z_4096 hold the Latin subsquare
+    # [[2, 2050], [2050, 2]]; swapping its columns leaves a Latin loop with
+    # identity 0 and two-sided inverses that is not associative
+    n = 4096
+    ids = np.arange(n, dtype=np.int32)
+    t = (ids[:, None] + ids) % n
+    t[np.ix_([1, 2049], [1, 2049])] = t[np.ix_([1, 2049], [2049, 1])]
+    with pytest.raises(NonGroupTable) as exc:
+        group_from_table(t)
+    assert exc.value.axiom == "associativity"
+    a, x, y = exc.value.witness
+    assert t[t[a, x], y] != t[a, t[x, y]]
+
+
+L5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+      [4, 3, 1, 2, 0]]
+
+
+def test_loop_passes_its_first_slab_and_fails_its_second():
+    # L5 x Z2, ids a*2 + b: element 1 = (0, 1) is associative with all
+    # pairs, and the closure of e under it is {0, 1}; element 2 = (1, 0) is
+    # the next one checked, and the first that fails
+    t = [[L5[a][c] * 2 + (b ^ d) for c in range(5) for d in range(2)]
+         for a in range(5) for b in range(2)]
+    with pytest.raises(NonGroupTable) as exc:
+        group_from_table(t)
+    assert (exc.value.axiom, exc.value.witness) == ("associativity",
+                                                    (2, 2, 4))
 
 
 def test_order_cap():
