@@ -42,14 +42,7 @@ def bound_thm1(d: int) -> float:
 
 def is_hypercube(sub: ConvexSubgraph) -> bool:
     """Full Cayley graph of Z_2^n under n independent involutions."""
-    if not sub.is_full:
-        return False
-    group = sub.group
-    if group.order < 2:
-        return False
-    if not (group.inverse == np.arange(group.order)).all():
-        return False
-    return group.order == 1 << len(sub.gens)
+    return sub.is_full and sub.host.is_hypercube
 
 
 def bound_thm2(sub: ConvexSubgraph) -> float:

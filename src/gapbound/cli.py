@@ -8,10 +8,9 @@ negative margin only demands a decay rate above mu.
 
 Exit status: 0 when every requested verification holds, 1 on a verification
 failure, 2 on a spec error, on a run out of memory, or on any other
-typed error the run raises, `ConvergenceFailure`, `SpectrumInvariantError`
-and `CriterionMismatch` included. Every failed check is named in the
-report's `failures`; a failed certificate's block carries its `error` and
-`witness`.
+typed error the run raises, `ConvergenceFailure` and `SpectrumInvariantError`
+included. Every failed check is named in the report's `failures`; a failed
+certificate's block carries its `error` and `witness`.
 
 Every output file is encoded straight into a sibling temporary file, which
 then replaces the file: the JSON chunk by chunk, the CSVs a line, or one

@@ -38,10 +38,6 @@ class DisconnectedSubgraph(GapboundError):
     """Induced subgraph is not connected."""
 
 
-class CriterionMismatch(GapboundError):
-    """Strong convexity holds but an equivalent criterion disagrees (internal bug)."""
-
-
 # -- operators --------------------------------------------------------------
 
 class NegativePotential(GapboundError):

@@ -63,7 +63,9 @@ def subcube_instance(mask) -> ConvexSubgraph:
     return induce_subgraph(host, ids[keep])
 
 
-def _is_hypercube_host(sub: ConvexSubgraph) -> bool:
+def _all_involutions(sub: ConvexSubgraph) -> bool:
+    """Every host element is its own inverse: Z_2^n under any generators,
+    folded cubes included; wider than Q_n (`HomogeneousGraph.is_hypercube`)."""
     g = sub.host.group
     return bool((g.inverse == np.arange(g.order)).all()) and g.order > 1
 
@@ -71,10 +73,11 @@ def _is_hypercube_host(sub: ConvexSubgraph) -> bool:
 def vertex_coordinate(sub: ConvexSubgraph) -> np.ndarray:
     """Scalar coordinate per local vertex for formula potentials.
 
-    Hamming weight of the host id on hypercube hosts; the position along
+    Hamming weight of the host id on hosts where every element is an
+    involution (Z_2^n under any generators); the position along
     the vertex list otherwise (which is the arc coordinate for paths).
     """
-    if _is_hypercube_host(sub):
+    if _all_involutions(sub):
         return np.array([bin(int(v)).count("1") for v in sub.vset], dtype=np.float64)
     return np.arange(sub.n_vertices, dtype=np.float64)
 

@@ -14,9 +14,13 @@ That certificate is exact: d is a lower bound on distances within S, and
 induction on d(x, y) makes it an upper bound too. Sets that fail it (a long
 arc of a cycle) get a BFS inside S.
 
-Strong convexity and the convex closure share one geodesic scan, and it
-reads only boundary vertices: a geodesic between members that leaves S
-leaves it first at a boundary vertex, which lies on the same geodesic.
+Strong convexity is decided once per subgraph, by one test chosen by the
+host. On Q_n, a median graph, a connected set is convex iff no boundary
+vertex has two neighbours inside it (Chepoi 1989; Bandelt-Chepoi 2008):
+O(k |boundary|) work. Every other host gets the geodesic scan, which the
+convex closure shares; it reads only boundary vertices, since a geodesic
+between members that leaves S leaves it first at a boundary vertex, which
+lies on the same geodesic.
 """
 
 import bisect
@@ -25,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CriterionMismatch, DisconnectedSubgraph, NotInvariant
+from .errors import DisconnectedSubgraph, NotInvariant
 from .groups import (_SCAN_CELLS, FiniteGroup, GeneratorSet, _kept, _ro,
                      check_invariance, word_lengths)
 
@@ -47,6 +51,14 @@ class HomogeneousGraph:
     @property
     def degree(self) -> int:
         return len(self.gens)
+
+    @property
+    def is_hypercube(self) -> bool:
+        """Q_n: Z_2^n (every element an involution) under exactly n
+        generators, which then form a basis. Kept on the graph (`_kept`)."""
+        g = self.group
+        return _kept(self, "is_hypercube", lambda: g.order == 1 << self.degree
+                     and bool((g.inverse == np.arange(g.order)).all()))
 
     @property
     def dist(self) -> np.ndarray:
@@ -278,10 +290,6 @@ def _all_pairs_bfs(nbr_local: np.ndarray) -> np.ndarray:
 class ConvexityResult:
     convex: bool
     witness: Optional[tuple]      # (x, y, via) host ids; via outside S
-    criterion2: bool
-    criterion2_witness: Optional[tuple]
-    sp2_closure: bool
-    sp2_witness: Optional[tuple]
 
     def __bool__(self):
         return self.convex
@@ -290,48 +298,49 @@ class ConvexityResult:
 def is_strongly_convex(sub: ConvexSubgraph) -> ConvexityResult:
     """Decide strong convexity: every host geodesic between members stays in S.
 
-    Criterion 1 is the geodesic test itself (an outside vertex v with
-    d(x,v) + d(v,y) = d(x,y) is a witness). The generator criterion and the
-    shortest-path closure property are evaluated alongside; both are implied
-    by convexity, so a convex set failing either raises CriterionMismatch.
-    The converse implication genuinely fails on some non-convex sets (e.g. a
-    half cycle), so no error is raised in that direction.
-
-    Criterion 1 needs only the boundary. A geodesic between members that
-    leaves S leaves it first at a vertex adjacent to S, which lies on the
-    same geodesic; so S is convex iff no boundary vertex is a witness. That
-    scan costs O(|boundary| m^2) instead of O((n - m) m^2), and it gives
-    the witness too: the first (v, x, y) in order of boundary vertex v,
-    then local x, then local y. The result is kept on `sub` (`_kept`); a
-    CriterionMismatch keeps nothing, and raises again on the next call.
+    One test decides, chosen by the host alone. On a Q_n host it is the
+    local test: S, connected, is convex iff no boundary vertex x has two
+    neighbours a*x, b*x in S, since Q_n is a median graph; the witness is
+    (a*x, b*x, x) for the first such x and its first two such generators,
+    a geodesic as d(a*x, b*x) = 2. Cycles, tori, products and the other
+    hosts are not median graphs, and there the local test can accept a
+    non-convex set (an 8-arc of C12), so they get the geodesic scan of the
+    boundary: a geodesic between members that leaves S leaves it first at
+    a boundary vertex on the same geodesic. Its witness is the first
+    (x, y, v) in order of boundary vertex v, then local x, then local y.
+    The result is kept on `sub` (`_kept`).
     """
     return _kept(sub, "convexity", lambda: _strong_convexity(sub))
 
 
 def _strong_convexity(sub: ConvexSubgraph) -> ConvexityResult:
-    host, vset, hd = sub.host, sub.vset, sub.host_dist
+    decide = _local_witness if sub.host.is_hypercube else _scan_witness
+    witness = decide(sub)
+    return ConvexityResult(convex=witness is None, witness=witness)
 
-    witness = None
-    for block, x0, hit in _geodesic_blocks(host, vset, hd, sub.boundary):
+
+def _local_witness(sub: ConvexSubgraph) -> Optional[tuple]:
+    """The local test's first witness (a*x, b*x, x), or None."""
+    act = sub.host.act
+    into = sub._pos[act[:, sub.boundary]] >= 0      # (k, |boundary|)
+    two = np.flatnonzero(into.sum(axis=0) >= 2)
+    if two.size == 0:
+        return None
+    x = sub.boundary[two[0]]
+    a, b = np.flatnonzero(into[:, two[0]])[:2]
+    return int(act[a, x]), int(act[b, x]), int(x)
+
+
+def _scan_witness(sub: ConvexSubgraph) -> Optional[tuple]:
+    """The geodesic scan's first witness (x, y, v) over the boundary, or
+    None."""
+    vset = sub.vset
+    for block, x0, hit in _geodesic_blocks(sub.host, vset, sub.host_dist,
+                                           sub.boundary):
         if hit.any():
             j, x, y = np.argwhere(hit)[0]
-            witness = (int(vset[x0 + x]), int(vset[y]), int(block[j]))
-            break
-    convex = witness is None
-
-    crit2, crit2_wit = _criterion2(sub)
-    sp2, sp2_wit = _sp2_closure(sub)
-
-    if convex and not crit2:
-        raise CriterionMismatch(
-            f"convex subgraph violates the generator criterion at {crit2_wit}")
-    if convex and not sp2:
-        raise CriterionMismatch(
-            f"convex subgraph violates shortest-path closure at {sp2_wit}")
-
-    return ConvexityResult(convex=convex, witness=witness, criterion2=crit2,
-                           criterion2_witness=crit2_wit, sp2_closure=sp2,
-                           sp2_witness=sp2_wit)
+            return int(vset[x0 + x]), int(vset[y]), int(block[j])
+    return None
 
 
 def _geodesic_blocks(host, members, hd, outside):
@@ -354,47 +363,6 @@ def _geodesic_blocks(host, members, hd, outside):
         for x0 in range(0, m, rows):
             yield block, x0, (d[:, x0:x0 + rows, None] + d[:, None, :]
                               == hd[x0:x0 + rows])
-
-
-def _criterion2(sub: ConvexSubgraph):
-    """For x in the boundary: distinct a, b with ax, bx in S need b^-1 a in K."""
-    host = sub.host
-    group = host.group
-    gens = list(host.gens)
-    kset = set(gens)
-    into = sub._pos[host.act[:, sub.boundary]] >= 0   # (k, |boundary|)
-    for x, keep in zip(sub.boundary, into.T):
-        ins = [a for a, k in zip(gens, keep) if k]
-        for a in ins:
-            for b in ins:
-                if a == b:
-                    continue
-                if group.mul(group.inv(b), a) not in kset:
-                    return False, (int(x), int(a), int(b))
-    return True, None
-
-
-def _sp2_closure(sub: ConvexSubgraph):
-    """If x, ax, y in S and d(ax, y) = d(x, y) + 1 then ay must be in S.
-
-    A generator under which no vertex of S leaves S has no violation and is
-    skipped, so the witness is still the first in generator order.
-    """
-    host = sub.host
-    vset = sub.vset
-    hd = sub.host_dist
-    for ai, a in enumerate(host.gens):
-        ax_local = sub.nbr_local[ai]          # local index of a*x or -1
-        ay_out = ax_local < 0                 # a*y outside S, per local y
-        if not ay_out.any() or ay_out.all():
-            continue
-        # rows: x with ax in S; columns: the y with ay outside S
-        have, out = np.nonzero(~ay_out)[0], np.nonzero(ay_out)[0]
-        bad = hd[ax_local[have, None], out] == hd[have[:, None], out] + 1
-        if bad.any():
-            xi, yi = np.argwhere(bad)[0]
-            return False, (int(vset[have[xi]]), int(vset[out[yi]]), int(a))
-    return True, None
 
 
 def convex_closure(host: HomogeneousGraph, seed) -> np.ndarray:

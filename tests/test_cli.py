@@ -109,6 +109,22 @@ def test_subcube_family(tmp_path):
     assert rep["strongly_convex"]
 
 
+def test_bent_path_in_q3_reports_the_local_witness(tmp_path):
+    # the local test decides Q_n hosts: boundary vertex 2 has the members
+    # 2^1 = 3 and 2^2 = 0 as neighbours, a geodesic from 3 to 0 through 2
+    spec = write_spec(tmp_path / "s.json",
+                      instance={"group": {"kind": "elementary_abelian_2",
+                                          "n": 3},
+                                "generators": [1, 2, 4],
+                                "subgraph": [0, 1, 3, 7]},
+                      analyses=["bounds"])
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    rep = load_report(out)
+    assert not rep["strongly_convex"]
+    assert rep["convexity_witness"] == [3, 0, 2]
+
+
 def test_reports_byte_stable(tmp_path):
     spec = write_spec(tmp_path / "s.json",
                       instance={"family": {"name": "path", "n": 5}},

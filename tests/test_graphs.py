@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbound import graphs
-from gapbound.errors import CriterionMismatch, DisconnectedSubgraph, NotInvariant
+from gapbound.errors import DisconnectedSubgraph, NotInvariant
 from gapbound.graphs import (build_cayley, convex_closure, induce_subgraph,
                              is_strongly_convex)
-from gapbound.groups import (cyclic_group, direct_product, generator_set,
+from gapbound.groups import (cyclic_group, direct_product,
+                             elementary_abelian_2, generator_set,
                              group_from_table)
 from gapbound.families import (cycle_graph, cycle_instance, hypercube_graph,
                                hypercube_instance, path_instance,
@@ -271,8 +272,8 @@ def test_convexity_scan_keeps_to_the_scratch_budget():
     # Q10[x9=0] has 512 members: the sums for one outside vertex and all
     # member pairs would take 1 MiB of int32 and their mask 0.25 MiB more
     sub = subcube_instance([None] * 9 + [0])
-    res, _, peak = traced_build(lambda: is_strongly_convex(sub))
-    assert res.convex
+    witness, _, peak = traced_build(lambda: graphs._scan_witness(sub))
+    assert witness is None
     assert peak <= 1 * MiB
 
 
@@ -305,7 +306,7 @@ def test_single_vertex_convex():
     sub = induce_subgraph(graph, [2])
     res = is_strongly_convex(sub)
     assert res.convex
-    assert res.criterion2
+    assert res.witness is None
 
 
 @pytest.mark.parametrize("n,arc", [(7, 3), (8, 3), (9, 4), (12, 5)])
@@ -320,8 +321,8 @@ def test_short_arcs_convex(n, arc):
 
 def test_half_arc_not_convex_but_criterion2_vacuous():
     # the 4-arc of C6 preserves distances yet misses the geodesic through
-    # the far side; the local generator criterion is vacuously true here,
-    # which is exactly why convexity is decided by the geodesic test
+    # the far side; the local test passes vacuously here, which is exactly
+    # why convexity on a cycle is decided by the geodesic test
     graph = cycle_graph(6)
     sub = induce_subgraph(graph, [0, 1, 2, 3])
     res = is_strongly_convex(sub)
@@ -329,7 +330,7 @@ def test_half_arc_not_convex_but_criterion2_vacuous():
     x, y, via = res.witness
     assert graph.dist[x, via] + graph.dist[via, y] == graph.dist[x, y]
     assert via not in sub.vset
-    assert res.criterion2
+    assert graphs._local_witness(sub) is None
 
 
 def test_bent_path_in_square_not_convex():
@@ -337,7 +338,8 @@ def test_bent_path_in_square_not_convex():
     sub = induce_subgraph(graph, [0, 1, 3])
     res = is_strongly_convex(sub)
     assert not res.convex
-    assert not res.criterion2
+    # the local test's witness: boundary vertex 2 and its members 2^1, 2^2
+    assert res.witness == (3, 0, 2)
 
 
 def test_subcubes_convex():
@@ -345,8 +347,7 @@ def test_subcubes_convex():
     sub = induce_subgraph(graph, [v for v in range(16) if (v & 1) == 1])
     res = is_strongly_convex(sub)
     assert res.convex
-    assert res.criterion2
-    assert res.sp2_closure
+    assert graphs._scan_witness(sub) is None
 
 
 def test_convex_closure_yields_subcube():
@@ -369,9 +370,12 @@ def test_grown_convex_sets_pass_all_criteria(n, data):
         min_size=1, max_size=3))
     closure = convex_closure(graph, sorted(seeds))
     sub = induce_subgraph(graph, closure)
-    res = is_strongly_convex(sub)  # would raise CriterionMismatch on a bug
+    res = is_strongly_convex(sub)
     assert res.convex
-    assert res.criterion2 and res.sp2_closure
+    # convexity implies the shortest-path closure property, and the scan
+    # agrees with the local test that decided
+    assert loop_sp2_closure(sub) == (True, None)
+    assert graphs._scan_witness(sub) is None
     assert np.array_equal(sub.dist_S, sub.host_dist)
 
 
@@ -442,16 +446,29 @@ def far_witness_set():
         "Z4xZ3-square", "C6-half-arc", "Q2-bent-path", "C8-long-arc",
         "Q8-far-witness", "Q4-boundary-order"])
 def test_convexity_witness_matches_loop(make, convex):
+    # the scan's witness, whichever test decides the host; on Q_n the local
+    # test's witness must be a geodesic witness too
     sub = make()
     res = is_strongly_convex(sub)
     assert res.convex == convex
-    assert res.witness == loop_convexity_witness(sub)
+    assert graphs._scan_witness(sub) == loop_convexity_witness(sub)
+    if not sub.host.is_hypercube:
+        assert res.witness == loop_convexity_witness(sub)
+    elif not convex:
+        assert_geodesic_witness(sub, res.witness)
+
+
+def assert_geodesic_witness(sub, witness):
+    x, y, via = witness
+    d = sub.host.distances([x, via], [via, y])
+    assert x in sub.vset and y in sub.vset and via not in sub.vset
+    assert d[0, 0] + d[1, 1] == sub.host.distances([x], [y])[0, 0]
 
 
 def test_far_witness_lies_beyond_first_block():
     sub = far_witness_set()
     step = graphs._SCAN_CELLS // sub.n_vertices ** 2
-    x, y, via = is_strongly_convex(sub).witness
+    x, y, via = graphs._scan_witness(sub)
     assert via == 131
     assert int(np.searchsorted(sub.boundary, via)) >= 2 * step
 
@@ -481,19 +498,23 @@ def test_convex_closure_matches_loop_on_fixed_seeds(make, seed):
                           loop_convex_closure(graph, seed))
 
 
-def test_convexity_cached_but_mismatch_raises_again(monkeypatch):
-    sub = induce_subgraph(cycle_graph(12), range(5))
-    res = is_strongly_convex(sub)
-    assert is_strongly_convex(sub) is res
-    assert not sub.host_dist.flags.writeable
-
-    fresh = induce_subgraph(cycle_graph(12), range(5))
-    monkeypatch.setattr(graphs, "_sp2_closure", lambda sub: (False, (0, 4, 1)))
-    for _ in range(2):
-        with pytest.raises(CriterionMismatch):
-            is_strongly_convex(fresh)
-    monkeypatch.undo()
-    assert is_strongly_convex(fresh) == res
+def test_convexity_is_kept_per_subgraph(monkeypatch):
+    calls = []
+    for name in ("_local_witness", "_scan_witness"):
+        real = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name,
+                            lambda sub, real=real: calls.append(1) or real(sub))
+    # a scan route and a local route: each subgraph decides once, and a
+    # fresh subgraph decides again, to an equal result
+    for make in (lambda: induce_subgraph(cycle_graph(12), range(5)),
+                 lambda: subcube_instance([None, 1, None])):
+        calls.clear()
+        sub, fresh = make(), make()
+        res = is_strongly_convex(sub)
+        assert is_strongly_convex(sub) is res
+        assert not sub.host_dist.flags.writeable
+        assert is_strongly_convex(fresh) == res
+        assert len(calls) == 2
 
 
 def spy_geodesic_scans(monkeypatch):
@@ -521,11 +542,71 @@ def spy_geodesic_scans(monkeypatch):
 def test_convex_sets_scan_only_their_boundary(make, convex, monkeypatch):
     sub = make()
     scanned = spy_geodesic_scans(monkeypatch)
-    res = is_strongly_convex(sub)
-    assert res.convex == convex
+    witness = graphs._scan_witness(sub)
+    assert (witness is None) == convex
     assert len(scanned) == 1
     assert np.array_equal(scanned[0][1], sub.boundary)
-    assert res.witness == loop_convexity_witness(sub)
+    assert witness == loop_convexity_witness(sub)
+
+
+def weight2_graph(n):
+    """Z_2^n under every element of weight 1 or 2: every element is an
+    involution, but the graph is not Q_n."""
+    g = elementary_abelian_2(n)
+    return build_cayley(g, generator_set(
+        g, [v for v in range(1, 1 << n) if bin(v).count("1") <= 2]))
+
+
+def z2_squared_graph():
+    """Z2 x Z2 under (0, 1) and (1, 0): Q2, from a direct product."""
+    g = direct_product(cyclic_group(2), cyclic_group(2))
+    return build_cayley(g, generator_set(g, [1, 2]))
+
+
+@pytest.mark.parametrize("make,hypercube", [
+    (lambda: induce_subgraph(hypercube_graph(6),
+                             [v for v in range(64) if v & 0b100100 == 0b100]),
+     True),
+    (lambda: induce_subgraph(hypercube_graph(2), [0, 1, 3]), True),
+    (lambda: hypercube_graph(3).full_subgraph(), True),
+    (lambda: induce_subgraph(z2_squared_graph(), [0, 1, 3]), True),
+    (lambda: induce_subgraph(cycle_graph(80), range(40)), False),
+    (torus_square, False),
+    (lambda: induce_subgraph(s3_transposition_graph(), [0]), False),
+    (lambda: induce_subgraph(weight2_graph(5), [11, 31]), False),
+], ids=["Q6-subcube", "Q2-bent-path", "Q3-full", "Z2xZ2-bent-path",
+        "path40", "Z4xZ3-square", "S3-point", "Z2^5-w2-edge"])
+def test_convexity_route_follows_the_host(make, hypercube, monkeypatch):
+    # Q_n hosts take the local test and scan nothing; every other host
+    # makes one scan, over the boundary, with the scan's verdict and witness
+    sub = make()
+    assert sub.host.is_hypercube == hypercube
+    want = graphs._scan_witness(sub)
+    scanned = spy_geodesic_scans(monkeypatch)
+    res = is_strongly_convex(sub)
+    assert res.convex == (want is None)
+    if hypercube:
+        assert scanned == []
+        assert res.witness == graphs._local_witness(sub)
+    else:
+        assert len(scanned) == 1
+        assert np.array_equal(scanned[0][1], sub.boundary)
+        assert res.witness == want
+
+
+@pytest.mark.parametrize("make,convex", [
+    (lambda: induce_subgraph(weight2_graph(5), [11, 31]), True),
+    (lambda: induce_subgraph(weight2_graph(4), [11, 14]), True),
+    (lambda: induce_subgraph(cycle_graph(12), range(8)), False),
+], ids=["Z2^5-w2-edge", "Z2^4-w2-edge", "C12-8-arc"])
+def test_local_test_is_unsound_off_the_hypercube(make, convex):
+    # on these hosts the local test and the geodesic scan disagree, and the
+    # verdict must be the scan's: two adjacent vertices with a common
+    # outside neighbour are convex; the 8-arc of C12 has a shorter way round
+    sub = make()
+    assert (graphs._local_witness(sub) is None) != convex
+    assert (graphs._scan_witness(sub) is None) == convex
+    assert is_strongly_convex(sub).convex == convex
 
 
 @pytest.mark.parametrize("make,seed", [
@@ -561,21 +642,50 @@ def loop_sp2_closure(sub):
     return True, None
 
 
-@pytest.mark.parametrize("make", [lambda: hypercube_graph(4),
-                                  lambda: cycle_graph(8)], ids=["Q4", "C8"])
-def test_sp2_closure_matches_loop(make):
-    host = make()
-    rng = np.random.default_rng(7)
-    verdicts = set()
-    for _ in range(200):
-        vset = np.flatnonzero(rng.random(host.n_vertices) < rng.random())
+def connected_subsets(host, sets):
+    """The subgraphs induced by those of `sets` that are connected."""
+    for vset in sets:
         try:
-            sub = induce_subgraph(host, vset)
+            yield induce_subgraph(host, vset)
         except DisconnectedSubgraph:
-            continue
-        got = graphs._sp2_closure(sub)
-        assert got == loop_sp2_closure(sub), vset
-        verdicts.add(got[0])
-    # both verdicts met, and full sets (every generator closed) among them
+            pass
+
+
+def assert_local_test_agrees_with_scan(sub):
+    local = graphs._local_witness(sub)
+    assert (local is None) == (graphs._scan_witness(sub) is None), sub.vset
+    if local is not None:
+        assert_geodesic_witness(sub, local)
+
+
+def test_local_test_agrees_with_scan_on_every_connected_subset_of_q3():
+    host = hypercube_graph(3)
+    subs = list(connected_subsets(
+        host, ([v for v in range(8) if mask >> v & 1] for mask in range(1, 256))))
+    assert len(subs) == 167
+    for sub in subs:
+        assert_local_test_agrees_with_scan(sub)
+    assert sum(is_strongly_convex(sub).convex for sub in subs) == 27
+
+
+def random_connected_sets(rng, host, count):
+    """Sets grown from a random vertex by adding random boundary vertices,
+    and their convex closures."""
+    for _ in range(count):
+        vset = {int(rng.integers(host.n_vertices))}
+        for _ in range(int(rng.integers(1, 3 * host.degree))):
+            near = np.setdiff1d(host.act[:, sorted(vset)], sorted(vset))
+            vset.add(int(rng.choice(near)))
+        yield sorted(vset)
+        yield convex_closure(host, sorted(vset)[:2])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_local_test_agrees_with_scan_on_random_connected_subsets(n):
+    rng = np.random.default_rng(n)
+    host = hypercube_graph(n)
+    verdicts = set()
+    for sub in connected_subsets(host, random_connected_sets(rng, host, 40)):
+        assert_local_test_agrees_with_scan(sub)
+        verdicts.add(graphs._local_witness(sub) is None)
     assert verdicts == {True, False}
-    assert graphs._sp2_closure(host.full_subgraph()) == (True, None)
