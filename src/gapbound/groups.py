@@ -20,7 +20,9 @@ ORDER_CAP = 1 << 16
 # float64): each row block of an associativity slab, of host distances and
 # of the distance certificate, the d(x, v) + d(v, y) cells of a
 # geodesic-scan block, the pair-scan gather buffers, ball dilation's live
-# arrays together, the heat stencil's states per block of sample times,
+# arrays together, each block of sample times of the heat stencil (its
+# states, the copy or buffers its eta scan reads them through, and their
+# eta rows), each row block of omega (its masks and admitted triples),
 # each row block of the extremal scans and each column block of the
 # residuals. Larger blocks save little time and raise peak memory.
 _SCAN_CELLS = 1 << 16

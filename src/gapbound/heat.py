@@ -4,6 +4,15 @@ Solutions are evolved spectrally from a validated `Spectrum`, so they are
 exact up to eigensolve accuracy. The tests check them against an explicit
 Euler integrator whose stability limit comes from `gershgorin_max`, not
 from the spectrum, so the two routes share no code path.
+
+The mocheat and eta(2) certificates read eta at five offsets around each
+sample time. `_offset_eta_blocks` builds and scans those states in blocks
+of sample times whose whole working set (the states, what the eta scan
+reads them through and their eta rows) keeps to _SCAN_CELLS, and the
+certificates stream their margins block by block: only the count, the
+running worst and the first failure in time order outlive a block. A
+state's eta and margins do not depend on its block, so the certificates
+give the bits of one whole-array pass.
 """
 
 import math
@@ -13,7 +22,8 @@ import numpy as np
 
 from .errors import CertificateFailure, InsufficientSpan
 from .graphs import _SCAN_CELLS, _ro
-from .moduli import _NOT_POSITIVE, _difference_sums, _eta_block, _ground_ratio
+from .moduli import (_NOT_POSITIVE, _difference_sums, _dilates, _eta_block,
+                     _ground_ratio)
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads heat.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
@@ -78,31 +88,54 @@ def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
     return states.reshape(len(times), len(offsets), spec.dim)
 
 
-def _offset_etas(traj: HeatTrajectory):
-    """The sample times t >= 2 dt, and eta(s), s = 0..D, of the trajectory's
-    state at t + k dt for k = -2..2, (len(kept), 5, D + 1); dt is
-    `_default_dt` of the trajectory's spectrum and eta is over its
-    operator's subgraph. The state at t + k dt is the trajectory's first
-    state evolved for t - times[0] + k dt.
+def _block_times(sub) -> int:
+    """Sample times per block of the stencil on `sub`.
 
-    The states are built and scanned in blocks of sample times, each block
-    at most _SCAN_CELLS state cells; a state's eta does not depend on the
-    block it is scanned in.
+    A block's whole working set is charged to _SCAN_CELLS. A state takes
+    2 m cells while it is built (beside `spectral_state`'s coefficient
+    grid) and while `_stencil_etas` copies it vertex-major, after which it
+    is freed. Then the copy, its eta row (D + 1 <= m cells) and what the
+    eta scan adds are live: for ball dilation its ball, grown ball and
+    neighbour rows, 3 (m + 1); for the pair scan nothing, as its two
+    gather buffers are a pass of their own, of at most _SCAN_CELLS cells.
+    """
+    m, d = sub.n_vertices, sub.diameter_S
+    cells = m + 3 * (m + 1) + d + 1 if _dilates(sub) else 2 * m
+    return max(1, _SCAN_CELLS // (len(_OFFSETS) * cells))
+
+
+def _stencil_etas(spec: Spectrum, phi0: np.ndarray, since, dt: float):
+    """eta(s), s = 0..D, of phi0 evolved for t + k dt, for each t in
+    `since` and k = -2..2, (len(since), 5, D + 1); eta is over the
+    spectrum operator's subgraph."""
+    sub = spec.operator.source
+    states = _offset_states(spec, phi0, since, dt).reshape(-1, sub.n_vertices)
+    # both eta scans read the transpose of a vertex-major block in place;
+    # rebinding frees the time-major states once it exists
+    states = np.ascontiguousarray(states.T).T
+    return _eta_block(states, sub).reshape(len(since), len(_OFFSETS), -1)
+
+
+def _offset_eta_blocks(traj: HeatTrajectory):
+    """Per block of the sample times t >= 2 dt, in time order: those times
+    and eta(s), s = 0..D, of the trajectory's state at t + k dt for
+    k = -2..2, (len(times), 5, D + 1). dt is `_default_dt` of the
+    trajectory's spectrum and eta is over its operator's subgraph. The
+    state at t + k dt is the trajectory's first state evolved for
+    t - times[0] + k dt.
+
+    Each block holds `_block_times` sample times, and its states are freed
+    before it is handed over; a state's eta does not depend on the block
+    it is scanned in.
     """
     spec = traj.spectrum
-    sub, dt = spec.operator.source, _default_dt(spec)
+    dt = _default_dt(spec)
     kept = [t for t in traj.times if t >= 2 * dt]
-    since = [t - traj.times[0] for t in kept]
-    m, k = sub.n_vertices, len(_OFFSETS)
-    step = max(1, _SCAN_CELLS // (k * m))
-    etas = np.empty((len(kept), k, sub.diameter_S + 1))
+    step = _block_times(spec.operator.source)
     for lo in range(0, len(kept), step):
-        states = _offset_states(spec, traj.states[0], since[lo:lo + step],
-                                dt)
-        etas[lo:lo + step] = _eta_block(states.reshape(-1, m), sub).reshape(
-            -1, k, sub.diameter_S + 1)
-        del states      # freed before the next block's
-    return dt, kept, etas
+        times = kept[lo:lo + step]
+        yield times, _stencil_etas(spec, traj.states[0],
+                                   [t - traj.times[0] for t in times], dt)
 
 
 def evolve(spec: Spectrum, phi0, times) -> HeatTrajectory:
@@ -184,50 +217,68 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Certify d(eta)/dt <= -L_P eta on the parity lattice at each sample.
 
     eta is the modulus over the trajectory operator's subgraph, whose
-    diameter fixes the lattice; the margins are those of `_margins`.
+    diameter fixes the lattice; the margins are those of `_margins`, at the
+    lattice points s > 0. They stream over `_offset_eta_blocks`: each block
+    gathers its lattice once, and only the count, the running worst
+    (np.fmin, so a NaN margin is passed over as in one whole-array
+    reduction) and the first failure in time order outlive it.
     """
     d = traj.spectrum.operator.source.diameter_S
     if d < 1:
         return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
     coords, lp = path_lattice_laplacian(d)
-    pos = coords > 0
-
-    dt, kept, etas = _offset_etas(traj)
-    # eta at every lattice point s = -D..D of every state: eta(|s|) with
-    # the sign of s
-    lattice_etas = np.where(coords < 0, -etas[..., np.abs(coords)],
-                            etas[..., np.abs(coords)])
-    # matmul runs one L_P @ eta(t) per sample, rounding as the per-sample
-    # product does; one GEMM over all samples would round differently
-    rhs = -np.matmul(lp, lattice_etas[:, 2, :, None])[:, :, 0]
-    margin = _margins(lattice_etas, rhs, dt)[:, pos]
-    bad = np.argwhere(margin < 0)
-    if bad.size:
-        k, i = bad[0]
-        s = int(coords[pos][i])
-        raise CertificateFailure(
-            f"d(eta)/dt > -L_P eta at s={s}, t={kept[k]:.6g} "
-            f"(violation {-margin[k, i]:.3e})", witness=(s, float(kept[k])))
-    worst = float(np.fmin.reduce(margin, axis=None)) if margin.size else 0.0
-    return InequalityCertificate(checked=margin.size, worst_margin=worst,
+    # coords ascend from -D: s < 0 before `neg`, s > 0 from `pos` on
+    neg, pos = np.searchsorted(coords, 0), np.searchsorted(coords, 0, "right")
+    dt = _default_dt(traj.spectrum)
+    checked, worst = 0, np.nan
+    for times, etas in _offset_eta_blocks(traj):
+        # eta at every lattice point s = -D..D of every state: eta(|s|),
+        # negated for s < 0 (exact)
+        lattice = etas.take(np.abs(coords), axis=2)
+        del etas        # each block's arrays are freed before the next's
+        np.negative(lattice[..., :neg], out=lattice[..., :neg])
+        # matmul runs one L_P @ eta(t) per sample, rounding as the
+        # per-sample product does; one GEMM over all samples would round
+        # differently
+        rhs = -np.matmul(lp, lattice[:, 2, :, None])[:, :, 0]
+        margin = _margins(lattice[..., pos:], rhs[:, pos:], dt)
+        del lattice, rhs
+        bad = np.argwhere(margin < 0)
+        if bad.size:
+            k, i = bad[0]
+            s = int(coords[pos + i])
+            raise CertificateFailure(
+                f"d(eta)/dt > -L_P eta at s={s}, t={times[k]:.6g} "
+                f"(violation {-margin[k, i]:.3e})",
+                witness=(s, float(times[k])))
+        checked += margin.size
+        worst = np.fmin.reduce(margin, axis=None, initial=worst)
+    return InequalityCertificate(checked=checked,
+                                 worst_margin=float(worst) if checked else 0.0,
                                  ok=True)
 
 
 def eta2_contraction_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
-    eta over the trajectory operator's subgraph; see `_margins`."""
+    eta over the trajectory operator's subgraph; see `_margins`. The
+    margins stream over `_offset_eta_blocks` as in
+    `mocheat_inequality_check`."""
     s2 = min(2, traj.spectrum.operator.source.diameter_S)
-
-    dt, kept, etas = _offset_etas(traj)
-    eta2 = etas[:, :, s2]
-    margin = _margins(eta2, -2.0 * eta2[:, 2], dt)
-    bad = np.flatnonzero(margin < 0)
-    if bad.size:
-        t = kept[bad[0]]
-        raise CertificateFailure(
-            f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
-    worst = float(np.fmin.reduce(margin)) if margin.size else 0.0
-    return InequalityCertificate(checked=margin.size, worst_margin=worst,
+    dt = _default_dt(traj.spectrum)
+    checked, worst = 0, np.nan
+    for times, etas in _offset_eta_blocks(traj):
+        eta2 = etas[:, :, s2]
+        margin = _margins(eta2, -2.0 * eta2[:, 2], dt)
+        del etas, eta2
+        bad = np.flatnonzero(margin < 0)
+        if bad.size:
+            t = times[bad[0]]
+            raise CertificateFailure(
+                f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
+        checked += margin.size
+        worst = np.fmin.reduce(margin, initial=worst)
+    return InequalityCertificate(checked=checked,
+                                 worst_margin=float(worst) if checked else 0.0,
                                  ok=True)
 
 

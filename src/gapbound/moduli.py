@@ -33,12 +33,14 @@ Conventions:
 - the first difference across the Dirichlet boundary is zero, so boundary
   terms drop out of every vertex sum.
 
-The lambda1 eigenspace is scanned as one block per Spectrum and kept on
-it: f = U^T / u0 for every basis vector in one division, every row's eta in
-one `_eta_block` call and both vertex-sum tables in one `_difference_sums`
-call each; the extremal scans stay lazy and per vector. The ``_ground_*``
-helpers read the which = 1 ratio and its eta as the block's first row, and
-compute log u0 and the moduli of log u0 once per Spectrum.
+The lambda1 eigenspace is scanned as one block per Spectrum, in two kept
+values: the ratios (f = U^T / u0 for every basis vector in one division
+and both vertex-sum tables in one `_difference_sums` call each), then
+every row's eta in one `_eta_block` call on top of them; the extremal
+scans stay lazy and per vector. `_ground_ratio` reads the first ratio
+without any eta, `_ground_eta` the block's first eta row, and the other
+``_ground_*`` helpers compute log u0 and the moduli of log u0 once per
+Spectrum.
 """
 
 import math
@@ -247,12 +249,16 @@ def _eta_block(states, sub: ConvexSubgraph) -> np.ndarray:
     Otherwise the pair scan runs, so single rows and NaN keep its fmax
     semantics.
     """
-    if states.shape[0] > 1:
-        live = int((sub.nbr_local >= 0).any(axis=1).sum())
-        if (live + 2) * sub.diameter_S < sub.n_vertices \
-                and np.isfinite(states).all():
-            return _eta_dilation(states, sub)
+    if states.shape[0] > 1 and _dilates(sub) and np.isfinite(states).all():
+        return _eta_dilation(states, sub)
     return _eta_pairs(states, sub)
+
+
+def _dilates(sub: ConvexSubgraph) -> bool:
+    """Whether `_eta_block` scans blocks of several finite rows on `sub`
+    by ball dilation: (k_live + 2) D < m."""
+    live = int((sub.nbr_local >= 0).any(axis=1).sum())
+    return (live + 2) * sub.diameter_S < sub.n_vertices
 
 
 def _eta_pairs(states, sub: ConvexSubgraph) -> np.ndarray:
@@ -269,6 +275,7 @@ def _eta_pairs(states, sub: ConvexSubgraph) -> np.ndarray:
     b, m, d = states.shape[0], sub.n_vertices, sub.diameter_S
     out = np.zeros((b, d + 1))
     if d and b:
+        # no copy when `states` is the transpose of a vertex-major block
         f = np.ascontiguousarray(states.T).reshape(m, b)
         runs = sub._class_chunks(max(1, _SCAN_CELLS // (2 * b)))
         gy = np.empty((runs[0][0].size, b))
@@ -300,26 +307,28 @@ def _eta_dilation(states, sub: ConvexSubgraph) -> np.ndarray:
     """Ball dilation over blocks of rows; finite input.
 
     Vertices are rows (m + 1, b), the last a -inf sentinel that the -1
-    entries of nbr_local index. f is the block of `states`, read in place;
-    the ball, the grown ball and the gathered neighbour rows are allocated
-    once per block and hold at most _SCAN_CELLS cells together. The first
-    neighbour maximum reads the ball itself, so a step makes no copy, and
-    the differences M_s - f reuse the gather buffer function-major, so that
-    each max over the vertices runs along contiguous memory.
+    entries of nbr_local index. f is the block of `states`, read in place
+    through its transpose (contiguous when `states` is the transpose of a
+    vertex-major block); the ball, the grown ball and the gathered
+    neighbour rows are allocated once per block and hold at most
+    _SCAN_CELLS cells together. The first neighbour maximum reads the ball
+    itself, so a step makes no copy, and the differences M_s - f reuse the
+    gather buffer. The ball of radius D is all of S, so M_D is max f at
+    every vertex, and fl(max f - f(x)) is largest at min f: eta(D) is
+    max f - min f, with no step.
     """
     m, d = sub.n_vertices, sub.diameter_S
     live = [cols for cols in sub.nbr_local if (cols >= 0).any()]
     out = np.zeros((states.shape[0], d + 1))
     step = max(1, _SCAN_CELLS // (3 * (m + 1)))
     for i in range(0, states.shape[0], step):
-        f = states[i:i + step]
-        ball = np.empty((m + 1, f.shape[0]))
-        ball[:m] = f.T
+        f = states[i:i + step].T
+        ball = np.empty((m + 1, f.shape[1]))
+        ball[:m] = f
         ball[m] = -np.inf
         grown = ball.copy()
-        near = np.empty((m, f.shape[0]))
-        diff = near.reshape(f.shape)
-        for s in range(1, d + 1):
+        near = np.empty(f.shape)
+        for s in range(1, d):
             acc = ball[:m]
             for cols in live:
                 # mode="wrap" sends the -1 entries to the sentinel row
@@ -327,9 +336,10 @@ def _eta_dilation(states, sub: ConvexSubgraph) -> np.ndarray:
                 ball.take(cols, axis=0, out=near, mode="wrap")
                 acc = np.maximum(acc, near, out=grown[:m])
             ball, grown = grown, ball
-            np.subtract(ball[:m].T, f, out=diff)
-            out[i:i + step, s] = diff.max(axis=1)
-        del ball, grown, near, diff     # freed before the next block's
+            np.subtract(ball[:m], f, out=near)
+            out[i:i + step, s] = near.max(axis=0)
+        out[i:i + step, d] = f.max(axis=0) - f.min(axis=0)
+        del ball, grown, near       # freed before the next block's
     # max may keep -0.0 over an equal +0.0, so an all-zero difference could
     # read -0.0; adding +0.0 maps it to the pair scan's +0.0 and is exact
     # for every other value
@@ -344,10 +354,17 @@ def modulus_of_concavity(g, sub: ConvexSubgraph) -> ModulusOfConcavity:
     toward y, i.e. d(ax, y) = d(x, y) - 1. That implies the literal
     a^2-contraction condition d(a^2 x, y) <= d(x, y); on path graphs the
     two conditions give the same modulus. One pass over the host distances
-    among S per generator.
+    among S per generator, over the rows y with a^-1 y in S and the columns
+    x with ax in S, in blocks of rows whose eight arrays (the two distance
+    blocks, the mask, and the flat index, column, class, value and
+    temporary of each admitted triple) hold at most _SCAN_CELLS cells
+    together. A triple's value is half the sum of its row's g(a^-1 y) - g(y)
+    and its column's g(ax) - g(x), the operations of a per-triple sum, and
+    the blocks meet the triples in row-major order, so np.minimum.at folds
+    them in the order of one whole-matrix pass.
     """
     g = np.asarray(g, dtype=np.float64)
-    host, hd, m = sub.host, sub.host_dist, sub.n_vertices
+    host, hd = sub.host, sub.host_dist
     gens = list(host.gens)
     gen_index = {a: i for i, a in enumerate(gens)}
     best = np.full(sub.diameter_S, np.inf)
@@ -355,17 +372,25 @@ def modulus_of_concavity(g, sub: ConvexSubgraph) -> ModulusOfConcavity:
     for ai, a in enumerate(gens):
         ax = sub.nbr_local[ai]          # local of a*x per local x, -1 outside
         ainv_y = sub.nbr_local[gen_index[host.group.inv(a)]]  # local of a^-1*y
-        ok_x = ax >= 0
-        # d(ax, y) == d(x, y) - 1, distances via the host metric
-        dax = np.full((m, m), -2, dtype=np.int64)
-        dax[:, ok_x] = hd[:, ax[ok_x]]
-        admit = dax == hd - 1
-        admit &= (ainv_y >= 0)[:, None] & (hd >= 1)
-        yy, xx = np.nonzero(admit)
-        val = 0.5 * ((g[ainv_y[yy]] - g[yy]) + (g[ax[xx]] - g[xx]))
-        key = hd[yy, xx] - 1
-        np.minimum.at(best, key, val)
-        seen[key] = True
+        ys, xs = np.flatnonzero(ainv_y >= 0), np.flatnonzero(ax >= 0)
+        dy = g[ainv_y[ys]] - g[ys]
+        dx = g[ax[xs]] - g[xs]
+        step = max(1, _SCAN_CELLS // (8 * max(1, xs.size)))
+        for lo in range(0, ys.size, step):
+            rows = ys[lo:lo + step, None]
+            dax = hd[rows, ax[xs]]                  # d(ax, y)
+            dxy = hd[rows, xs]
+            dxy -= 1
+            # d(ax, y) >= 0, so an admitted pair has d(x, y) >= 1
+            flat = np.flatnonzero(dax == dxy)
+            key = dax.reshape(-1).take(flat)        # d(x, y) - 1
+            col = flat % xs.size
+            flat //= xs.size
+            val = dy[lo:lo + step].take(flat)
+            val += dx.take(col)
+            val *= 0.5
+            np.minimum.at(best, key, val)
+            seen[key] = True
     best[~seen] = np.nan
     return ModulusOfConcavity(sub=sub, values=best)
 
@@ -487,28 +512,41 @@ def log_concavity(g, sub: ConvexSubgraph,
     return ConcavityReport(holds=holds, worst=worst, witness=witness)
 
 
+def _eigenspace_ratios(spec: Spectrum) -> tuple:
+    """(f, ratios): f = U[:, gap_indices]^T / u0, one division over the
+    lambda1 eigenspace basis `spec.gap_indices`, and the RatioFunction of
+    each row, kept on the spectrum.
+
+    Each vertex-sum table is one `_difference_sums` call over the block,
+    and each ratio keeps its rows of the two. Per row these are the
+    operations of the one-vector route, so every row equals that route's
+    result. The ratios share read-only arrays.
+    """
+    def make():
+        sub = spec.operator.source
+        block = RatioFunction.from_vectors(
+            spec.ground_state, spec.eigenvectors[:, spec.gap_indices].T, sub)
+        f, u0 = _ro(block.f), _ro(block.u0)
+        ratios = []
+        for row, row_sums in zip(f, zip(*block.vertex_sums())):
+            ratio = RatioFunction(sub=sub, u0=u0, f=row)
+            _kept(ratio, "vertex_sums", lambda: row_sums)
+            ratios.append(ratio)
+        return f, tuple(ratios)
+    return _kept(spec, "eigenspace_ratios", make)
+
+
 def _ratio_scans(spec: Spectrum) -> tuple:
     """(RatioFunction, ModulusOfContinuity) of u_w / u0 for each w in the
-    lambda1 eigenspace basis `spec.gap_indices`, scanned as one block.
-
-    f = U[:, gap_indices]^T / u0 is one division, every row's eta one
-    `_eta_block` call (ball dilation on hypercube-like subgraphs, so their
-    distance-class pair index is never built) and each vertex-sum table one
-    `_difference_sums` call. Per row these are the operations of the
-    one-vector route, and dilation agrees with the pair scan bit for bit, so
-    every row equals that route's result. The rows share read-only arrays.
+    lambda1 eigenspace basis, on top of `_eigenspace_ratios`: every row's
+    eta is one `_eta_block` call (ball dilation on hypercube-like
+    subgraphs, so their distance-class pair index is never built), and
+    dilation agrees with the pair scan bit for bit, so every row equals the
+    one-vector route's result.
     """
-    sub = spec.operator.source
-    block = RatioFunction.from_vectors(
-        spec.ground_state, spec.eigenvectors[:, spec.gap_indices].T, sub)
-    f, u0 = _ro(block.f), _ro(block.u0)
-    scans = []
-    for eta, row_sums in zip(_continuity_moduli(f, sub, spec.tolerances),
-                             zip(*block.vertex_sums())):
-        ratio = RatioFunction(sub=sub, u0=u0, f=eta.f)
-        _kept(ratio, "vertex_sums", lambda: row_sums)
-        scans.append((ratio, eta))
-    return tuple(scans)
+    f, ratios = _eigenspace_ratios(spec)
+    etas = _continuity_moduli(f, spec.operator.source, spec.tolerances)
+    return tuple(zip(ratios, etas))
 
 
 def _eigenspace_scans(spec: Spectrum) -> tuple:
@@ -518,9 +556,9 @@ def _eigenspace_scans(spec: Spectrum) -> tuple:
 
 
 def _ground_ratio(spec: Spectrum) -> RatioFunction:
-    """f = u1/u0 on the spectrum's own subgraph: the eigenspace block's
-    first row."""
-    return _eigenspace_scans(spec)[0][0]
+    """f = u1/u0 on the spectrum's own subgraph: the first of the eigenspace
+    ratios, built without any eta."""
+    return _eigenspace_ratios(spec)[1][0]
 
 
 def _ground_eta(spec: Spectrum) -> ModulusOfContinuity:

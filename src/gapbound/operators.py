@@ -234,7 +234,11 @@ def path_lattice_laplacian(d: int):
         raise ValueError("diameter must be >= 1")
     coords = np.arange(-d, d + 1, 2)
     m = coords.size
-    a = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    # one zero matrix with its three diagonals set, as strided views
+    a = np.zeros((m, m))
+    flat = a.reshape(-1)
+    flat[::m + 1] = 2.0
+    flat[1::m + 1] = flat[m::m + 1] = -1.0
     a[0, 0] = a[-1, -1] = 1.0
     return _ro(coords), _ro(a)
 

@@ -300,8 +300,9 @@ def test_verify_all_reads_the_spectrum_tolerances():
     verify_all(spec)
     # one entry per quantity, not one per tolerance set
     assert set(spec._kept) == {"gap_indices", "ground_state", "residuals",
-                               "certificate", "eigenspace_scans",
-                               "log_ground_state", "log_concavity", "omega"}
+                               "certificate", "eigenspace_ratios",
+                               "eigenspace_scans", "log_ground_state",
+                               "log_concavity", "omega"}
 
 
 def test_verify_all_records_unavailable_and_failing_bounds():

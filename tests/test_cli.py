@@ -986,6 +986,26 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch, name):
     assert count["log_concavity"] <= 1 and count["modulus_of_concavity"] <= 1
 
 
+def test_heat_only_run_scans_no_ratio_eta(tmp_path, monkeypatch):
+    # Q5 with the boundary potential has a 5-fold lambda1: the ratio
+    # certificate reads u1/u0 and its sums from the eigenspace ratios, and
+    # only the moduli and bounds read eta of the block, once
+    instance, potential = SHARED["Q5-subcube-boundary"]
+    ratios = spy_everywhere(monkeypatch, moduli, "_eigenspace_ratios")
+    scans = spy_everywhere(monkeypatch, moduli, "_ratio_scans")
+    etas = spy_everywhere(monkeypatch, moduli, "_continuity_moduli")
+    for analyses, blocks in ((["heat"], 0), (ALL_ANALYSES, 1)):
+        spec = write_spec(tmp_path / "s.json", instance=instance,
+                          potential=potential, analyses=analyses)
+        assert main(["run", "--spec", str(spec), "--out",
+                     str(tmp_path / "o")]) == 0
+        assert "ratio" in load_report(tmp_path / "o")["heat"]
+        assert len(ratios) >= 1 and len(scans) == len(etas) == blocks
+        (f, block), = {id(r): r for _, r in ratios}.values()
+        assert f.shape == (5, 32) and len(block) == 5
+        del ratios[:], scans[:], etas[:]
+
+
 @pytest.mark.parametrize("name", SHARED)
 def test_each_analysis_alone_gives_the_same_block(tmp_path, name):
     instance, potential = SHARED[name]

@@ -21,7 +21,7 @@ from gapbound.moduli import (RatioFunction, modulus_of_concavity,
 from gapbound.operators import (dirichlet_hamiltonian, eigendecompose,
                                 laplacian, path_lattice_laplacian)
 
-from conftest import euler_states
+from conftest import euler_states, traced_peak
 
 
 def test_eigenvector_decays_exponentially():
@@ -469,16 +469,15 @@ def test_mocheat_failure_matches_per_state_reference(n, slow, extra):
 @pytest.mark.parametrize("start", ["u1", "delta"])
 def test_stencil_over_two_blocks_matches_per_state_reference(start, check,
                                                              ref):
-    # Q8 has 256 vertices, so a block of _SCAN_CELLS state cells holds 51
-    # sample times of the 5-offset stencil: the 63 kept times take two
-    # blocks, each built and scanned on its own
+    # Q8 takes ball dilation, so a block of heat's own rule holds the
+    # states, their three dilation buffers and their eta rows: the 63 kept
+    # times take more than two blocks, each built and scanned on its own
     sub = hypercube_instance(8)
     spec = eigendecompose(laplacian(sub))
     phi0 = spec.vector(1) if start == "u1" else np.eye(spec.dim)[5]
     traj = evolve(spec, phi0, default_times(spec.gap))
     kept = [t for t in traj.times if t >= 2 * ref_default_dt(spec)]
-    per_block = heat._SCAN_CELLS // (5 * sub.n_vertices)
-    assert per_block < len(kept) <= 2 * per_block
+    assert 2 * heat._block_times(sub) < len(kept)
     cert = check(traj)
     checked, worst = ref(traj, sub)
     assert cert.checked == checked > 0
@@ -493,13 +492,94 @@ def test_stencil_evolves_from_the_trajectory_start():
     spec = eigendecompose(laplacian(sub))
     times = default_times(spec.gap)[5:]
     traj = evolve(spec, spec.vector(1) + spec.vector(7), times)
-    _, kept, etas = heat._offset_etas(traj)
+    blocks = list(heat._offset_eta_blocks(traj))
+    kept = [t for times_, _ in blocks for t in times_]
+    etas = np.concatenate([etas for _, etas in blocks])
     assert np.array_equal(kept, times)
     assert np.allclose(etas[:, 2], traj.etas, rtol=0, atol=1e-14)
     cert = mocheat_inequality_check(traj)
     checked, worst = ref_mocheat(traj, sub)
     assert cert.checked == checked > 0
     assert float_bits(cert.worst_margin) == float_bits(worst)
+
+
+def u1_trajectory(name):
+    """(sub, trajectory from u1 on the default times) of a HEAT_INSTANCES
+    entry or of Q8."""
+    sub, pot = HEAT_INSTANCES[name]() if name != "Q8" \
+        else (hypercube_instance(8), None)
+    op = laplacian(sub) if pot is None else dirichlet_hamiltonian(sub, pot)
+    spec = eigendecompose(op)
+    return sub, evolve(spec, spec.vector(1), default_times(spec.gap))
+
+
+def verdict(check, traj):
+    """What a heat certificate reports: (checked, worst_margin bits), or
+    the message and witness of its failure."""
+    try:
+        cert = check(traj)
+        return cert.checked, float_bits(cert.worst_margin)
+    except CertificateFailure as exc:
+        return str(exc), exc.witness
+
+
+def ref_verdict(ref, traj, sub):
+    try:
+        checked, worst = ref(traj, sub)
+        return checked, float_bits(worst)
+    except CertificateFailure as exc:
+        return str(exc), exc.witness
+
+
+def test_streamed_certificates_match_per_state_reference(monkeypatch):
+    # the margins stream block by block: over at least three blocks of
+    # heat's own rule (a budget cut in half, as path(160)+boundary's 63
+    # kept times take two blocks of the full one) the count, the worst
+    # margin's bits and the verdict are the per-state loop's. mocheat
+    # passes and eta(2) fails; Q8 is test_stencil_over_two_blocks'
+    sub, traj = u1_trajectory("path160-boundary")
+    monkeypatch.setattr(heat, "_SCAN_CELLS", heat._SCAN_CELLS // 2)
+    kept = [t for t in traj.times if t >= 2 * ref_default_dt(traj.spectrum)]
+    assert 2 * heat._block_times(sub) < len(kept)
+    want = [ref_verdict(ref, traj, sub) for ref in (ref_mocheat, ref_eta2)]
+    assert [verdict(mocheat_inequality_check, traj),
+            verdict(eta2_contraction_check, traj)] == want
+    assert isinstance(want[0][0], int) and isinstance(want[1][0], str)
+
+
+def test_mocheat_failure_in_a_later_block(monkeypatch):
+    # the second case of test_mocheat_failure_witness in blocks of four
+    # sample times: its first violation lies in a later block, and the
+    # earlier blocks pass
+    sub = path_instance(9)
+    spec = eigendecompose(laplacian(sub))
+    w = spec.eigenvalues.copy()
+    w[7] *= 0.5
+    traj = evolve(dataclasses.replace(spec, eigenvalues=w),
+                  spec.vector(1) + spec.vector(7), default_times(spec.gap))
+    per_time = heat._SCAN_CELLS // heat._block_times(sub)
+    monkeypatch.setattr(heat, "_SCAN_CELLS", 4 * per_time)
+    assert heat._block_times(sub) == 4
+    kept = [t for t in traj.times if t >= 2 * ref_default_dt(spec)]
+    with pytest.raises(CertificateFailure) as want:
+        ref_mocheat(traj, sub)
+    with pytest.raises(CertificateFailure) as got:
+        mocheat_inequality_check(traj)
+    assert str(got.value) == str(want.value) == \
+        "d(eta)/dt > -L_P eta at s=4, t=1.679 (violation 1.112e-02)"
+    assert got.value.witness == want.value.witness
+    assert kept.index(got.value.witness[1]) >= 4
+
+
+def test_heat_certificates_keep_to_the_scan_budget():
+    # per block the states, their vertex-major copy or dilation buffers,
+    # and their eta rows are charged to _SCAN_CELLS, and the margins
+    # stream. Measured peaks before -> after: path(160)+boundary 2.24 ->
+    # 1.19 MiB (L_P is 0.20 MiB of it), Q8 1.21 -> 0.55 MiB
+    for name, limit in (("path160-boundary", 1.5), ("Q8", 0.75)):
+        _, traj = u1_trajectory(name)
+        cert, peak = traced_peak(lambda: mocheat_inequality_check(traj))
+        assert cert.ok and peak <= limit * 2 ** 20, name
 
 
 def test_eta2_failure_matches_per_state_reference():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import transposition_cayley
+from conftest import traced_peak, transposition_cayley
 from gapbound import moduli
 from gapbound.bounds import (_ratio_scan, _thm3, _thm4, bound_thm3, bound_thm4,
                              is_hypercube)
@@ -534,6 +534,30 @@ def test_omega_matches_class_loop_bit_for_bit(name, rng):
         omega = modulus_of_concavity(g, sub)
         assert np.array_equal(omega.values, loop_omega(g, sub),
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["path40", "cycle11", "C12-arc", "Q5",
+                                  "Q5-subcube"])
+def test_omega_over_row_blocks_matches_class_loop(name, rng, monkeypatch):
+    # blocks of three or more rows y (three when every x has ax in S):
+    # np.minimum.at meets the triples in the order of one whole-matrix
+    # pass, so no bit moves, signed zeros included
+    sub = ORACLE_INSTANCES[name]()
+    monkeypatch.setattr(moduli, "_SCAN_CELLS", 8 * 3 * sub.n_vertices)
+    for g in oracle_functions(sub, rng):
+        omega = modulus_of_concavity(g, sub)
+        assert same_bits(omega.values, loop_omega(g, sub))
+
+
+def test_omega_keeps_to_the_scan_budget():
+    # path(512)+boundary, log of its ground state: the admissible-triple
+    # masks are built per row block. Measured peak 8.74 -> 0.46 MiB
+    m = 512
+    sub = path_instance(m)
+    g = np.log(np.sin(np.pi * np.arange(1, m + 1) / (m + 1)))
+    omega, peak = traced_peak(lambda: modulus_of_concavity(g, sub))
+    assert peak <= 2 ** 20
+    assert same_bits(omega.values, loop_omega(g, sub))
 
 
 # -- block eta: both algorithms against the class loop -------------------------
