@@ -159,13 +159,13 @@ class ConvexSubgraph:
         distance. Kept on the subgraph (`_kept`).
         """
         def make():
-            ys, xs = np.triu_indices(self.n_vertices, 1)
+            ys, xs = (a.astype(np.int32)      # int32 halves the scratch
+                      for a in np.triu_indices(self.n_vertices, 1))
             d = self.dist_S[ys, xs]
             order = np.argsort(d, kind="stable")
-            counts = np.bincount(d, minlength=self.diameter_S + 1)
-            starts = np.cumsum(counts[:-1])
-            return tuple(_ro(a.astype(np.int32))
-                         for a in (ys[order], xs[order], starts))
+            counts = np.bincount(d, minlength=self.diameter_S + 1)[:-1]
+            return tuple(_ro(a.astype(np.int32, copy=False))
+                         for a in (ys[order], xs[order], np.cumsum(counts)))
         return _kept(self, "distance_classes", make)
 
     def _class_chunks(self, step: int):

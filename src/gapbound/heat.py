@@ -8,11 +8,11 @@ from the spectrum, so the two routes share no code path.
 The mocheat and eta(2) certificates read eta at five offsets around each
 sample time. `_offset_eta_blocks` builds and scans those states in blocks
 of sample times whose whole working set (the states, what the eta scan
-reads them through and their eta rows) keeps to _SCAN_CELLS, and the
-certificates stream their margins block by block: only the count, the
-running worst and the first failure in time order outlive a block. A
-state's eta and margins do not depend on its block, so the certificates
-give the bits of one whole-array pass.
+reads them through and their eta rows) keeps to _SCAN_CELLS; mocheat
+applies L_P to the eta rows as its three-point stencil. The certificates
+stream their margins block by block, keeping only the count, the running
+worst and the first failure in time order; as no state's eta or margin
+depends on its block, they give the bits of one whole-array pass.
 """
 
 import math
@@ -28,7 +28,7 @@ from .moduli import (_NOT_POSITIVE, _difference_sums, _dilates, _eta_block,
 # test_every_binding_is_wrapped_and_restored reads heat.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
 from .operators import (Spectrum, SymmetricOperator, _lead_positive,
-                        eigendecompose, path_lattice_laplacian)
+                        eigendecompose)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,40 +213,44 @@ def _margins(etas, rhs, dt: float) -> np.ndarray:
     return rhs + tol_dt - deta
 
 
+def _minus_lp(eta: np.ndarray) -> np.ndarray:
+    """-L_P eta at the lattice points s > 0 of rows eta(s), s = 0..D, in
+    this order: (eta(s - 2) + eta(s + 2)) - 2 eta(s) inside and
+    eta(D - 2) - eta(D) at s = D, with eta(-1) = -eta(1)."""
+    d = eta.shape[-1] - 1
+    lo = 2 - d % 2              # the least lattice point s > 0
+    mid = eta[..., lo::2]
+    rhs = np.concatenate([-eta[..., 1:2] if lo == 1 else eta[..., :1],
+                          eta[..., lo:d - 1:2]], axis=-1)
+    rhs[..., :-1] += eta[..., lo + 2::2]
+    rhs[..., :-1] -= 2 * mid[..., :-1]
+    rhs[..., -1] -= mid[..., -1]
+    return rhs
+
+
 def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Certify d(eta)/dt <= -L_P eta on the parity lattice at each sample.
 
     eta is the modulus over the trajectory operator's subgraph, whose
     diameter fixes the lattice; the margins are those of `_margins`, at the
-    lattice points s > 0. They stream over `_offset_eta_blocks`: each block
-    gathers its lattice once, and only the count, the running worst
-    (np.fmin, so a NaN margin is passed over as in one whole-array
-    reduction) and the first failure in time order outlive it.
+    lattice points s > 0, against the stencil of `_minus_lp`. They stream
+    over `_offset_eta_blocks`: only the count, the running worst (np.fmin,
+    so a NaN margin is passed over as in one whole-array reduction) and the
+    first failure in time order outlive a block.
     """
     d = traj.spectrum.operator.source.diameter_S
     if d < 1:
         return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
-    coords, lp = path_lattice_laplacian(d)
-    # coords ascend from -D: s < 0 before `neg`, s > 0 from `pos` on
-    neg, pos = np.searchsorted(coords, 0), np.searchsorted(coords, 0, "right")
+    lo = 2 - d % 2              # as in _minus_lp
     dt = _default_dt(traj.spectrum)
     checked, worst = 0, np.nan
     for times, etas in _offset_eta_blocks(traj):
-        # eta at every lattice point s = -D..D of every state: eta(|s|),
-        # negated for s < 0 (exact)
-        lattice = etas.take(np.abs(coords), axis=2)
+        margin = _margins(etas[..., lo::2], _minus_lp(etas[:, 2]), dt)
         del etas        # each block's arrays are freed before the next's
-        np.negative(lattice[..., :neg], out=lattice[..., :neg])
-        # matmul runs one L_P @ eta(t) per sample, rounding as the
-        # per-sample product does; one GEMM over all samples would round
-        # differently
-        rhs = -np.matmul(lp, lattice[:, 2, :, None])[:, :, 0]
-        margin = _margins(lattice[..., pos:], rhs[:, pos:], dt)
-        del lattice, rhs
         bad = np.argwhere(margin < 0)
         if bad.size:
             k, i = bad[0]
-            s = int(coords[pos + i])
+            s = lo + 2 * int(i)
             raise CertificateFailure(
                 f"d(eta)/dt > -L_P eta at s={s}, t={times[k]:.6g} "
                 f"(violation {-margin[k, i]:.3e})",

@@ -223,22 +223,18 @@ def dirichlet_hamiltonian(sub: ConvexSubgraph, w="boundary") -> SymmetricOperato
     return SymmetricOperator(source=sub, potential=_ro(pot))
 
 
+# TODO(next benchmark change): move to the tests with its LAYERS entry
 def path_lattice_laplacian(d: int):
     """(coords, L_P): the lattice points -D, -D + 2, ..., D, which have the
-    parity of D, and the Laplacian of the path through them, both read-only.
-
-    L_P is the one-dimensional comparison operator of the modulus
-    inequality; its smallest non-trivial eigenvalue is 2(1 - cos(pi/(D+1))).
+    parity of D, and the Laplacian of the path through them, both read-only:
+    the tests' dense reference for mocheat's stencil (`heat._minus_lp`).
+    Its smallest non-trivial eigenvalue is 2(1 - cos(pi/(D+1))).
     """
     if d < 1:
         raise ValueError("diameter must be >= 1")
     coords = np.arange(-d, d + 1, 2)
     m = coords.size
-    # one zero matrix with its three diagonals set, as strided views
-    a = np.zeros((m, m))
-    flat = a.reshape(-1)
-    flat[::m + 1] = 2.0
-    flat[1::m + 1] = flat[m::m + 1] = -1.0
+    a = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
     a[0, 0] = a[-1, -1] = 1.0
     return _ro(coords), _ro(a)
 

@@ -277,6 +277,17 @@ def test_convexity_scan_keeps_to_the_scratch_budget():
     assert peak <= 1 * MiB
 
 
+def test_pair_index_builds_in_int32():
+    # path(1024) has 523776 pairs, 4 MiB as two int32 arrays: int64 pair
+    # indices and copies of them raised the build's peak, which is that of
+    # verify_all on path(1024)+boundary, to 26.0 MiB; measured now 14.0 MiB
+    sub = path_instance(1024)
+    (ys, xs, starts), _, peak = traced_build(sub._distance_classes)
+    assert {a.dtype for a in (ys, xs, starts)} == {np.dtype(np.int32)}
+    assert (ys < xs).all() and (np.diff(sub.dist_S[ys, xs]) >= 0).all()
+    assert peak <= 16 * MiB
+
+
 def test_arc_in_cycle_boundary():
     graph = cycle_graph(6)
     sub = induce_subgraph(graph, [0, 1, 2])

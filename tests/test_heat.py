@@ -302,6 +302,30 @@ def test_path_lattice_is_the_matched_lattice(d):
     assert abs(np.linalg.eigvalsh(lp)[1] - mu_matched(d)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", range(1, 41))
+def test_stencil_is_the_dense_lattice_product(d, rng):
+    # random non-decreasing eta rows with eta(0) = 0 against L_P @ eta on
+    # the whole lattice (eta(-s) = -eta(s)) at the points s > 0: two
+    # additions in two orders, so within 2 eps (2|eta(s)| + |eta(s - 2)| +
+    # |eta(s + 2)|)
+    eta = np.zeros((6, d + 1))
+    eta[:, 1:] = np.cumsum(rng.exponential(size=(6, d)), axis=1)
+    coords, lp = path_lattice_laplacian(d)
+    lattice = np.sign(coords) * eta[:, np.abs(coords)]
+    pos = coords > 0
+    want = -(lp @ lattice.T).T[:, pos]
+    got = heat._minus_lp(eta)
+    s = coords[pos]
+    above = np.where(s < d, eta[:, np.minimum(s + 2, d)], 0.0)
+    bound = 2 * np.finfo(float).eps * (2 * eta[:, s] + eta[:, abs(s - 2)]
+                                       + above)
+    assert np.all(np.abs(got - want) <= bound)
+    if d == 1:          # the end row alone, with eta(-1) = -eta(1)
+        assert np.array_equal(got[:, 0], -2 * eta[:, 1])
+    if d == 2:          # the end row alone, with eta(0) = 0
+        assert np.array_equal(got[:, 0], eta[:, 0] - eta[:, 2])
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_mu_unit_is_the_unit_step_path_gap(d):
     # Theorems 5-6 compare against the (2D + 1)-point unit-step path
@@ -309,11 +333,26 @@ def test_mu_unit_is_the_unit_step_path_gap(d):
     assert abs(np.linalg.eigvalsh(lp)[1] - mu_unit(d)) <= 1e-12
 
 
+def ref_minus_lp(coords, eta):
+    """-L_P eta at each lattice point from the definition of L_P: the
+    values at the point's neighbours (s - 2, then s + 2, where they are
+    on the lattice) summed, less its degree times eta(s)."""
+    at = dict(zip(coords.tolist(), eta.tolist()))
+    out = []
+    for s in coords.tolist():
+        nbrs = [at[r] for r in (s - 2, s + 2) if r in at]
+        total = nbrs[0]
+        for value in nbrs[1:]:
+            total += value
+        out.append(total - len(nbrs) * at[s])
+    return np.array(out)
+
+
 def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
     """(checked, worst_margin) of the per-state loop; raises like the check."""
     spec = traj.spectrum
     d = sub.diameter_S
-    coords, lp = ref_lattice(d)
+    coords, _ = ref_lattice(d)
     slot, pos = coords + d, coords > 0
     phi0, start = traj.states[0], traj.times[0]
     dt = ref_default_dt(spec)
@@ -328,7 +367,7 @@ def ref_mocheat(traj, sub, tol=DEFAULT_TOL):
         deta = (ep1 - em1) / (2 * dt)
         third = (ep2 - 2 * ep1 + 2 * em1 - em2) / (2 * dt ** 3)
         tol_dt = np.abs(third) * dt * dt / 6.0 * 4.0 + 1e-12
-        margin = (-(lp @ e0) + tol_dt - deta)[pos]
+        margin = (ref_minus_lp(coords, e0) + tol_dt - deta)[pos]
         bad = np.flatnonzero(margin < 0)
         if bad.size:
             i = bad[0]
@@ -505,9 +544,10 @@ def test_stencil_evolves_from_the_trajectory_start():
 
 def u1_trajectory(name):
     """(sub, trajectory from u1 on the default times) of a HEAT_INSTANCES
-    entry or of Q8."""
-    sub, pot = HEAT_INSTANCES[name]() if name != "Q8" \
-        else (hypercube_instance(8), None)
+    entry, of Q8 or of path(1024)+boundary."""
+    sub, pot = {"Q8": lambda: (hypercube_instance(8), None),
+                "path1024-boundary": lambda: (path_instance(1024), "boundary"),
+                **HEAT_INSTANCES}[name]()
     op = laplacian(sub) if pot is None else dirichlet_hamiltonian(sub, pot)
     spec = eigendecompose(op)
     return sub, evolve(spec, spec.vector(1), default_times(spec.gap))
@@ -574,9 +614,12 @@ def test_mocheat_failure_in_a_later_block(monkeypatch):
 def test_heat_certificates_keep_to_the_scan_budget():
     # per block the states, their vertex-major copy or dilation buffers,
     # and their eta rows are charged to _SCAN_CELLS, and the margins
-    # stream. Measured peaks before -> after: path(160)+boundary 2.24 ->
-    # 1.19 MiB (L_P is 0.20 MiB of it), Q8 1.21 -> 0.55 MiB
-    for name, limit in (("path160-boundary", 1.5), ("Q8", 0.75)):
+    # stream with -L_P eta from its stencil. Measured peaks, whole-array
+    # passes -> blocks -> stencil: path(160)+boundary 2.24 -> 1.22 -> 1.02
+    # MiB, Q8 1.21 -> 0.48 -> 0.48 MiB; path(1024)+boundary, whose dense
+    # L_P took 8 MiB, 9.22 MiB with blocks -> 1.20 MiB
+    for name, limit in (("path160-boundary", 1.5), ("Q8", 0.75),
+                        ("path1024-boundary", 1.5)):
         _, traj = u1_trajectory(name)
         cert, peak = traced_peak(lambda: mocheat_inequality_check(traj))
         assert cert.ok and peak <= limit * 2 ** 20, name
