@@ -9,10 +9,10 @@ The mocheat and eta(2) certificates read eta at five offsets around each
 sample time. `_offset_eta_blocks` builds and scans those states in blocks
 of sample times whose whole working set (the states, what the eta scan
 reads them through and their eta rows) keeps to _SCAN_CELLS; mocheat
-applies L_P to the eta rows as its three-point stencil. The certificates
-stream their margins block by block, keeping only the count, the running
-worst and the first failure in time order; as no state's eta or margin
-depends on its block, they give the bits of one whole-array pass.
+applies L_P to the eta rows as its three-point stencil. Both stream their
+margins through one loop, `_streamed`, which keeps only the count, the
+running worst and the first failure in time order; as no state's eta or
+margin depends on its block, they give the bits of one whole-array pass.
 """
 
 import math
@@ -27,8 +27,7 @@ from .moduli import (_NOT_POSITIVE, _difference_sums, _dilates, _eta_block,
 # TODO(next benchmark change): perfbench's
 # test_every_binding_is_wrapped_and_restored reads heat.eigendecompose,
 # which nothing here calls; drop it from this import with that read.
-from .operators import (Spectrum, SymmetricOperator, _lead_positive,
-                        eigendecompose)
+from .operators import Spectrum, SymmetricOperator, eigendecompose
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +78,6 @@ def _default_dt(spec: Spectrum) -> float:
     return 1e-3 / lam_max if lam_max > 0 else 1e-3
 
 
-def _offset_states(spec: Spectrum, phi0: np.ndarray, times, dt: float,
-                   offsets=_OFFSETS):
-    """The states from phi0 at t + k dt for each t in `times` and k in
-    offsets, (len(times), len(offsets), dim)."""
-    states = spectral_state(spec, phi0,
-                            [t + k * dt for t in times for k in offsets])
-    return states.reshape(len(times), len(offsets), spec.dim)
-
-
 def _block_times(sub) -> int:
     """Sample times per block of the stencil on `sub`.
 
@@ -108,12 +98,13 @@ def _stencil_etas(spec: Spectrum, phi0: np.ndarray, since, dt: float):
     """eta(s), s = 0..D, of phi0 evolved for t + k dt, for each t in
     `since` and k = -2..2, (len(since), 5, D + 1); eta is over the
     spectrum operator's subgraph."""
-    sub = spec.operator.source
-    states = _offset_states(spec, phi0, since, dt).reshape(-1, sub.n_vertices)
+    states = spectral_state(spec, phi0,
+                            [t + k * dt for t in since for k in _OFFSETS])
     # both eta scans read the transpose of a vertex-major block in place;
     # rebinding frees the time-major states once it exists
     states = np.ascontiguousarray(states.T).T
-    return _eta_block(states, sub).reshape(len(since), len(_OFFSETS), -1)
+    return _eta_block(states, spec.operator.source).reshape(
+        len(since), len(_OFFSETS), -1)
 
 
 def _offset_eta_blocks(traj: HeatTrajectory):
@@ -228,33 +219,25 @@ def _minus_lp(eta: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
-    """Certify d(eta)/dt <= -L_P eta on the parity lattice at each sample.
+def _streamed(traj: HeatTrajectory, cols, rhs, failure) -> InequalityCertificate:
+    """Certify `_margins` >= 0 for eta at the points `cols` (an index of
+    its last axis) against rhs(eta) at each sample, over the blocks of
+    `_offset_eta_blocks`; rhs reads the rows at offset 0.
 
-    eta is the modulus over the trajectory operator's subgraph, whose
-    diameter fixes the lattice; the margins are those of `_margins`, at the
-    lattice points s > 0, against the stencil of `_minus_lp`. They stream
-    over `_offset_eta_blocks`: only the count, the running worst (np.fmin,
-    so a NaN margin is passed over as in one whole-array reduction) and the
-    first failure in time order outlive a block.
+    Only the count, the running worst (np.fmin from NaN, so a NaN margin is
+    passed over as in one whole-array reduction) and the first failure in
+    time order outlive a block. At a negative margin, failure(t, *i,
+    violation) is raised, i being the margin's index after the time's.
     """
-    d = traj.spectrum.operator.source.diameter_S
-    if d < 1:
-        return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
-    lo = 2 - d % 2              # as in _minus_lp
     dt = _default_dt(traj.spectrum)
     checked, worst = 0, np.nan
     for times, etas in _offset_eta_blocks(traj):
-        margin = _margins(etas[..., lo::2], _minus_lp(etas[:, 2]), dt)
+        margin = _margins(etas[..., cols], rhs(etas[:, 2]), dt)
         del etas        # each block's arrays are freed before the next's
         bad = np.argwhere(margin < 0)
         if bad.size:
-            k, i = bad[0]
-            s = lo + 2 * int(i)
-            raise CertificateFailure(
-                f"d(eta)/dt > -L_P eta at s={s}, t={times[k]:.6g} "
-                f"(violation {-margin[k, i]:.3e})",
-                witness=(s, float(times[k])))
+            k, *i = bad[0]
+            raise failure(times[k], *i, -margin[tuple(bad[0])])
         checked += margin.size
         worst = np.fmin.reduce(margin, axis=None, initial=worst)
     return InequalityCertificate(checked=checked,
@@ -262,28 +245,35 @@ def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
                                  ok=True)
 
 
+def mocheat_inequality_check(traj: HeatTrajectory) -> InequalityCertificate:
+    """Certify d(eta)/dt <= -L_P eta on the parity lattice at each sample.
+
+    eta is the modulus over the trajectory operator's subgraph, whose
+    diameter fixes the lattice; the margins, at the lattice points s > 0
+    against the stencil of `_minus_lp`, stream by `_streamed`.
+    """
+    d = traj.spectrum.operator.source.diameter_S
+    if d < 1:
+        return InequalityCertificate(checked=0, worst_margin=0.0, ok=True)
+    lo = 2 - d % 2              # as in _minus_lp
+
+    def failure(t, i, violation):
+        s = lo + 2 * int(i)
+        return CertificateFailure(
+            f"d(eta)/dt > -L_P eta at s={s}, t={t:.6g} "
+            f"(violation {violation:.3e})", witness=(s, float(t)))
+    return _streamed(traj, slice(lo, None, 2), _minus_lp, failure)
+
+
 def eta2_contraction_check(traj: HeatTrajectory) -> InequalityCertificate:
     """Hypercube-local certificate d(eta(2))/dt <= -2 eta(2) at each sample,
-    eta over the trajectory operator's subgraph; see `_margins`. The
-    margins stream over `_offset_eta_blocks` as in
-    `mocheat_inequality_check`."""
+    eta over the trajectory operator's subgraph; the margins stream by
+    `_streamed`."""
     s2 = min(2, traj.spectrum.operator.source.diameter_S)
-    dt = _default_dt(traj.spectrum)
-    checked, worst = 0, np.nan
-    for times, etas in _offset_eta_blocks(traj):
-        eta2 = etas[:, :, s2]
-        margin = _margins(eta2, -2.0 * eta2[:, 2], dt)
-        del etas, eta2
-        bad = np.flatnonzero(margin < 0)
-        if bad.size:
-            t = times[bad[0]]
-            raise CertificateFailure(
-                f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}", witness=float(t))
-        checked += margin.size
-        worst = np.fmin.reduce(margin, initial=worst)
-    return InequalityCertificate(checked=checked,
-                                 worst_margin=float(worst) if checked else 0.0,
-                                 ok=True)
+    return _streamed(traj, s2, lambda eta: -2.0 * eta[:, s2],
+                     lambda t, violation: CertificateFailure(
+                         f"d(eta(2))/dt > -2 eta(2) at t={t:.6g}",
+                         witness=float(t)))
 
 
 @dataclass(frozen=True)
@@ -301,6 +291,8 @@ def ratio_evolution_check(spec: Spectrum, times) -> RatioCertificate:
     exactly up to ``spec.tolerances.ratio_identity``. The operator is the
     spectrum's own, and the t = 0 ratio is the one kept on the spectrum.
     The evolved states are sampled at t and t +- dt, dt = `_default_dt`.
+    No evolved ground state is sign-fixed: its product with the positive
+    u0 is u0^T e^{-t Op} u0 >= 0, so it is never all-negative.
     """
     sub = spec.operator.source
     gamma = spec.gap
@@ -314,9 +306,9 @@ def ratio_evolution_check(spec: Spectrum, times) -> RatioCertificate:
 
     dt = _default_dt(spec)
     kept = [t for t in np.asarray(times, dtype=np.float64) if t >= dt]
-    ground = _offset_states(spec, spec.ground_state, kept, dt, (-1, 0, 1))
-    first = _offset_states(spec, spec.vector(1), kept, dt, (-1, 0, 1))
-    ground = _lead_positive(ground)
+    shifted = [t + k * dt for t in kept for k in (-1, 0, 1)]
+    ground, first = (spectral_state(spec, phi0, shifted).reshape(
+        len(kept), 3, spec.dim) for phi0 in (spec.ground_state, spec.vector(1)))
     # the samples before the first with a non-positive ground state are
     # checked, so a failure among them is still the first in time order
     bad = (ground.min(axis=2) <= 0).any(axis=1)

@@ -3,6 +3,8 @@
 Eigenvalues come out ascending, as LAPACK returns them, and each
 eigenvector's sign is fixed, so the output is deterministic for a fixed
 BLAS thread count. The tests check it against ``mpmath.eigsy`` at 30 digits.
+`_negative_lead` is the package's one sign rule: every eigenvector, basis
+vector and ground state is negated where it says so.
 """
 
 from dataclasses import dataclass
@@ -40,9 +42,15 @@ def jacobi_eigh(matrix):
     return w, v, JacobiInfo()
 
 
-def _fix_signs(v):
-    """First component of each eigenvector exceeding noise is made positive."""
+def _negative_lead(v):
+    """Whether the first component above 1e-12 times the largest magnitude
+    is negative, for each column of `v`, or for `v` itself if a vector."""
     mags = np.abs(v)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0, initial=0.0), axis=0)
-    flip = v[lead, np.arange(v.shape[1])] < 0
+    return np.take_along_axis(v, lead[None], axis=0)[0] < 0
+
+
+def _fix_signs(v):
+    """Negate in place each column of `v` that `_negative_lead` selects."""
+    flip = _negative_lead(v)
     v[:, flip] = -v[:, flip]

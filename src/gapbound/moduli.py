@@ -52,7 +52,8 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import BoundUnavailable, EmptyAfterSkips, NoAdmissibleTriple
 from .graphs import _SCAN_CELLS, ConvexSubgraph, _kept, _ro
-from .operators import Spectrum, _lead_positive
+from .jacobi import _negative_lead
+from .operators import Spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +158,8 @@ class RatioFunction:
 
     @classmethod
     def from_vectors(cls, u0, u1, sub: ConvexSubgraph) -> "RatioFunction":
-        u0 = _lead_positive(np.array(u0, dtype=np.float64))
+        u0 = np.array(u0, dtype=np.float64)
+        u0 = -u0 if _negative_lead(u0) else u0
         if u0.min() <= 0:
             raise ValueError(_NOT_POSITIVE)
         return cls(sub=sub, u0=u0, f=np.asarray(u1, dtype=np.float64) / u0)

@@ -4,11 +4,13 @@ An operator is its subgraph and, for H, its potential W: nothing else is
 stored. The dense matrix is built for LAPACK (see jacobi.py) and dropped
 after the solve; the analyses apply the operator through neighbour sums.
 The lambda1 eigenspace gets a canonical basis, so a degenerate gap reports
-the same eigenvectors whatever basis the solver returned. Every Spectrum is
-validated against residual, orthonormality and ground-state sign
-invariants at construction time. The residual |H v - lambda v| of each
-pair is computed once, through neighbour sums, and kept on the Spectrum;
-that check and the eigen-recurrence certificate both read it.
+the same eigenvectors whatever basis the solver returned; its vectors, as
+the solver's and the ground state, take their sign from the one rule,
+`jacobi._negative_lead`. Every Spectrum is validated against residual,
+orthonormality and ground-state sign invariants at construction time.
+The residual |H v - lambda v| of each pair is computed once, through
+neighbour sums, and kept on the Spectrum; that check and the
+eigen-recurrence certificate both read it.
 """
 
 import math
@@ -21,7 +23,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (CertificateFailure, NegativePotential,
                      SpectrumInvariantError)
 from .graphs import _SCAN_CELLS, ConvexSubgraph, _kept, _ro
-from .jacobi import _fix_signs, jacobi_eigh
+from .jacobi import _fix_signs, _negative_lead, jacobi_eigh
 
 LAPLACIAN = "laplacian"
 HAMILTONIAN = "hamiltonian"
@@ -122,10 +124,11 @@ class Spectrum:
 
     @property
     def ground_state(self) -> np.ndarray:
-        """u0 with its largest-magnitude entry positive; read-only, and a
-        view of the eigenvectors when its sign stays."""
+        """u0, negated where `_negative_lead` says so; read-only, and a view
+        of the eigenvectors when its sign stays."""
         def make():
-            u0 = _lead_positive(self.eigenvectors[:, 0])
+            u0 = self.eigenvectors[:, 0]
+            u0 = -u0 if _negative_lead(u0) else u0
             u0.setflags(write=False)
             return u0
         return _kept(self, "ground_state", make)
@@ -134,13 +137,6 @@ class Spectrum:
     def residuals(self) -> np.ndarray:
         """max_x |(Op u - lambda u)(x)| of each pair; read-only."""
         return _kept(self, "residuals", lambda: _ro(_residuals(self)))
-
-
-def _lead_positive(u0: np.ndarray) -> np.ndarray:
-    """u0, negated along the last axis where its largest-magnitude entry is
-    negative; u0 itself when no sign changes."""
-    lead = np.take_along_axis(u0, np.abs(u0).argmax(axis=-1)[..., None], -1)
-    return np.where(lead < 0, -u0, u0) if (lead < 0).any() else u0
 
 
 def _residual_scale(w: np.ndarray) -> float:

@@ -1,12 +1,15 @@
 """Field-level diff of gapbound's outputs between two source trees.
 
-    PYTHONPATH=src python tests/corpus_diff.py OLD [NEW]
+    PYTHONPATH=src python tests/corpus_diff.py OLD [NEW] [--threads A,B]
 
 OLD and NEW are git revisions, each taken with ``git archive <rev> src``;
 NEW defaults to the working tree. Both sides run the working tree's
 corpus specs (tests/corpus) under ``gapbound run`` and ``gapbound
 verify``, and the sweeps path 2..80, cycle 3..30 and hypercube 1..8, each
-in a subprocess with one BLAS thread and RuntimeWarnings as errors.
+in a subprocess with RuntimeWarnings as errors. The old side's
+subprocesses run with A BLAS threads and the new side's with B (default
+1,1), so one tree compared with itself at 1,2 shows what the thread count
+moves.
 
 For each run that moved it prints the change of exit code and stderr,
 and each output file that was added, removed or is identical. For a JSON
@@ -34,6 +37,8 @@ from test_corpus import CORPUS, SPECS
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEPS = (("path", 2, 80), ("cycle", 3, 30), ("hypercube", 1, 8))
+# the thread counts of OpenBLAS, OpenMP and MKL builds of BLAS
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _runs():
@@ -61,11 +66,13 @@ def _src(rev, into: Path) -> Path:
     return into / "src"
 
 
-def _outcome(src: Path, args, out: Path) -> dict:
-    """Exit code, stderr and output bytes of one gapbound run on `src`;
-    `out` is removed again. A traceback names `src` as "src", so the two
-    sides' tracebacks differ only where their code does."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+def _outcome(src: Path, args, out: Path, threads: int) -> dict:
+    """Exit code, stderr and output bytes of one gapbound run on `src` at
+    `threads` BLAS threads; `out` is removed again. A traceback names `src`
+    as "src", so the two sides' tracebacks differ only where their code
+    does."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **dict.fromkeys(BLAS_THREADS, str(threads)))
     out.mkdir(parents=True)
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "gapbound.cli",
@@ -214,12 +221,27 @@ def diff_run(old: dict, new: dict) -> list:
     return lines
 
 
+def _thread_counts(text: str):
+    """"A,B" as two positive thread counts."""
+    try:
+        counts = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        counts = ()
+    if len(counts) != 2 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected two positive integers A,B, got {text!r}")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", help="git revision of the old side")
     parser.add_argument("new", nargs="?", default=None,
                         help="git revision of the new side (default: the "
                         "working tree)")
+    parser.add_argument("--threads", type=_thread_counts, default=(1, 1),
+                        metavar="A,B", help="BLAS threads of the old and "
+                        "the new side (default: 1,1)")
     args = parser.parse_args(argv)
     runs = _runs()
     moved = 0
@@ -228,8 +250,9 @@ def main(argv=None) -> int:
         old_src = _src(args.old, tmp / "old")
         new_src = _src(args.new, tmp / "new")
         for name, run in runs.items():
-            lines = diff_run(_outcome(old_src, run, tmp / "out-old"),
-                             _outcome(new_src, run, tmp / "out-new"))
+            lines = diff_run(
+                _outcome(old_src, run, tmp / "out-old", args.threads[0]),
+                _outcome(new_src, run, tmp / "out-new", args.threads[1]))
             if lines:
                 moved += 1
                 print(f"{name}:")

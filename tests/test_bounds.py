@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from gapbound.config import DEFAULT_TOL
 from gapbound.errors import HypothesisFailed, NotHypercube
 from gapbound.families import (cycle_instance, hypercube_instance,
                                path_instance, quadratic_potential)
-from gapbound.graphs import induce_subgraph
+from gapbound.graphs import build_cayley, induce_subgraph, is_strongly_convex
+from gapbound.groups import generator_set, group_from_table
 from gapbound.moduli import (ModulusOfConcavity, _ground_eta,
                              modulus_of_concavity)
 from gapbound.operators import dirichlet_hamiltonian, eigendecompose, laplacian
@@ -323,3 +325,51 @@ def test_verify_all_records_unavailable_and_failing_bounds():
     assert rec.applicable and rec.bound == 2.0
     assert rec.slack == report.gap - 2.0 < 0
     assert rec.holds is False
+
+
+# -- exact non-abelian oracles on Cay(S_n, transpositions) -----------------
+
+def transposition_graph(transpositions, n):
+    """(Cay(S_n, transpositions), the permutations in table order)."""
+    table, gens = transpositions(n)
+    group = group_from_table(table, name=f"S{n}")
+    graph = build_cayley(group, generator_set(group, gens))
+    return graph, list(itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (4, 5) for k in range(1, n)])
+def test_young_subgroups_with_the_boundary_potential(transpositions, n, k):
+    # S_k x S_{n-k}, the permutations that keep {0..k-1}: a convex set, as
+    # the transpositions of a geodesic between two of its members join
+    # points of one cycle of their quotient, so of one block. It induces
+    # Cay(S_k) x Cay(S_{n-k}), whose gap is the smallest block size >= 2
+    # (Cay(S_j, transpositions) has gap j), and each member has the
+    # k(n - k) transpositions across the blocks as its boundary edges
+    graph, perms = transposition_graph(transpositions, n)
+    sub = induce_subgraph(graph, [i for i, p in enumerate(perms)
+                                  if max(p[:k]) < k])
+    assert sub.n_vertices == math.factorial(k) * math.factorial(n - k)
+    assert is_strongly_convex(sub)
+    op = dirichlet_hamiltonian(sub, "boundary")
+    assert (op.potential == k * (n - k)).all()
+    report = verify_all(eigendecompose(op))
+    want = min(j for j in (k, n - k) if j >= 2)
+    assert abs(report.gap - want) <= \
+        DEFAULT_TOL.verify_factor * max(1.0, report.gap)
+    applicable = [r for r in report.records if r.applicable]
+    assert applicable and all(r.holds for r in applicable)
+
+
+def test_transposition_graph_with_a_random_potential(transpositions, mp_eigh):
+    # S4's whole graph with a seeded uniform [0, 5] potential: the spectrum
+    # and the positive ground state against mpmath at 30 digits
+    graph, _ = transposition_graph(transpositions, 4)
+    sub = graph.full_subgraph()
+    pot = np.random.default_rng(4).uniform(0.0, 5.0, sub.n_vertices)
+    op = dirichlet_hamiltonian(sub, pot)
+    spec = eigendecompose(op)
+    wref, vref = mp_eigh(op.entries)
+    scale = max(1.0, np.abs(wref).max())
+    assert np.abs(spec.eigenvalues - wref).max() <= 1e-12 * scale
+    ref = np.abs(vref[:, 0])
+    assert np.abs(spec.ground_state - ref).max() <= 1e-12 * ref.min()

@@ -1,6 +1,11 @@
 """The field-level comparison of tests/corpus_diff.py on small inputs."""
 
-from corpus_diff import diff_csv, diff_json, diff_run
+import subprocess
+
+import pytest
+
+import corpus_diff
+from corpus_diff import BLAS_THREADS, diff_csv, diff_json, diff_run
 
 
 def test_json_diff_names_each_moved_path():
@@ -41,3 +46,28 @@ def test_run_diff_lists_exit_stderr_and_files():
         "exit 2 -> 1", "stderr:", "  - error: a", "  + error: b",
         "spectrum.csv: removed", "sweep.json: added",
         "identical: report.json"]
+
+
+def test_each_side_runs_at_its_own_blas_thread_count(monkeypatch, capsys):
+    # no process starts: git, tar and gapbound calls are recorded, and each
+    # gapbound call gets the thread count of its side in every BLAS variable
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append((cmd, kwargs.get("env")))
+        return subprocess.CompletedProcess(cmd, 0, stdout=b"", stderr="")
+
+    monkeypatch.setattr(corpus_diff.subprocess, "run", run)
+    monkeypatch.setattr(corpus_diff, "_runs",
+                        lambda: {"run/x": ["run", "--spec", "x.json"]})
+    for argv, want in ((["HEAD"], ["1", "1"]),
+                       (["HEAD", "HEAD", "--threads", "1,2"], ["1", "2"])):
+        calls.clear()
+        assert corpus_diff.main(argv) == 0
+        envs = [env for cmd, env in calls if "gapbound.cli" in cmd]
+        assert [[env[k] for k in BLAS_THREADS] for env in envs] == \
+            [[n] * len(BLAS_THREADS) for n in want]
+    assert capsys.readouterr().out == "1 of 1 runs identical\n" * 2
+    for bad in ("2", "1,2,3", "0,1", "a,b"):
+        with pytest.raises(SystemExit):
+            corpus_diff.main(["HEAD", "--threads", bad])

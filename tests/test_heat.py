@@ -587,6 +587,24 @@ def test_streamed_certificates_match_per_state_reference(monkeypatch):
     assert isinstance(want[0][0], int) and isinstance(want[1][0], str)
 
 
+def later_block_failure(monkeypatch, sub, traj, check, ref):
+    """check's failure on `traj` in blocks of four sample times, asserted
+    equal to ref's (message and witness); and the index of its time among
+    the kept times."""
+    per_time = heat._SCAN_CELLS // heat._block_times(sub)
+    monkeypatch.setattr(heat, "_SCAN_CELLS", 4 * per_time)
+    assert heat._block_times(sub) == 4
+    with pytest.raises(CertificateFailure) as want:
+        ref(traj, sub)
+    with pytest.raises(CertificateFailure) as got:
+        check(traj)
+    assert str(got.value) == str(want.value)
+    assert got.value.witness == want.value.witness
+    dt = ref_default_dt(traj.spectrum)
+    kept = [t for t in traj.times if t >= 2 * dt]
+    return got.value, kept.index(np.ravel(got.value.witness)[-1])
+
+
 def test_mocheat_failure_in_a_later_block(monkeypatch):
     # the second case of test_mocheat_failure_witness in blocks of four
     # sample times: its first violation lies in a later block, and the
@@ -597,18 +615,28 @@ def test_mocheat_failure_in_a_later_block(monkeypatch):
     w[7] *= 0.5
     traj = evolve(dataclasses.replace(spec, eigenvalues=w),
                   spec.vector(1) + spec.vector(7), default_times(spec.gap))
-    per_time = heat._SCAN_CELLS // heat._block_times(sub)
-    monkeypatch.setattr(heat, "_SCAN_CELLS", 4 * per_time)
-    assert heat._block_times(sub) == 4
-    kept = [t for t in traj.times if t >= 2 * ref_default_dt(spec)]
-    with pytest.raises(CertificateFailure) as want:
-        ref_mocheat(traj, sub)
-    with pytest.raises(CertificateFailure) as got:
-        mocheat_inequality_check(traj)
-    assert str(got.value) == str(want.value) == \
+    exc, k = later_block_failure(monkeypatch, sub, traj,
+                                 mocheat_inequality_check, ref_mocheat)
+    assert str(exc) == \
         "d(eta)/dt > -L_P eta at s=4, t=1.679 (violation 1.112e-02)"
-    assert got.value.witness == want.value.witness
-    assert kept.index(got.value.witness[1]) >= 4
+    assert k >= 4
+
+
+def test_eta2_failure_in_a_later_block(monkeypatch):
+    # Q3 with its top eigenvalue cut to a fifth and a tenth of u7 mixed in:
+    # eta(2) contracts fast enough until t = 2.29, which lies in a later
+    # block of four sample times
+    sub = hypercube_instance(3)
+    spec = eigendecompose(laplacian(sub))
+    w = spec.eigenvalues.copy()
+    w[7] *= 0.2
+    traj = evolve(dataclasses.replace(spec, eigenvalues=w),
+                  spec.vector(1) + 0.1 * spec.vector(7),
+                  default_times(spec.gap))
+    exc, k = later_block_failure(monkeypatch, sub, traj,
+                                 eta2_contraction_check, ref_eta2)
+    assert str(exc) == "d(eta(2))/dt > -2 eta(2) at t=2.29224"
+    assert k >= 4
 
 
 def test_heat_certificates_keep_to_the_scan_budget():

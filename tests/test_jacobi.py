@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gapbound.errors import ConvergenceFailure
-from gapbound.jacobi import jacobi_eigh
+from gapbound.jacobi import _negative_lead, jacobi_eigh
 
 
 def random_symmetric(n, seed):
@@ -73,6 +73,17 @@ def test_eigenvalues_sorted_and_signs_fixed():
         col = v[:, j]
         lead = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
         assert col[lead] > 0
+
+
+def test_one_sign_rule_for_columns_and_vectors():
+    # the first entry above 1e-12 of the largest magnitude decides, not
+    # the noise before it nor the largest entry; a zero vector keeps its sign
+    v = np.array([[-1e-14, 0.0, 2.0, 0.0],
+                  [0.5, -3.0, -1.0, 0.0],
+                  [-0.9, 1.0, 0.0, 0.0]])
+    assert _negative_lead(v).tolist() == [False, True, False, False]
+    assert [bool(_negative_lead(c)) for c in v.T] == \
+        [False, True, False, False]
 
 
 def test_zero_and_scalar_matrices():

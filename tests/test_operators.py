@@ -387,14 +387,17 @@ def test_failed_certificate_raises_on_every_call():
 
 
 def test_ground_state_is_positive_and_read_only():
+    # a view of the eigenvectors while its sign stays, a copy once it flips
     ham = dirichlet_hamiltonian(path_instance(7), "boundary")
     spec = eigendecompose(ham)
     flipped = dataclasses.replace(spec, eigenvectors=-spec.eigenvectors)
-    for s in (spec, flipped):
+    for s, view in ((spec, True), (flipped, False)):
         u0 = s.ground_state
         assert u0 is s.ground_state
         assert not u0.flags.writeable
+        assert (u0 > 0).all()
         assert np.array_equal(u0, spec.eigenvectors[:, 0])
+        assert np.shares_memory(u0, s.eigenvectors) == view
 
 
 def test_residuals_over_column_blocks_match_each_pair():
